@@ -22,7 +22,7 @@ from .quantize import (
     OffsetSequence,
     OperatorConfig,
     IterationTrace,
-    _counting_all,
+    _kernel_sums,
 )
 from .sequences import EnergySequence, LogSequence, TailModel
 
@@ -312,7 +312,7 @@ def verify_bracket(X: EnergySequence, Q: OffsetSequence, kernel: KernelParams,
     SUB.  With kind omitted, the better-satisfied hypothesis is reported; a
     fixed point satisfies both within solver noise.
     """
-    diffs = _counting_all(X, X.values, kernel, cfg) - Q.values(len(X))
+    diffs = _kernel_sums(X, X.values, kernel, cfg) - Q.values(len(X))
     super_violation = float(-diffs.min())
     sub_violation = float(diffs.max())
     if kind is None:

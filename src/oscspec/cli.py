@@ -11,8 +11,7 @@ to a stable exit-code enumeration:
     4  tolerance failure (verify bound exceeded)
 
 Flag values take precedence over the optional key=value config file, which
-takes precedence over built-in defaults.  OSCSPEC_THREADS controls the worker
-count for the per-parity solves.
+takes precedence over built-in defaults.
 """
 
 from __future__ import annotations
@@ -61,6 +60,10 @@ DEFAULTS = {
 }
 
 
+# config keys that the command's parser collects as repeatable (append) flags
+_REPEATABLE = {"analyze": ("eps", "alpha")}
+
+
 class _UsageError(Exception):
     pass
 
@@ -87,6 +90,9 @@ def _effective(args: argparse.Namespace, command: str) -> dict:
         unknown = set(file_values) - set(options) - {"M", "theta", "upper", "lower"}
         if unknown:
             raise _UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        for key in _REPEATABLE.get(command, ()):
+            if key in file_values:
+                file_values[key] = [file_values[key]]
         options.update(file_values)
     for key, value in vars(args).items():
         if key in ("command", "config", "out"):

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,27 +156,10 @@ def merge_spectrum(even: EnergySequence, odd: EnergySequence,
     )
 
 
-def thread_count() -> int:
-    """Worker count from the OSCSPEC_THREADS environment variable, default 1."""
-    raw = os.environ.get("OSCSPEC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def compute_spectrum(M: int, cfg: OperatorConfig, stop: StopRule,
-                     threads: int | None = None) -> SpectrumResult:
-    """Solve both parities (concurrently when threads allow) and merge."""
+def compute_spectrum(M: int, cfg: OperatorConfig, stop: StopRule) -> SpectrumResult:
+    """Solve both parities and merge."""
     problems = {p: build_problem(M, p) for p in Parity}
-    workers = thread_count() if threads is None else threads
-    if workers >= 2:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            futures = {p: pool.submit(solve_parity, prob, cfg, stop)
-                       for p, prob in problems.items()}
-            solved = {p: f.result() for p, f in futures.items()}
-    else:
-        solved = {p: solve_parity(prob, cfg, stop) for p, prob in problems.items()}
+    solved = {p: solve_parity(prob, cfg, stop) for p, prob in problems.items()}
     residuals = {p.value: solved[p][1].residual_sup[-1] for p in Parity}
     iterations = {p.value: solved[p][1].steps for p in Parity}
     return merge_spectrum(solved[Parity.EVEN][0], solved[Parity.ODD][0],

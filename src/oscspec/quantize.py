@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebpts1, chebvander
 
 from .errors import BracketFailure, ConditionViolation, NoConvergence, TailDivergence
 from .sequences import EnergySequence, TailModel
@@ -29,6 +30,17 @@ from .sequences import EnergySequence, TailModel
 _LOG8 = math.log(8.0)
 # widest admissible bracket: total expansion factor 2**64 on either side
 _MAX_HALFWIDTH = 64.0 * math.log(2.0)
+# probes per block of a dense kernel sum hold at most this many kernel values (8 MiB)
+_BLOCK_ENTRIES = 1 << 20
+# degree of the Chebyshev panels of apply_quantization, their points on [-1, 1],
+# and the maps from values at the points to the coefficients of the interpolant
+# (discrete orthogonality) and of its derivative on [-1, 1]
+_CHEB_DEGREE = 24
+_CHEB_NODES = chebpts1(_CHEB_DEGREE + 1)
+_CHEB_FROM_VALUES = chebvander(_CHEB_NODES, _CHEB_DEGREE).T * (2.0 / (_CHEB_DEGREE + 1))
+_CHEB_FROM_VALUES[0] *= 0.5
+_CHEB_SLOPE_FROM_VALUES = np.zeros_like(_CHEB_FROM_VALUES)
+_CHEB_SLOPE_FROM_VALUES[:-1] = chebder(_CHEB_FROM_VALUES)
 
 
 @dataclass(frozen=True)
@@ -264,12 +276,35 @@ def _extended(X: EnergySequence, cfg: OperatorConfig) -> tuple[np.ndarray, np.nd
     )
 
 
-def _counting_all(X: EnergySequence, probes: np.ndarray, kernel: KernelParams,
-                  cfg: OperatorConfig) -> np.ndarray:
-    """Counting function at every probe energy at once."""
+def _kernel_sums(X: EnergySequence, probes: np.ndarray, kernel: KernelParams,
+                 cfg: OperatorConfig, slope: bool = False,
+                 rows: np.ndarray | None = None) -> np.ndarray:
+    """Dense kernel sums over the full sequence X at every probe energy.
+
+    Returns the counting function (1/pi) sum_k w_k angle_kernel(X_k, y) or,
+    with slope set, its derivative in ln y, (sin theta / pi) sum_k w_k
+    derivative_kernel(X_k, y); the weights w_k are one on the stored entries
+    and the tail quadrature weights on the tail nodes.  Probes are taken in
+    blocks of at most _BLOCK_ENTRIES kernel values (one probe at least), so a
+    temporary holds O(N * block) values whatever the number of probes.  With
+    rows given, of
+    shape (len(probes), len(X) + tail nodes), the unweighted kernel values
+    against the stored entries and tail nodes are written into it.
+    """
     xe, we = _extended(X, cfg)
-    ratios = xe[None, :] / probes[:, None]
-    return np.arctan2(kernel.sin, ratios + kernel.cos) @ we / math.pi
+    if slope:
+        pair, scale = derivative_kernel, kernel.sin / math.pi
+    else:
+        pair, scale = angle_kernel, 1.0 / math.pi
+    out = np.empty(probes.size)
+    step = max(1, _BLOCK_ENTRIES // xe.size)
+    for start in range(0, probes.size, step):
+        block = slice(start, start + step)
+        values = pair(kernel, xe, probes[block, None])
+        out[block] = values @ we
+        if rows is not None:
+            rows[block] = values
+    return out * scale
 
 
 def counting_component(X: EnergySequence, y_level: float, kernel: KernelParams,
@@ -279,7 +314,7 @@ def counting_component(X: EnergySequence, y_level: float, kernel: KernelParams,
     Strictly increasing in y_level; the tail of the sum is evaluated by the
     quadrature rule of the tail model.
     """
-    return float(_counting_all(X, np.asarray([y_level], dtype=float), kernel, cfg)[0])
+    return float(_kernel_sums(X, np.asarray([y_level], dtype=float), kernel, cfg)[0])
 
 
 def counting_derivative(X: EnergySequence, y_level: float, kernel: KernelParams,
@@ -289,21 +324,62 @@ def counting_derivative(X: EnergySequence, y_level: float, kernel: KernelParams,
     Equals (sin theta / pi) times the sum of derivative_kernel(X_k, y) over
     the full sequence; strictly positive.
     """
-    xe, we = _extended(X, cfg)
-    ratios = xe / y_level
-    p = 1.0 / (ratios + 2.0 * kernel.cos + 1.0 / ratios)
-    return float(p @ we * (kernel.sin / math.pi))
+    return float(_kernel_sums(X, np.asarray([y_level], dtype=float), kernel, cfg, slope=True)[0])
+
+
+class _CountingPanels:
+    """Piecewise Chebyshev interpolant of s -> phi(X, e**s) on [lo, hi].
+
+    Each term of the counting sum, arg(e**(ln X_k - s) + e**(i theta)), is
+    analytic in the strip |Im s| < pi - theta, so panels of width at most
+    2 (pi - theta) / 3 sit in a Bernstein ellipse of parameter 3 + sqrt(10)
+    and degree _CHEB_DEGREE reaches the rounding floor of the dense sum.  The
+    dense layer is evaluated once, at the Chebyshev points of every panel.
+    """
+
+    def __init__(self, X: EnergySequence, kernel: KernelParams, cfg: OperatorConfig,
+                 lo: float, hi: float):
+        count = max(1, math.ceil((hi - lo) / (2.0 * (math.pi - kernel.theta) / 3.0)))
+        self.lo, self.hi = lo, hi
+        self.width = (hi - lo) / count
+        self.centers = lo + self.width * (np.arange(count) + 0.5)
+        nodes = self.centers[:, None] + 0.5 * self.width * _CHEB_NODES
+        phi = _kernel_sums(X, np.exp(nodes).ravel(), kernel, cfg).reshape(nodes.shape)
+        # (degree + 1, value/slope, panel)
+        self.coef = np.stack([_CHEB_FROM_VALUES @ phi.T,
+                              (2.0 / self.width) * (_CHEB_SLOPE_FROM_VALUES @ phi.T)], axis=1)
+
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        """Rows phi and d phi / d s at every s in [lo, hi], from one Clenshaw sweep."""
+        panel = np.clip(((s - self.lo) / self.width).astype(int), 0, self.centers.size - 1)
+        x = (s - self.centers[panel]) * (2.0 / self.width)
+        x2 = 2.0 * x
+        b1, b2 = self.coef[-1].take(panel, axis=1), 0.0
+        for c in self.coef[-2:0:-1]:
+            b1, b2 = c.take(panel, axis=1) + x2 * b1 - b2, b1
+        return self.coef[0].take(panel, axis=1) + x * b1 - b2
 
 
 def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParams,
                        cfg: OperatorConfig) -> EnergySequence:
     """Apply the operator: solve the counting equation at every stored level.
 
+    The counting function of X is evaluated densely once, by the blocked
+    kernel sum, at the Chebyshev points of panels covering every bracket in
+    y = ln Y; the panel width is 2 (pi - theta) / 3, set by the strip of
+    analyticity of the kernel, at degree 24.  All root finding then runs on
+    that piecewise interpolant and its Chebyshev derivative, which agree with
+    the dense sum to its rounding floor (measured ~1e-15 * max phi), at a cost
+    of O(panels * 25 * N) per application instead of several O(N**2) passes,
+    and with memory bounded by O(N * block).  Certificates, counting_component
+    and derivative_matrix use the dense sum directly.
+
     Each component is solved by a safeguarded Newton iteration in the log
-    coordinate y_j = ln Y_j: Newton steps use the analytic derivative and
-    fall back to bisection on a sign-changing bracket, which starts at
+    coordinate y_j = ln Y_j: Newton steps use the interpolant's derivative
+    and fall back to bisection on a sign-changing bracket, which starts at
     [X_j/8, 8 X_j] and expands geometrically (up to a total factor of 2**64
-    per side) if it does not straddle the root.  A component is accepted when
+    per side) if it does not straddle the root; an expansion past the panels
+    rebuilds them over the wider range.  A component is accepted when
     |phi_j - Q_j| <= root_tol, or when its bracket collapses to a few ulps of
     y_j: at large truncations one ulp of y_j moves phi_j by more than any
     fixed tolerance, so an absolute tolerance alone is not reachable in
@@ -320,31 +396,17 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
     """
     values = X.values
     n = len(values)
-    xe, we = _extended(X, cfg)
-    sin_t, cos_t = kernel.sin, kernel.cos
     q = Q.values(n)
-
-    def count_minus_q(y: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        ratios = xe[None, :] / np.exp(y)[:, None]
-        phi = np.arctan2(sin_t, ratios + cos_t) @ we / math.pi
-        return phi - q[idx]
-
-    def count_and_slope(y: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ratios = xe[None, :] / np.exp(y)[:, None]
-        phi = np.arctan2(sin_t, ratios + cos_t) @ we / math.pi
-        p = 1.0 / (ratios + 2.0 * cos_t + 1.0 / ratios)
-        return phi - q[idx], p @ we * (sin_t / math.pi)
 
     x_log = np.log(values)
     y = x_log.copy()
     lo = x_log - _LOG8
     hi = x_log + _LOG8
+    panels = _CountingPanels(X, kernel, cfg, lo.min(), hi.max())
 
     # expand until f(lo) < 0 < f(hi); phi is increasing in y so sign
     # information at the bounds is conclusive
-    idx_all = np.arange(n)
-    f_lo = count_minus_q(lo, idx_all)
-    f_hi = count_minus_q(hi, idx_all)
+    f_lo, f_hi = panels(np.concatenate([lo, hi]))[0].reshape(2, n) - q
     while True:
         bad_lo = f_lo >= 0
         bad_hi = f_hi <= 0
@@ -357,15 +419,18 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
             )
         lo[bad_lo] -= _LOG8
         hi[bad_hi] += _LOG8
+        if lo.min() < panels.lo or hi.max() > panels.hi:
+            panels = _CountingPanels(X, kernel, cfg, lo.min(), hi.max())
         if bad_lo.any():
-            f_lo[bad_lo] = count_minus_q(lo[bad_lo], idx_all[bad_lo])
+            f_lo[bad_lo] = panels(lo[bad_lo])[0] - q[bad_lo]
         if bad_hi.any():
-            f_hi[bad_hi] = count_minus_q(hi[bad_hi], idx_all[bad_hi])
+            f_hi[bad_hi] = panels(hi[bad_hi])[0] - q[bad_hi]
 
     eps = np.finfo(float).eps
-    active = idx_all
+    active = np.arange(n)
     for _ in range(cfg.max_root_iters):
-        f, slope = count_and_slope(y[active], active)
+        f, slope = panels(y[active])
+        f -= q[active]
         positive = f > 0
         hi[active[positive]] = y[active[positive]]
         lo[active[~positive]] = y[active[~positive]]
@@ -410,13 +475,12 @@ def derivative_matrix(X: EnergySequence, Y: EnergySequence, kernel: KernelParams
     of Z_i.  The caller is responsible for Y = apply_quantization(X); this is
     not re-verified.
     """
-    xe, we = _extended(X, cfg)
-    ratios = xe[None, :] / Y.values[:, None]
-    p = 1.0 / (ratios + 2.0 * kernel.cos + 1.0 / ratios)
     n = len(X)
-    z = p @ we
+    tail_weights = _tail_rule(n, X.tail, cfg.tail_quadrature_points)[1]
+    p = np.empty((len(Y), n + tail_weights.size))
+    z = _kernel_sums(X, Y.values, kernel, cfg, slope=True, rows=p) * (math.pi / kernel.sin)
     entries = p[:, :n] / z[:, None]
-    defect = (p[:, n:] @ we[n:]) / z
+    defect = (p[:, n:] @ tail_weights) / z
     return DerivativeMatrix(entries, defect)
 
 

@@ -224,6 +224,15 @@ class TestConfigFile:
         assert code == EXIT_USAGE
         assert "frobnicate" in err
 
+    def test_repeatable_key_given_once(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eps = 0.5\nalpha = 2.0\nformat = json\n")
+        code, out, _ = run(capsys, "analyze", "--M", "2", "--config", str(cfg))
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert [row["epsilon"] for row in doc["contraction"]] == [0.5]
+        assert [row["alpha"] for row in doc["drift"]] == [2.0]
+
     def test_malformed_line_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("N 70\n")
@@ -243,10 +252,3 @@ def test_convergence_failure_exit_code(capsys):
     assert code == EXIT_CONVERGENCE
     assert "convergence" in err.lower()
 
-
-def test_thread_env_var_keeps_output_identical(capsys, monkeypatch):
-    _, serial, _ = run(capsys, "spectrum", "--M", "2", "--levels", "5", "--N", "60")
-    monkeypatch.setenv("OSCSPEC_THREADS", "2")
-    code, threaded, _ = run(capsys, "spectrum", "--M", "2", "--levels", "5", "--N", "60")
-    assert code == EXIT_OK
-    assert threaded == serial

@@ -163,14 +163,6 @@ def test_compute_spectrum_collects_diagnostics():
     assert np.all(np.diff(result.energies) > 0)
 
 
-def test_compute_spectrum_threaded_matches_serial(monkeypatch):
-    serial = compute_spectrum(2, OperatorConfig(truncation=40),
-                              StopRule(max_steps=200, target_residual=1e-10), threads=1)
-    threaded = compute_spectrum(2, OperatorConfig(truncation=40),
-                                StopRule(max_steps=200, target_residual=1e-10), threads=2)
-    assert np.array_equal(serial.energies, threaded.energies)
-
-
 def test_parity_interlacing_of_fixed_points(m2_even_300, m2_odd_300):
     _, _, even, _ = m2_even_300
     _, _, odd, _ = m2_odd_300

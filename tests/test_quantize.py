@@ -1,6 +1,7 @@
 """Kernels, counting functions, the implicit solve and its derivative matrix."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,8 +31,11 @@ from oscspec import (
     weighted_norm,
     Parity,
     OracleConfig,
+    seed_sequence,
 )
+from oscspec.quantize import _LOG8, _CountingPanels, _kernel_sums
 from conftest import random_growth_sequence
+from test_acceptance import THETA_GRID
 
 # tail with a huge exponent pushes every extrapolated entry so high that the
 # tail contribution to any kernel sum is numerically zero
@@ -195,10 +199,14 @@ class TestApplyQuantization:
     def test_roots_meet_tolerance(self, rng):
         problem = self.problem()
         seq = random_growth_sequence(rng, 48)
-        out = apply_quantization(seq, problem.offsets, problem.kernel, self.CFG)
-        for j in (0, 5, 23, 47):
-            phi = counting_component(seq, out.values[j], problem.kernel, self.CFG)
-            assert abs(phi - problem.offsets.value(j + 1)) <= 2 * self.CFG.root_tol
+        # the shifted offsets put roots outside [X_j/8, 8 X_j], above and below,
+        # so the brackets expand past the first panels
+        for offsets in (problem.offsets, OffsetSequence(constant=300.0),
+                        OffsetSequence(constant=-0.3, overrides=((1, 0.05),))):
+            out = apply_quantization(seq, offsets, problem.kernel, self.CFG)
+            for j in (0, 5, 23, 47):
+                phi = counting_component(seq, out.values[j], problem.kernel, self.CFG)
+                assert abs(phi - offsets.value(j + 1)) <= 2 * self.CFG.root_tol
 
     def test_dilatation_equivariance(self, rng):
         problem = self.problem()
@@ -247,6 +255,47 @@ class TestApplyQuantization:
         shifted = OffsetSequence(constant=5.0)
         with pytest.raises(NoConvergence):
             apply_quantization(seq, shifted, problem.kernel, tight)
+
+
+class TestCountingPanels:
+    def test_matches_dense_sum(self, rng):
+        # every acceptance angle plus the oscillator angles of M = 2, 3, 4, 8
+        thetas = sorted(set(THETA_GRID) | {(M - 1) * math.pi / (M + 1) for M in (2, 3, 4, 8)})
+        for theta in thetas:
+            kp = KernelParams(theta)
+            seq = random_growth_sequence(rng, 1000, alpha=1.0 + theta / math.pi)
+            cfg = OperatorConfig(truncation=1000)
+            x_log = np.log(seq.values)
+            panels = _CountingPanels(seq, kp, cfg, x_log.min() - _LOG8, x_log.max() + _LOG8)
+            s = np.concatenate([[panels.lo, panels.hi], rng.uniform(panels.lo, panels.hi, 400)])
+            phi, slope = panels(s)
+            dense = _kernel_sums(seq, np.exp(s), kp, cfg)
+            dense_slope = _kernel_sums(seq, np.exp(s), kp, cfg, slope=True)
+            assert np.max(np.abs(phi - dense)) <= 1e-14 * np.max(np.abs(dense)), theta
+            assert np.max(np.abs(slope - dense_slope)) <= 1e-10 * np.max(dense_slope), theta
+
+    def test_roots_meet_dense_equation(self):
+        cfg = OperatorConfig(truncation=2000)
+        for M in (2, 3):
+            for parity in Parity:
+                problem = build_problem(M, parity)
+                seq = seed_sequence(problem, 2000)
+                out = apply_quantization(seq, problem.offsets, problem.kernel, cfg)
+                phi = _kernel_sums(seq, out.values, problem.kernel, cfg)
+                slope = _kernel_sums(seq, out.values, problem.kernel, cfg, slope=True)
+                log_error = np.abs(phi - problem.offsets.values(2000)) / slope
+                assert np.max(log_error) <= 1e-11, (M, parity)
+
+    def test_memory_bounded_at_large_truncation(self):
+        problem = build_problem(2, Parity.EVEN)
+        seq = seed_sequence(problem, 8000)
+        tracemalloc.start()
+        try:
+            apply_quantization(seq, problem.offsets, problem.kernel, OperatorConfig(truncation=8000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
 
 
 class TestDerivativeMatrix:

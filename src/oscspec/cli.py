@@ -476,6 +476,10 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
+    except MemoryError as exc:
+        sys.stderr.write(f"usage error: the problem does not fit in memory, "
+                         f"reduce --N or --oracle-grid ({exc})\n")
+        return EXIT_USAGE
     except (ConditionViolation, DomainError, NotSorted, ValueError) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_USAGE

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,9 +203,13 @@ class StopRule:
 class IterationTrace:
     """Iterates with per-step residuals in logarithmic coordinates.
 
-    residual_sup[n] and residual_weighted[n] measure the step from
-    iterates[n] to iterates[n+1]; the weighted residual uses the configured
-    rate_epsilon.
+    residual_sup[n] and residual_weighted[n] measure the residual of the
+    operator at iterates[n], ln T(iterates[n]) - ln iterates[n]; the weighted
+    residual uses the configured rate_epsilon.  Under plain Picard iteration
+    iterates[n+1] is T(iterates[n]), so they measure the step between
+    consecutive iterates.  Under Anderson acceleration the intermediate
+    iterates are mixed points, and the last iterate is always the image
+    T(iterates[-2]).  steps counts applications of the operator.
     """
 
     iterates: list[EnergySequence] = field(default_factory=list)
@@ -485,28 +490,68 @@ def derivative_matrix(X: EnergySequence, Y: EnergySequence, kernel: KernelParams
 
 
 def iterate(X0: EnergySequence, Q: OffsetSequence, kernel: KernelParams,
-            cfg: OperatorConfig, stop: StopRule) -> IterationTrace:
+            cfg: OperatorConfig, stop: StopRule, history: int = 0) -> IterationTrace:
     """Apply the operator repeatedly, recording residuals per step.
 
     Stops when the sup-log residual drops to stop.target_residual or after
-    stop.max_steps applications.  Residuals are measured between consecutive
-    iterates in log coordinates, plain sup and k**rate_epsilon weighted.
-    Solver errors are re-raised with the step index attached.
+    stop.max_steps applications.  The residual at X is ln T(X) - ln X over
+    the stored entries, plain sup and k**rate_epsilon weighted.  Solver
+    errors are re-raised with the step index attached.
+
+    With history=0 (the default) this is plain Picard iteration, X <- T(X),
+    whose residuals decay at the paper's contraction rate.  With history=m > 0
+    it is type-II Anderson acceleration in x = ln X (Walker & Ni, SIAM J.
+    Numer. Anal. 49, 2011): with g_k = ln T(X_k) and f_k = g_k - x_k, the
+    next point is x_{k+1} = g_k - dG gamma, where gamma solves
+    dF gamma ~= f_k in least squares over the differences of the last m + 1
+    pairs (f, g).  Only the stored entries are mixed; each mixed point takes
+    the image's tail model, so the tail evolves as under Picard.  A mixed
+    point that is not finite or not strictly increasing is replaced by the
+    Picard step T(X_k), and the history restarts from that pair.  Either way
+    the final iterate is the image T(X_K) whose residual ended the run.
     """
+    if history < 0:
+        raise ValueError(f"history must be nonnegative, got {history}")
     trace = IterationTrace(iterates=[X0], rate_epsilon=stop.rate_epsilon)
     current = X0
     k = np.arange(1, len(X0) + 1, dtype=float)
     weights = k ** stop.rate_epsilon
+    pairs: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=history + 1)
     for step in range(stop.max_steps):
         try:
-            nxt = apply_quantization(current, Q, kernel, cfg)
+            image = apply_quantization(current, Q, kernel, cfg)
         except (BracketFailure, NoConvergence) as exc:
             raise type(exc)(f"step {step + 1}: {exc}") from exc
-        delta = np.abs(np.log(nxt.values) - np.log(current.values))
-        trace.iterates.append(nxt)
+        g = np.log(image.values)
+        f = g - np.log(current.values)
+        delta = np.abs(f)
         trace.residual_sup.append(float(delta.max()))
         trace.residual_weighted.append(float((weights * delta).max()))
-        current = nxt
-        if trace.residual_sup[-1] <= stop.target_residual:
+        done = trace.residual_sup[-1] <= stop.target_residual
+        current = image
+        if history and not done and step + 1 < stop.max_steps:
+            current = _anderson_point(pairs, f, g, image)
+        trace.iterates.append(current)
+        if done:
             break
     return trace
+
+
+def _anderson_point(pairs: deque, f: np.ndarray, g: np.ndarray,
+                    image: EnergySequence) -> EnergySequence:
+    """Next Anderson point after recording the pair (f, g) in the history;
+    the Picard image, with the history restarted, when the mixed point is
+    not finite or not strictly increasing."""
+    pairs.append((f, g))
+    if len(pairs) == 1:
+        return image
+    dF = np.diff([p[0] for p in pairs], axis=0).T
+    dG = np.diff([p[1] for p in pairs], axis=0).T
+    gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.exp(g - dG @ gamma)
+    if np.all(np.isfinite(values)) and values[0] > 0 and np.all(np.diff(values) > 0):
+        return EnergySequence(values, image.tail)
+    pairs.clear()
+    pairs.append((f, g))
+    return image

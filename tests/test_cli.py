@@ -246,6 +246,13 @@ def test_no_command_prints_help(capsys):
     assert "spectrum" in out
 
 
+def test_oversized_truncation_is_a_usage_error(capsys):
+    # the 7 PiB seed is refused at once, so nothing is allocated
+    code, _, err = run(capsys, "spectrum", "--M", "2", "--N", "1000000000000000")
+    assert code == EXIT_USAGE
+    assert "usage error" in err and "--N" in err
+
+
 def test_convergence_failure_exit_code(capsys):
     code, _, err = run(capsys, "spectrum", "--M", "2", "--levels", "4", "--N", "60",
                        "--max-steps", "1")

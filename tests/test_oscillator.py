@@ -17,9 +17,14 @@ from oscspec import (
     build_problem,
     compute_spectrum,
     growth_constant,
+    iterate,
     merge_spectrum,
     seed_sequence,
+    solve_parity,
 )
+from oscspec.oscillator import ANDERSON_HISTORY
+
+
 class TestGrowthConstant:
     def test_frozen_value_for_quartic(self):
         assert growth_constant(2) == pytest.approx(2.1850693003123776, abs=1e-12)
@@ -171,10 +176,46 @@ def test_parity_interlacing_of_fixed_points(m2_even_300, m2_odd_300):
 
 
 def test_seed_iteration_rate_near_prediction(m2_odd_300):
-    # sup residuals of the seeded run decay geometrically at a ratio close to
-    # the predicted alpha - 1 = 1/3 (realized by the odd-parity problem)
-    problem, cfg, _, trace = m2_odd_300
+    # sup residuals of the plain Picard run from the seed decay geometrically
+    # at a ratio close to the predicted alpha - 1 = 1/3 (realized by the
+    # odd-parity problem); solve_parity is accelerated, so its trace is not used
+    problem, cfg, _, _ = m2_odd_300
+    trace = iterate(seed_sequence(problem, 300), problem.offsets, problem.kernel, cfg,
+                    StopRule(max_steps=400, target_residual=1e-12), history=0)
     ratios = np.array(trace.residual_sup[1:]) / np.array(trace.residual_sup[:-1])
     window = ratios[4:16]
     assert np.all(window > 0.27)
     assert np.all(window < 0.36)
+
+
+class TestAcceleratedSolve:
+    """solve_parity runs Anderson-accelerated iterate; Picard is the reference."""
+
+    N = 300
+    STOP = StopRule(max_steps=400, target_residual=1e-11)
+
+    @pytest.mark.parametrize("M", [2, 3])
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_same_fixed_point_in_half_the_steps(self, M, parity):
+        problem = build_problem(M, parity)
+        cfg = OperatorConfig(truncation=self.N)
+        fixed, trace = solve_parity(problem, cfg, self.STOP)
+        picard = iterate(seed_sequence(problem, self.N), problem.offsets, problem.kernel, cfg,
+                         self.STOP)
+        gap = np.max(np.abs(np.log(fixed.values) - np.log(picard.iterates[-1].values)))
+        assert gap <= 5e-11
+        assert 2 * trace.steps <= picard.steps
+        assert len(trace.iterates) == trace.steps + 1
+        assert trace.residual_sup[-1] <= self.STOP.target_residual
+        assert fixed is trace.iterates[-1]
+        image = apply_quantization(trace.iterates[-2], problem.offsets, problem.kernel, cfg)
+        assert np.array_equal(image.values, fixed.values)
+
+    def test_scaled_seed_converges_to_same_fixed_point(self, m2_even_300):
+        problem, cfg, fixed, _ = m2_even_300
+        seed = seed_sequence(problem, cfg.truncation)
+        trace = iterate(seed.with_values(3.0 * seed.values), problem.offsets, problem.kernel,
+                        cfg, StopRule(max_steps=300, target_residual=1e-12),
+                        history=ANDERSON_HISTORY)
+        gap = np.max(np.abs(np.log(trace.iterates[-1].values) - np.log(fixed.values)))
+        assert gap <= 1e-8

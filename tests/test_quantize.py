@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from oscspec import (
     OracleConfig,
     seed_sequence,
 )
-from oscspec.quantize import _LOG8, _CountingPanels, _kernel_sums
+from oscspec.quantize import _LOG8, _anderson_point, _CountingPanels, _kernel_sums
 from conftest import random_growth_sequence
 from test_acceptance import THETA_GRID
 
@@ -388,6 +389,40 @@ class TestIterate:
         delta = np.abs(np.log(trace.iterates[1].values) - np.log(trace.iterates[0].values))
         assert trace.residual_weighted[0] == pytest.approx(np.max(k**1.5 * delta), rel=1e-12)
         assert trace.residual_sup[0] == pytest.approx(np.max(delta), rel=1e-12)
+
+    def test_accelerated_residuals_are_those_of_the_operator(self, rng):
+        problem = build_problem(2, Parity.EVEN)
+        cfg = OperatorConfig(truncation=30)
+        seq = random_growth_sequence(rng, 30)
+        stop = StopRule(max_steps=6, target_residual=0.0)
+        trace = iterate(seq, problem.offsets, problem.kernel, cfg, stop, history=3)
+        assert trace.steps == 6 and len(trace.iterates) == 7
+        for n, X in enumerate(trace.iterates[:-1]):
+            image = apply_quantization(X, problem.offsets, problem.kernel, cfg)
+            delta = np.abs(np.log(image.values) - np.log(X.values))
+            assert trace.residual_sup[n] == np.max(delta)
+        assert np.array_equal(image.values, trace.iterates[-1].values)
+
+    def test_rejects_negative_history(self, rng):
+        problem = build_problem(2, Parity.EVEN)
+        with pytest.raises(ValueError, match="history"):
+            iterate(random_growth_sequence(rng, 8), problem.offsets, problem.kernel,
+                    OperatorConfig(truncation=8), StopRule(max_steps=2), history=-1)
+
+
+def test_anderson_safeguard_takes_picard_step_and_restarts():
+    # one stored pair and a current one whose mix is [5, 1, 2]: not increasing
+    tail = TailModel(1.0, 1.5)
+    f, g = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 2.0])
+    image = EnergySequence(np.exp(g), tail)
+    pairs = deque([(np.zeros(3), np.array([5.0, 1.0, 2.0]))], maxlen=3)
+    assert _anderson_point(pairs, f, g, image) is image
+    assert len(pairs) == 1 and pairs[0][0] is f and pairs[0][1] is g
+    # without the bad pair the same residual mixes into an increasing point
+    pairs = deque([(np.zeros(3), np.array([-1.0, 1.0, 2.0]))], maxlen=3)
+    mixed = _anderson_point(pairs, f, g, image)
+    assert np.allclose(np.log(mixed.values), [-1.0, 1.0, 2.0], atol=1e-14)
+    assert mixed.tail == tail and len(pairs) == 2
 
 
 def test_weighted_norm_of_step_matches_manual(rng):

@@ -110,10 +110,6 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _operator_config(n: int) -> OperatorConfig:
-    return OperatorConfig(truncation=n)
-
-
 def _problem_meta(problem: oscillator.OscillatorProblem, n: int) -> dict:
     return {
         "M": problem.M,
@@ -130,11 +126,9 @@ def cmd_spectrum(opts: dict, out: str | None) -> int:
     M = int(opts["M"])
     levels = int(opts["levels"])
     n = int(opts["N"])
-    if M < 2:
-        raise _UsageError("--M must be at least 2")
     if levels < 1:
         raise _UsageError("--levels must be at least 1")
-    cfg = _operator_config(n)
+    cfg = OperatorConfig(truncation=n)
     stop = StopRule(max_steps=int(opts["max_steps"]), target_residual=float(opts["tol"]))
     parity = str(opts["parity"])
 
@@ -182,10 +176,8 @@ def cmd_spectrum(opts: dict, out: str | None) -> int:
 
 def cmd_iterate(opts: dict, out: str | None) -> int:
     M = int(opts["M"])
-    if M < 2:
-        raise _UsageError("--M must be at least 2")
     n = int(opts["N"])
-    cfg = _operator_config(n)
+    cfg = OperatorConfig(truncation=n)
     stop = StopRule(max_steps=int(opts["steps"]), target_residual=float(opts["tol"]),
                     rate_epsilon=float(opts["eps"]))
     problem = oscillator.build_problem(M, oscillator.Parity(str(opts["parity"])))
@@ -232,8 +224,6 @@ def cmd_iterate(opts: dict, out: str | None) -> int:
 def cmd_analyze(opts: dict, out: str | None) -> int:
     if opts.get("M") is not None:
         M = int(opts["M"])
-        if M < 2:
-            raise _UsageError("--M must be at least 2")
         theta = (M - 1) * math.pi / (M + 1)
     elif opts.get("theta") is not None:
         theta = float(opts["theta"])
@@ -285,8 +275,6 @@ def cmd_verify(opts: dict, out: str | None) -> int:
     M = int(opts["M"])
     levels = int(opts["levels"])
     n = int(opts["N"])
-    if M < 2:
-        raise _UsageError("--M must be at least 2")
     if levels < 1:
         raise _UsageError("--levels must be at least 1")
     if levels > 2 * n:
@@ -303,7 +291,7 @@ def cmd_verify(opts: dict, out: str | None) -> int:
     reference = oracle.hamiltonian_eigenvalues(M, levels, oracle_cfg)
 
     def deviations(truncation: int):
-        result = oscillator.compute_spectrum(M, _operator_config(truncation), stop)
+        result = oscillator.compute_spectrum(M, OperatorConfig(truncation=truncation), stop)
         computed = result.energies[:levels]
         abs_dev = np.abs(computed - reference)
         return result, computed, abs_dev, abs_dev / np.abs(reference)
@@ -350,15 +338,13 @@ def cmd_verify(opts: dict, out: str | None) -> int:
 
 def cmd_bracket(opts: dict, out: str | None) -> int:
     M = int(opts["M"])
-    if M < 2:
-        raise _UsageError("--M must be at least 2")
     upper = bool(opts.get("upper"))
     lower = bool(opts.get("lower"))
     if upper == lower:
         raise _UsageError("bracket requires exactly one of --upper / --lower")
     n = int(opts["N"])
     problem = oscillator.build_problem(M, oscillator.Parity(str(opts["parity"])))
-    cfg = _operator_config(n)
+    cfg = OperatorConfig(truncation=n)
     slack = float(opts["slack"])
 
     if upper:
@@ -472,8 +458,12 @@ def main(argv: list[str] | None = None) -> int:
         opts = _effective(args, args.command)
         if opts.get("M") is None and args.command != "analyze":
             raise _UsageError("--M is required")
+        if opts.get("M") is not None and int(opts["M"]) < 2:
+            raise _UsageError("--M must be at least 2")
+        if opts["format"] not in ("csv", "json"):
+            raise _UsageError(f"format must be csv or json, got {opts['format']!r}")
         return _HANDLERS[args.command](opts, getattr(args, "out", None))
-    except _UsageError as exc:
+    except (_UsageError, OSError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     except MemoryError as exc:

@@ -29,7 +29,7 @@ from .errors import BracketFailure, ConditionViolation, NoConvergence, TailDiver
 from .sequences import EnergySequence, TailModel
 
 _LOG8 = math.log(8.0)
-# widest admissible bracket: total expansion factor 2**64 on either side
+# widest admissible panel range: total widening factor 2**64 on either side
 _MAX_HALFWIDTH = 64.0 * math.log(2.0)
 # probes per block of a dense kernel sum hold at most this many kernel values (8 MiB)
 _BLOCK_ENTRIES = 1 << 20
@@ -292,9 +292,9 @@ def _kernel_sums(X: EnergySequence, probes: np.ndarray, kernel: KernelParams,
     and the tail quadrature weights on the tail nodes.  Probes are taken in
     blocks of at most _BLOCK_ENTRIES kernel values (one probe at least), so a
     temporary holds O(N * block) values whatever the number of probes.  With
-    rows given, of
-    shape (len(probes), len(X) + tail nodes), the unweighted kernel values
-    against the stored entries and tail nodes are written into it.
+    rows given, of shape (len(probes), len(X) + tail nodes), the unweighted
+    kernel values against the stored entries and tail nodes are written into
+    it.
     """
     xe, we = _extended(X, cfg)
     if slope:
@@ -348,6 +348,7 @@ class _CountingPanels:
         self.lo, self.hi = lo, hi
         self.width = (hi - lo) / count
         self.centers = lo + self.width * (np.arange(count) + 0.5)
+        self.edges = lo + self.width * np.arange(count + 1)
         nodes = self.centers[:, None] + 0.5 * self.width * _CHEB_NODES
         phi = _kernel_sums(X, np.exp(nodes).ravel(), kernel, cfg).reshape(nodes.shape)
         # (degree + 1, value/slope, panel)
@@ -369,22 +370,23 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
                        cfg: OperatorConfig) -> EnergySequence:
     """Apply the operator: solve the counting equation at every stored level.
 
-    The counting function of X is evaluated densely once, by the blocked
-    kernel sum, at the Chebyshev points of panels covering every bracket in
-    y = ln Y; the panel width is 2 (pi - theta) / 3, set by the strip of
-    analyticity of the kernel, at degree 24.  All root finding then runs on
-    that piecewise interpolant and its Chebyshev derivative, which agree with
-    the dense sum to its rounding floor (measured ~1e-15 * max phi), at a cost
-    of O(panels * 25 * N) per application instead of several O(N**2) passes,
-    and with memory bounded by O(N * block).  Certificates, counting_component
-    and derivative_matrix use the dense sum directly.
+    Every component inverts one increasing function, the counting function
+    s -> phi(X, e**s).  It is evaluated densely once, by the blocked kernel
+    sum, at the Chebyshev points of panels covering one range of y = ln Y
+    shared by all levels; the panel width is 2 (pi - theta) / 3, set by the
+    strip of analyticity of the kernel, at degree 24.  All root finding then
+    runs on that piecewise interpolant and its Chebyshev derivative, which
+    agree with the dense sum to its rounding floor (measured ~1e-15 * max phi),
+    at a cost of O(panels * 25 * N) per application instead of several
+    O(N**2) passes, and with memory bounded by O(N * block).  Certificates,
+    counting_component and derivative_matrix use the dense sum directly.
 
-    Each component is solved by a safeguarded Newton iteration in the log
-    coordinate y_j = ln Y_j: Newton steps use the interpolant's derivative
-    and fall back to bisection on a sign-changing bracket, which starts at
-    [X_j/8, 8 X_j] and expands geometrically (up to a total factor of 2**64
-    per side) if it does not straddle the root; an expansion past the panels
-    rebuilds them over the wider range.  A component is accepted when
+    The range starts at [min X / 8, 8 max X] and widens by a factor 8 at an
+    end, rebuilding the panels, until the interpolant there lies below min Q
+    and above max Q (up to a total factor of 2**64 per side).  Level j is
+    bracketed by the panel whose edge values straddle Q_j and solved by a
+    safeguarded Newton iteration in y_j = ln Y_j from ln X_j clipped into that
+    panel, falling back to bisection.  A component is accepted when
     |phi_j - Q_j| <= root_tol, or when its bracket collapses to a few ulps of
     y_j: at large truncations one ulp of y_j moves phi_j by more than any
     fixed tolerance, so an absolute tolerance alone is not reachable in
@@ -396,7 +398,7 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
     the factor is one at the critical exponent, so the tail of an iteration
     started on a critically normalized seed is pinned.
 
-    Raises BracketFailure if expansion runs out, NoConvergence if
+    Raises BracketFailure if widening runs out, NoConvergence if
     max_root_iters is exhausted.
     """
     values = X.values
@@ -404,32 +406,27 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
     q = Q.values(n)
 
     x_log = np.log(values)
-    y = x_log.copy()
-    lo = x_log - _LOG8
-    hi = x_log + _LOG8
-    panels = _CountingPanels(X, kernel, cfg, lo.min(), hi.max())
-
-    # expand until f(lo) < 0 < f(hi); phi is increasing in y so sign
-    # information at the bounds is conclusive
-    f_lo, f_hi = panels(np.concatenate([lo, hi]))[0].reshape(2, n) - q
+    lo, hi = x_log.min() - _LOG8, x_log.max() + _LOG8
+    # widen until the range brackets every level: phi is increasing in y, so
+    # phi(lo) < min Q and phi(hi) > max Q put each root between two panel edges
     while True:
-        bad_lo = f_lo >= 0
-        bad_hi = f_hi <= 0
-        if not bad_lo.any() and not bad_hi.any():
+        panels = _CountingPanels(X, kernel, cfg, lo, hi)
+        phi_edges = panels(panels.edges)[0]
+        widen_lo, widen_hi = phi_edges[0] >= q.min(), phi_edges[-1] <= q.max()
+        if not widen_lo and not widen_hi:
             break
-        if np.max(x_log - lo) > _MAX_HALFWIDTH or np.max(hi - x_log) > _MAX_HALFWIDTH:
-            worst = int(np.argmax(np.where(bad_lo | bad_hi, np.abs(f_lo) + np.abs(f_hi), -1.0)))
+        if x_log.min() - lo > _MAX_HALFWIDTH or hi - x_log.max() > _MAX_HALFWIDTH:
+            worst = int(np.argmax(q) if widen_hi else np.argmin(q))
             raise BracketFailure(
                 f"no sign change bracketing level {worst + 1} within a 2**64 expansion"
             )
-        lo[bad_lo] -= _LOG8
-        hi[bad_hi] += _LOG8
-        if lo.min() < panels.lo or hi.max() > panels.hi:
-            panels = _CountingPanels(X, kernel, cfg, lo.min(), hi.max())
-        if bad_lo.any():
-            f_lo[bad_lo] = panels(lo[bad_lo])[0] - q[bad_lo]
-        if bad_hi.any():
-            f_hi[bad_hi] = panels(hi[bad_hi])[0] - q[bad_hi]
+        lo -= _LOG8 * widen_lo
+        hi += _LOG8 * widen_hi
+
+    # level j's bracket is the panel whose edge values straddle Q_j
+    upper = np.searchsorted(phi_edges, q)
+    lo, hi = panels.edges[upper - 1], panels.edges[upper]
+    y = np.clip(x_log, lo, hi)
 
     eps = np.finfo(float).eps
     active = np.arange(n)

@@ -35,9 +35,12 @@ class TestSpectrum:
         assert doc["iterations"]["even"] >= 1
 
     def test_rejects_harmonic(self, capsys):
-        code, _, err = run(capsys, "spectrum", "--M", "1", "--levels", "4")
-        assert code == EXIT_USAGE
-        assert "at least 2" in err
+        for argv in (("spectrum", "--M", "1", "--levels", "4"), ("iterate", "--M", "1"),
+                     ("analyze", "--M", "1"), ("verify", "--M", "1"),
+                     ("bracket", "--M", "1", "--upper")):
+            code, _, err = run(capsys, *argv)
+            assert code == EXIT_USAGE
+            assert "at least 2" in err
 
     def test_requires_m(self, capsys):
         code, _, err = run(capsys, "spectrum", "--levels", "4")
@@ -239,6 +242,20 @@ class TestConfigFile:
         code, _, err = run(capsys, "spectrum", "--M", "2", "--config", str(cfg))
         assert code == EXIT_USAGE
 
+    def test_unknown_format_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        code, out, err = run(capsys, "analyze", "--M", "2", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "xml" in err
+
+    def test_missing_file_is_a_usage_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "spectrum", "--M", "2",
+                           "--config", str(tmp_path / "missing.cfg"))
+        assert code == EXIT_USAGE
+        assert "usage error" in err and "missing.cfg" in err
+
 
 def test_no_command_prints_help(capsys):
     code, out, _ = run(capsys)
@@ -251,6 +268,12 @@ def test_oversized_truncation_is_a_usage_error(capsys):
     code, _, err = run(capsys, "spectrum", "--M", "2", "--N", "1000000000000000")
     assert code == EXIT_USAGE
     assert "usage error" in err and "--N" in err
+
+
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
+    code, _, err = run(capsys, "analyze", "--M", "2", "--out", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert "usage error" in err
 
 
 def test_convergence_failure_exit_code(capsys):

@@ -200,14 +200,34 @@ class TestApplyQuantization:
     def test_roots_meet_tolerance(self, rng):
         problem = self.problem()
         seq = random_growth_sequence(rng, 48)
-        # the shifted offsets put roots outside [X_j/8, 8 X_j], above and below,
-        # so the brackets expand past the first panels
+        # the shifted offsets put roots outside [min X / 8, 8 max X], above and
+        # below, so the shared panel range widens at the top and at the bottom
         for offsets in (problem.offsets, OffsetSequence(constant=300.0),
                         OffsetSequence(constant=-0.3, overrides=((1, 0.05),))):
             out = apply_quantization(seq, offsets, problem.kernel, self.CFG)
             for j in (0, 5, 23, 47):
                 phi = counting_component(seq, out.values[j], problem.kernel, self.CFG)
                 assert abs(phi - offsets.value(j + 1)) <= 2 * self.CFG.root_tol
+
+    def test_roots_on_panel_edges(self, rng):
+        # a root exactly on a panel edge sits at the end of its bracket; a wrong
+        # panel lookup would leave it outside, where the ulp-floor rule accepts
+        # a wrong level without raising
+        problem = self.problem()
+        seq = random_growth_sequence(rng, 48)
+        x_log = np.log(seq.values)
+        panels = _CountingPanels(seq, problem.kernel, self.CFG,
+                                 x_log.min() - _LOG8, x_log.max() + _LOG8)
+        phi_edges = panels(panels.edges)[0]
+        q = problem.offsets.values(48)
+        # the operator builds these same panels: they already bracket every level
+        assert phi_edges[0] < q.min() and phi_edges[-1] > q.max()
+        assert panels.centers.size >= 3
+        for j, value in enumerate(phi_edges[1:-1]):
+            offsets = OffsetSequence(problem.offsets.constant, overrides=((j + 1, value),))
+            out = apply_quantization(seq, offsets, problem.kernel, self.CFG)
+            phi = counting_component(seq, out.values[j], problem.kernel, self.CFG)
+            assert abs(phi - value) <= 2 * self.CFG.root_tol, j
 
     def test_dilatation_equivariance(self, rng):
         problem = self.problem()

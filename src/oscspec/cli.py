@@ -11,13 +11,16 @@ to a stable exit-code enumeration:
     4  tolerance failure (verify bound exceeded)
 
 Flag values take precedence over the optional key=value config file, which
-takes precedence over built-in defaults.
+takes precedence over built-in defaults.  The argparse parser declares every
+option once: it parses config-file lines as flag tokens too, and rejects bad
+values from either source as usage errors.  Only main writes output.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -51,26 +54,44 @@ DEFAULTS = {
     "iterate": {"parity": "odd", "N": 1000, "steps": 40, "tol": 1e-10, "eps": 1.0,
                 "perturb_eps": None, "perturb_size": 0.1, "seed_scale": 1.0,
                 "format": "csv"},
-    "analyze": {"eps": None, "alpha": None, "format": "csv"},
+    "analyze": {"M": None, "theta": None, "eps": None, "alpha": None, "format": "csv"},
     "verify": {"levels": 10, "N": 1000, "tol": 1e-10, "bound": 1e-3,
                "oracle_grid": 2048, "oracle_levels": 3, "oracle_tol": 1e-6,
                "format": "json", "max_steps": 400, "refine": False},
     "bracket": {"parity": "even", "N": 2000, "A": 100.0, "Nparam": 6,
-                "slack": 1e-8, "format": "csv"},
+                "slack": 1e-8, "format": "csv", "upper": False, "lower": False},
 }
 
-
-# config keys that the command's parser collects as repeatable (append) flags
-_REPEATABLE = {"analyze": ("eps", "alpha")}
+# a handler's exit code, JSON document, and CSV columns and rows
+_Result = tuple[int, dict, list[str], list[dict]]
 
 
 class _UsageError(Exception):
     pass
 
 
-def _read_config(path: str) -> dict:
-    """Flat key = value file; '#' starts a comment; keys match long flags."""
-    values = {}
+class _Parser(argparse.ArgumentParser):
+    """Raises _UsageError instead of exiting.  Long flags are spelled out in
+    full, so a config key is either a flag of its subcommand or an error."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def _given(args: argparse.Namespace) -> dict:
+    return {key: value for key, value in vars(args).items() if value is not None}
+
+
+def _file_options(parser: argparse.ArgumentParser, command: str, path: str) -> dict:
+    """Options set by a flat key = value file, checked by the command's parser.
+
+    '#' starts a comment.  ``key = value`` is parsed as ``--key=value`` and
+    ``key = true`` as the switch ``--key``; a switch set ``false`` stays off.
+    """
+    tokens, switched_off = [command], [command]
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -78,59 +99,34 @@ def _read_config(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise _UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = tables.parse_cell(val.strip())
-    return values
+            key, _, value = line.partition("=")
+            key = key.strip().replace("_", "-")
+            value = value.strip()
+            # the output path, the file itself and --help belong on the command line
+            if key in ("out", "config", "help"):
+                raise _UsageError(f"{path}:{lineno}: {key} cannot be set in a config file")
+            if value == "true":
+                tokens.append(f"--{key}")
+            elif value == "false":
+                switched_off.append(f"--{key}")
+            else:
+                tokens.append(f"--{key}={value}")
+    try:
+        parser.parse_args(switched_off)  # each must name a switch
+        return _given(parser.parse_args(tokens))
+    except _UsageError as exc:
+        raise _UsageError(f"{path}: {exc}") from None
 
 
-def _effective(args: argparse.Namespace, command: str) -> dict:
-    options = dict(DEFAULTS[command])
-    if getattr(args, "config", None):
-        file_values = _read_config(args.config)
-        unknown = set(file_values) - set(options) - {"M", "theta", "upper", "lower"}
-        if unknown:
-            raise _UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        for key in _REPEATABLE.get(command, ()):
-            if key in file_values:
-                file_values[key] = [file_values[key]]
-        options.update(file_values)
-    for key, value in vars(args).items():
-        if key in ("command", "config", "out"):
-            continue
-        if value is not None and value is not False:
-            options[key] = value
-    return options
-
-
-def _write_output(text: str, out: str | None) -> None:
-    if out and out != "-":
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _problem_meta(problem: oscillator.OscillatorProblem, n: int) -> dict:
-    return {
-        "M": problem.M,
-        "parity": problem.parity.value,
-        "theta": problem.kernel.theta,
-        "alpha": problem.alpha,
-        "nu": problem.nu,
-        "offset_constant": problem.offsets.constant,
-        "N": n,
-    }
-
-
-def cmd_spectrum(opts: dict, out: str | None) -> int:
-    M = int(opts["M"])
-    levels = int(opts["levels"])
-    n = int(opts["N"])
+def cmd_spectrum(opts: dict) -> _Result:
+    M = opts["M"]
+    levels = opts["levels"]
+    n = opts["N"]
     if levels < 1:
         raise _UsageError("--levels must be at least 1")
     cfg = OperatorConfig(truncation=n)
-    stop = StopRule(max_steps=int(opts["max_steps"]), target_residual=float(opts["tol"]))
-    parity = str(opts["parity"])
+    stop = StopRule(max_steps=opts["max_steps"], target_residual=opts["tol"])
+    parity = opts["parity"]
 
     if parity == "both":
         if levels > 2 * n:
@@ -144,7 +140,6 @@ def cmd_spectrum(opts: dict, out: str | None) -> int:
         ]
         residuals = result.residuals
         iterations = result.iterations
-        meta = {"M": M, "parity": "both", "N": n}
     else:
         if levels > n:
             raise _UsageError(f"--levels {levels} exceeds --N {n}")
@@ -158,44 +153,38 @@ def cmd_spectrum(opts: dict, out: str | None) -> int:
         ]
         residuals = {parity: trace.residual_sup[-1]}
         iterations = {parity: trace.steps}
-        meta = {"M": M, "parity": parity, "N": n}
 
-    if opts["format"] == "json":
-        document = {
-            "problem": meta,
-            "energies": [row["energy"] for row in rows],
-            "levels": rows,
-            "residuals": residuals,
-            "iterations": iterations,
-        }
-        _write_output(tables.dump_json(document), out)
-    else:
-        _write_output(tables.emit_csv(["level", "energy", "parity", "parity_index"], rows), out)
-    return EXIT_OK
+    document = {
+        "problem": {"M": M, "parity": parity, "N": n},
+        "energies": [row["energy"] for row in rows],
+        "levels": rows,
+        "residuals": residuals,
+        "iterations": iterations,
+    }
+    return EXIT_OK, document, ["level", "energy", "parity", "parity_index"], rows
 
 
-def cmd_iterate(opts: dict, out: str | None) -> int:
-    M = int(opts["M"])
-    n = int(opts["N"])
+def cmd_iterate(opts: dict) -> _Result:
+    n = opts["N"]
     cfg = OperatorConfig(truncation=n)
-    stop = StopRule(max_steps=int(opts["steps"]), target_residual=float(opts["tol"]),
-                    rate_epsilon=float(opts["eps"]))
-    problem = oscillator.build_problem(M, oscillator.Parity(str(opts["parity"])))
+    stop = StopRule(max_steps=opts["steps"], target_residual=opts["tol"],
+                    rate_epsilon=opts["eps"])
+    problem = oscillator.build_problem(opts["M"], oscillator.Parity(opts["parity"]))
     start = oscillator.seed_sequence(problem, n)
 
-    scale = float(opts["seed_scale"])
+    scale = opts["seed_scale"]
     if scale != 1.0:
         # values-only rescale: a compactly supported perturbation that leaves
         # the asymptotic normalization (the tail) pinned
         start = start.with_values(scale * start.values)
     if opts["perturb_eps"] is not None:
         k = np.arange(1, n + 1, dtype=float)
-        bump = float(opts["perturb_size"]) * k ** (-float(opts["perturb_eps"]))
+        bump = opts["perturb_size"] * k ** (-opts["perturb_eps"])
         start = start.with_values(start.values * np.exp(bump))
 
     trace = run_iteration(start, problem.offsets, problem.kernel, cfg, stop)
     try:
-        fitted = asymptotics.empirical_rate(trace, trace.iterates[-1], float(opts["eps"]))
+        fitted = asymptotics.empirical_rate(trace, trace.iterates[-1], opts["eps"])
     except InsufficientData:
         fitted = None
 
@@ -204,33 +193,36 @@ def cmd_iterate(opts: dict, out: str | None) -> int:
          "residual_weighted": trace.residual_weighted[i]}
         for i in range(trace.steps)
     ]
-    if opts["format"] == "json":
-        document = {
-            "problem": _problem_meta(problem, n),
-            "eps": float(opts["eps"]),
-            "steps": trace.steps,
-            "fitted_lambda": fitted,
-            "residual_sup": trace.residual_sup,
-            "residual_weighted": trace.residual_weighted,
-        }
-        _write_output(tables.dump_json(document), out)
+    document = {
+        "problem": {
+            "M": problem.M,
+            "parity": problem.parity.value,
+            "theta": problem.kernel.theta,
+            "alpha": problem.alpha,
+            "nu": problem.nu,
+            "offset_constant": problem.offsets.constant,
+            "N": n,
+        },
+        "eps": opts["eps"],
+        "steps": trace.steps,
+        "fitted_lambda": fitted,
+        "residual_sup": trace.residual_sup,
+        "residual_weighted": trace.residual_weighted,
+    }
+    if opts["format"] == "csv" and fitted is not None:
+        sys.stderr.write(f"fitted_lambda {fitted:.6f}\n")
+    return EXIT_OK, document, ["step", "residual_sup", "residual_weighted"], rows
+
+
+def cmd_analyze(opts: dict) -> _Result:
+    if (opts["M"] is None) == (opts["theta"] is None):
+        raise _UsageError("analyze requires exactly one of --M / --theta")
+    if opts["M"] is not None:
+        theta = oscillator.build_problem(opts["M"], oscillator.Parity.EVEN).kernel.theta
     else:
-        _write_output(tables.emit_csv(["step", "residual_sup", "residual_weighted"], rows), out)
-        if fitted is not None:
-            sys.stderr.write(f"fitted_lambda {fitted:.6f}\n")
-    return EXIT_OK
-
-
-def cmd_analyze(opts: dict, out: str | None) -> int:
-    if opts.get("M") is not None:
-        M = int(opts["M"])
-        theta = (M - 1) * math.pi / (M + 1)
-    elif opts.get("theta") is not None:
-        theta = float(opts["theta"])
+        theta = opts["theta"]
         if not 0.0 < theta < math.pi:
             raise _UsageError("--theta must lie strictly between 0 and pi")
-    else:
-        raise _UsageError("analyze requires --M or --theta")
     kernel = KernelParams(theta)
     alpha_star = asymptotics.critical_exponent(kernel)
 
@@ -239,15 +231,15 @@ def cmd_analyze(opts: dict, out: str | None) -> int:
 
     drift_rows = []
     for alpha in alpha_grid:
-        report = asymptotics.drift_report(float(alpha), kernel)
+        report = asymptotics.drift_report(alpha, kernel)
         drift_rows.append({
             "kind": "drift", "alpha": report.alpha, "integral": report.integral_value,
             "closed": report.closed_value, "gap": report.abs_gap,
         })
     contraction_rows = []
     for eps in eps_grid:
-        integral = asymptotics.contraction_integral(float(eps), kernel)
-        report = asymptotics.contraction_factor(float(eps), kernel)
+        integral = asymptotics.contraction_integral(eps, kernel)
+        report = asymptotics.contraction_factor(eps, kernel)
         gap = abs(integral - report.s_eps) if math.isfinite(integral) and math.isfinite(report.s_eps) else (
             0.0 if math.isinf(integral) and math.isinf(report.s_eps) else math.inf)
         contraction_rows.append({
@@ -255,38 +247,33 @@ def cmd_analyze(opts: dict, out: str | None) -> int:
             "s_closed": report.s_eps, "gap": gap, "factor": report.factor,
         })
 
-    if opts["format"] == "json":
-        document = {
-            "theta": theta,
-            "alpha_star": alpha_star,
-            "predicted_rate_at_1": alpha_star - 1.0,
-            "drift": [{k: v for k, v in row.items() if k != "kind"} for row in drift_rows],
-            "contraction": [{k: v for k, v in row.items() if k != "kind"} for row in contraction_rows],
-        }
-        _write_output(tables.dump_json(document), out)
-    else:
-        columns = ["kind", "alpha", "integral", "closed", "gap",
-                   "epsilon", "s_integral", "s_closed", "factor"]
-        _write_output(tables.emit_csv(columns, drift_rows + contraction_rows), out)
-    return EXIT_OK
+    document = {
+        "theta": theta,
+        "alpha_star": alpha_star,
+        "predicted_rate_at_1": alpha_star - 1.0,
+        "drift": [{k: v for k, v in row.items() if k != "kind"} for row in drift_rows],
+        "contraction": [{k: v for k, v in row.items() if k != "kind"} for row in contraction_rows],
+    }
+    columns = ["kind", "alpha", "integral", "closed", "gap",
+               "epsilon", "s_integral", "s_closed", "factor"]
+    return EXIT_OK, document, columns, drift_rows + contraction_rows
 
 
-def cmd_verify(opts: dict, out: str | None) -> int:
-    M = int(opts["M"])
-    levels = int(opts["levels"])
-    n = int(opts["N"])
+def cmd_verify(opts: dict) -> _Result:
+    M = opts["M"]
+    levels = opts["levels"]
+    n = opts["N"]
     if levels < 1:
         raise _UsageError("--levels must be at least 1")
     if levels > 2 * n:
         raise _UsageError(f"--levels {levels} exceeds the {2 * n} merged levels at --N {n}")
-    bound = float(opts["bound"])
-    refine = bool(opts.get("refine"))
+    bound = opts["bound"]
 
-    stop = StopRule(max_steps=int(opts["max_steps"]), target_residual=float(opts["tol"]))
+    stop = StopRule(max_steps=opts["max_steps"], target_residual=opts["tol"])
     oracle_cfg = oracle.OracleConfig(
-        grid_points=int(opts["oracle_grid"]),
-        refinement_levels=int(opts["oracle_levels"]),
-        tolerance=float(opts["oracle_tol"]),
+        grid_points=opts["oracle_grid"],
+        refinement_levels=opts["oracle_levels"],
+        tolerance=opts["oracle_tol"],
     )
     reference = oracle.hamiltonian_eigenvalues(M, levels, oracle_cfg)
 
@@ -314,7 +301,8 @@ def cmd_verify(opts: dict, out: str | None) -> int:
         "bound": bound,
         "pass": passed,
     }
-    if refine:
+    columns = ["level", "computed", "oracle", "abs_dev", "rel_dev"]
+    if opts["refine"]:
         # doubled truncation: per-level deviations must not increase
         _, _, _, rel_refined = deviations(2 * n)
         monotone = bool(np.all(rel_refined <= rel_dev))
@@ -325,36 +313,26 @@ def cmd_verify(opts: dict, out: str | None) -> int:
         document["refinement_monotone"] = monotone
         passed = passed and monotone
         document["pass"] = passed
-
-    if opts["format"] == "json":
-        _write_output(tables.dump_json(document), out)
-    else:
-        columns = ["level", "computed", "oracle", "abs_dev", "rel_dev"]
-        if refine:
-            columns.append("rel_dev_refined")
-        _write_output(tables.emit_csv(columns, rows), out)
-    return EXIT_OK if passed else EXIT_TOLERANCE
+        columns.append("rel_dev_refined")
+    return (EXIT_OK if passed else EXIT_TOLERANCE), document, columns, rows
 
 
-def cmd_bracket(opts: dict, out: str | None) -> int:
-    M = int(opts["M"])
-    upper = bool(opts.get("upper"))
-    lower = bool(opts.get("lower"))
-    if upper == lower:
+def cmd_bracket(opts: dict) -> _Result:
+    if opts["upper"] == opts["lower"]:
         raise _UsageError("bracket requires exactly one of --upper / --lower")
-    n = int(opts["N"])
-    problem = oscillator.build_problem(M, oscillator.Parity(str(opts["parity"])))
+    n = opts["N"]
+    problem = oscillator.build_problem(opts["M"], oscillator.Parity(opts["parity"]))
     cfg = OperatorConfig(truncation=n)
-    slack = float(opts["slack"])
+    slack = opts["slack"]
 
-    if upper:
-        candidate = asymptotics.upper_bracket(float(opts["A"]), n, problem.kernel)
+    if opts["upper"]:
+        candidate = asymptotics.upper_bracket(opts["A"], n, problem.kernel)
         kind = asymptotics.BracketKind.SUPER
-        params = {"A": float(opts["A"])}
+        params = {"A": opts["A"]}
     else:
-        candidate = asymptotics.lower_bracket(int(opts["Nparam"]), n, problem.kernel)
+        candidate = asymptotics.lower_bracket(opts["Nparam"], n, problem.kernel)
         kind = asymptotics.BracketKind.SUB
-        params = {"Nparam": int(opts["Nparam"])}
+        params = {"Nparam": opts["Nparam"]}
 
     certificate = asymptotics.verify_bracket(candidate, problem.offsets, problem.kernel,
                                              cfg, slack=slack, kind=kind)
@@ -363,20 +341,17 @@ def cmd_bracket(opts: dict, out: str | None) -> int:
         "verified": certificate.verified,
         "max_violation": certificate.max_violation,
         "slack": slack,
-        "M": M,
+        "M": problem.M,
         "parity": problem.parity.value,
         "N": n,
         **params,
     }
-    if opts["format"] == "json":
-        _write_output(tables.dump_json(row), out)
-    else:
-        _write_output(tables.emit_csv(list(row.keys()), [row]), out)
-    return EXIT_OK if certificate.verified else EXIT_CONVERGENCE
+    code = EXIT_OK if certificate.verified else EXIT_CONVERGENCE
+    return code, row, list(row), [row]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oscspec",
         description="Fixed-point quantization solver and diagnostics for the "
                     "anharmonic oscillator spectrum (potential q^(2M)).",
@@ -421,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, parity_choices=("both",))
     p.add_argument("--levels", type=int)
     p.add_argument("--bound", type=float, help="relative deviation bound per level")
-    p.add_argument("--refine", action="store_true",
+    p.add_argument("--refine", action="store_true", default=None,
                    help="also solve at doubled N and require per-level deviations not to grow")
     p.add_argument("--max-steps", dest="max_steps", type=int)
     p.add_argument("--oracle-grid", dest="oracle_grid", type=int)
@@ -430,8 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bracket", help="certify a sub- or super-solution")
     common(p, parity_choices=("even", "odd"))
-    p.add_argument("--upper", action="store_true", help="shifted-power super-solution")
-    p.add_argument("--lower", action="store_true", help="staircase sub-solution")
+    p.add_argument("--upper", action="store_true", default=None,
+                   help="shifted-power super-solution")
+    p.add_argument("--lower", action="store_true", default=None, help="staircase sub-solution")
     p.add_argument("--A", type=float, help="shift of the super-solution")
     p.add_argument("--Nparam", type=int, help="staircase parameter of the sub-solution")
     p.add_argument("--slack", type=float, help="certification slack in counting units")
@@ -450,19 +426,39 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return EXIT_USAGE
     try:
-        opts = _effective(args, args.command)
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_help()
+            return EXIT_USAGE
+        opts = dict(DEFAULTS[args.command])
+        if args.config:
+            opts.update(_file_options(parser, args.command, args.config))
+        opts.update(_given(args))
         if opts.get("M") is None and args.command != "analyze":
             raise _UsageError("--M is required")
-        if opts.get("M") is not None and int(opts["M"]) < 2:
+        if opts.get("M") is not None and opts["M"] < 2:
             raise _UsageError("--M must be at least 2")
-        if opts["format"] not in ("csv", "json"):
-            raise _UsageError(f"format must be csv or json, got {opts['format']!r}")
-        return _HANDLERS[args.command](opts, getattr(args, "out", None))
+        out = None if args.out == "-" else args.out
+        created = out is not None and not os.path.exists(out)
+        if out is not None:
+            open(out, "a", encoding="utf-8").close()  # an unwritable path fails before the solve
+        try:
+            code, document, columns, rows = _HANDLERS[args.command](opts)
+        except BaseException:
+            if created:
+                os.remove(out)  # a failed command leaves no empty artifact
+            raise
+        if opts["format"] == "json":
+            text = tables.dump_json(document)
+        else:
+            text = tables.emit_csv(columns, rows)
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        return code
     except (_UsageError, OSError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

@@ -198,6 +198,14 @@ class StopRule:
     target_residual: float = 1e-10
     rate_epsilon: float = 1.0
 
+    def __post_init__(self):
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be at least 1")
+        if not self.target_residual >= 0:
+            raise ValueError("target_residual must be non-negative")
+        if not self.rate_epsilon >= 0:
+            raise ValueError("rate_epsilon must be non-negative")
+
 
 @dataclass
 class IterationTrace:

@@ -1,9 +1,14 @@
 """Command-line interface: artifacts, exit codes, config precedence."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from oscspec import oscillator
 from oscspec.cli import EXIT_CONVERGENCE, EXIT_OK, EXIT_ORACLE, EXIT_TOLERANCE, EXIT_USAGE, main
 from oscspec.tables import parse_csv
 
@@ -131,8 +136,9 @@ class TestAnalyze:
         assert kinds == {"drift", "contraction"}
 
     def test_requires_angle_or_m(self, capsys):
-        code, _, err = run(capsys, "analyze")
-        assert code == EXIT_USAGE
+        for argv in (("analyze",), ("analyze", "--M", "2", "--theta", "3.0")):
+            code, _, err = run(capsys, *argv)
+            assert code == EXIT_USAGE
 
     def test_rejects_bad_theta(self, capsys):
         code, _, _ = run(capsys, "analyze", "--theta", "3.5")
@@ -256,6 +262,72 @@ class TestConfigFile:
         assert code == EXIT_USAGE
         assert "usage error" in err and "missing.cfg" in err
 
+    def test_values_checked_like_flags(self, capsys, tmp_path, monkeypatch):
+        # wrong type, empty, outside the choices, or not a flag of the command:
+        # each is refused before any solve, naming the key and the file
+        monkeypatch.setattr(oscillator, "compute_spectrum", _must_not_solve)
+        cfg = tmp_path / "run.cfg"
+        for line, key in (("M = 2.5", "--M"), ("levels = 3.7", "--levels"), ("N =", "--N"),
+                          ("theta = 1.0", "--theta"), ("parity = sideways", "--parity"),
+                          ("levels = false", "--levels"), ("frobnicate = false", "--frobnicate"),
+                          ("lev = 3", "--lev"), ("help = true", "help")):
+            cfg.write_text(line + "\n")
+            code, out, err = run(capsys, "spectrum", "--config", str(cfg))
+            assert code == EXIT_USAGE, line
+            assert out == ""
+            assert key in err and "run.cfg" in err, err
+            assert "Traceback" not in err
+
+    def test_flag_replaces_file_list(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eps = 0.5\nformat = json\n")
+        code, out, _ = run(capsys, "analyze", "--M", "2", "--config", str(cfg), "--eps", "1.5")
+        assert code == EXIT_OK
+        assert [row["epsilon"] for row in json.loads(out)["contraction"]] == [1.5]
+
+    def test_switch_from_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("upper = true\nlower = false\n")
+        argv = ("bracket", "--M", "2", "--N", "300", "--format", "json")
+        code, from_file, _ = run(capsys, *argv, "--config", str(cfg))
+        assert code == EXIT_OK
+        assert (code, from_file) == run(capsys, *argv, "--upper")[:2]
+        assert json.loads(from_file)["kind"] == "SUPER"
+
+    def test_output_keys_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        for key in ("out", "config"):
+            cfg.write_text(f"{key} = {tmp_path / 'other'}\n")
+            code, out, err = run(capsys, "analyze", "--M", "2", "--config", str(cfg))
+            assert code == EXIT_USAGE
+            assert out == "" and key in err and "run.cfg" in err
+        assert not (tmp_path / "other").exists()
+
+    def test_bad_flag_returns_usage_code(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--M", "2", "--format", "xml")
+        assert code == EXIT_USAGE
+        assert out == "" and "usage error" in err and "xml" in err
+
+    def test_unwritable_output_fails_before_the_solve(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(oscillator, "compute_spectrum", _must_not_solve)
+        code, _, err = run(capsys, "spectrum", "--M", "2", "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert "usage error" in err
+
+    def test_failed_command_leaves_output_alone(self, capsys, tmp_path):
+        argv = ("spectrum", "--M", "2", "--levels", "4", "--N", "60", "--max-steps", "1")
+        existing = tmp_path / "existing.csv"
+        existing.write_text("level,energy\n0,1.0\n")
+        assert run(capsys, *argv, "--out", str(existing))[0] == EXIT_CONVERGENCE
+        assert existing.read_text() == "level,energy\n0,1.0\n"
+        fresh = tmp_path / "fresh.csv"
+        assert run(capsys, *argv, "--out", str(fresh))[0] == EXIT_CONVERGENCE
+        assert not fresh.exists()
+
+
+def _must_not_solve(*args, **kwargs):
+    raise AssertionError("the solver ran on input that should have been refused")
+
 
 def test_no_command_prints_help(capsys):
     code, out, _ = run(capsys)
@@ -274,6 +346,29 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", "--M", "2", "--out", str(tmp_path))
     assert code == EXIT_USAGE
     assert "usage error" in err
+
+
+def test_invalid_stop_rule_is_a_usage_error(capsys):
+    for argv in (("iterate", "--M", "2", "--N", "60", "--steps", "0"),
+                 ("spectrum", "--M", "2", "--levels", "4", "--N", "60", "--tol", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == "" and "invalid input" in err
+
+
+def test_module_runs_as_a_process():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "oscspec.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = cli("analyze", "--M", "2", "--format", "json")
+    assert done.returncode == EXIT_OK, done.stderr
+    assert json.loads(done.stdout)["alpha_star"] == pytest.approx(4.0 / 3.0, abs=1e-14)
+    done = cli("spectrum", "--M", "2.5")
+    assert done.returncode == EXIT_USAGE
+    assert "usage error" in done.stderr and "Traceback" not in done.stderr
 
 
 def test_convergence_failure_exit_code(capsys):

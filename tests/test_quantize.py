@@ -464,6 +464,14 @@ def test_operator_config_validation():
         OperatorConfig(tail_quadrature_points=1)
 
 
+def test_stop_rule_validation():
+    for bad in ({"max_steps": 0}, {"target_residual": -1.0},
+                {"target_residual": float("nan")}, {"rate_epsilon": -0.5}):
+        with pytest.raises(ValueError):
+            StopRule(**bad)
+    StopRule(max_steps=1, target_residual=0.0, rate_epsilon=0.0)
+
+
 def test_kernel_params_validation():
     with pytest.raises(ValueError):
         KernelParams(0.0)

@@ -4,14 +4,15 @@ oscillator spectra.
 The package computes the spectrum of -d^2/dq^2 + q**(2M) as the fixed point
 of the exact quantization operator, together with its asymptotic diagnostics
 (drift, contraction constants, convergence rates) and an independent
-finite-difference eigensolver used as ground truth.
+finite-difference eigensolver used as ground truth.  The dense counting sum
+is quantize.counting_function and the weighted sup-norm of the convergence
+diagnostics is sequences.weighted_norm.
 """
 
 from .asymptotics import (
     BracketCertificate,
     BracketKind,
     ContractionReport,
-    DriftReport,
     adapted_norm,
     contraction_closed,
     contraction_factor,
@@ -20,7 +21,6 @@ from .asymptotics import (
     critical_exponent_from_drift,
     drift_closed,
     drift_integral,
-    drift_report,
     empirical_rate,
     lower_bracket,
     spectral_rate_estimate,
@@ -67,19 +67,15 @@ from .quantize import (
     StopRule,
     angle_kernel,
     apply_quantization,
-    counting_component,
-    counting_derivative,
+    counting_function,
     derivative_kernel,
     derivative_matrix,
     iterate,
 )
 from .sequences import (
     EnergySequence,
-    LogSequence,
     Ordering,
     TailModel,
-    WeightedNorm,
-    log_coords,
     partial_compare,
     weighted_norm,
 )

@@ -1,9 +1,10 @@
 """Asymptotic diagnostics of the quantization operator.
 
-Closed-form and quadrature evaluation of the drift of power sequences, the
-critical growth exponent, the contraction integrals governing weighted
-perturbations, adapted norms, sub/super-solution brackets, and empirical rate
-measurement on iteration traces.
+Quadrature evaluation of the drift of power sequences (its closed form,
+drift_closed, lives in quantize, which applies it to tails, and is
+re-exported here), the critical growth exponent, the contraction integrals
+governing weighted perturbations, adapted norms, sub/super-solution brackets,
+and empirical rate measurement on iteration traces.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ from scipy.integrate import quad
 from .errors import DomainError, InsufficientData
 from .quantize import (
     DerivativeMatrix,
+    IterationTrace,
     KernelParams,
     OffsetSequence,
     OperatorConfig,
-    IterationTrace,
-    _kernel_sums,
+    counting_function,
+    drift_closed,
 )
-from .sequences import EnergySequence, LogSequence, TailModel
+from .sequences import EnergySequence, TailModel, weighted_norm
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=400)
 
@@ -44,18 +46,6 @@ def _power_tail_quad(f, cut: float, decay: float) -> float:
         return f(s) * cut * scale * u ** (-decay * scale)
 
     return quad(transformed, 0.0, 1.0, **_QUAD_OPTS)[0]
-
-
-@dataclass(frozen=True)
-class DriftReport:
-    alpha: float
-    theta: float
-    integral_value: float
-    closed_value: float
-
-    @property
-    def abs_gap(self) -> float:
-        return abs(self.integral_value - self.closed_value)
 
 
 @dataclass(frozen=True)
@@ -124,18 +114,6 @@ def drift_integral(alpha: float, kernel: KernelParams) -> float:
           + _power_tail_quad(upper_remainder, knot, 2.0 * alpha))
     lo = quad(lower, 1.0, knot, **_QUAD_OPTS)[0] + _power_tail_quad(lower, knot, 2.0)
     return (hi + lo) / math.pi
-
-
-def drift_closed(alpha: float, kernel: KernelParams) -> float:
-    """Closed form sin(theta/alpha) / sin(pi/alpha) of the drift."""
-    if alpha <= 1.0:
-        raise DomainError(f"drift is defined for alpha > 1, got {alpha}")
-    return math.sin(kernel.theta / alpha) / math.sin(math.pi / alpha)
-
-
-def drift_report(alpha: float, kernel: KernelParams) -> DriftReport:
-    return DriftReport(alpha, kernel.theta, drift_integral(alpha, kernel),
-                       drift_closed(alpha, kernel))
 
 
 def critical_exponent(kernel: KernelParams) -> float:
@@ -236,20 +214,17 @@ def spectral_rate_estimate(D: DerivativeMatrix, epsilon: float, steps: int) -> f
     """
     if steps < 2:
         raise InsufficientData("at least two steps are needed to fit a rate")
-    n = D.size
-    k = np.arange(1, n + 1, dtype=float)
-    weights = k ** epsilon
-    v = k ** (-epsilon)
+    v = np.arange(1, D.size + 1, dtype=float) ** (-epsilon)
     norms = np.empty(steps)
     for i in range(steps):
         v = D.entries @ v
-        norms[i] = np.max(weights * np.abs(v))
+        norms[i] = weighted_norm(v, epsilon)
     window = np.arange(steps // 2, steps)
     slope = np.polyfit(window, np.log(norms[window]), 1)[0]
     return float(np.exp(slope))
 
 
-def adapted_norm(u: LogSequence, epsilon: float, n_cut: int) -> float:
+def adapted_norm(u, epsilon: float, n_cut: int) -> float:
     """Boundary-adapted weighted norm sup_k |u_k| / min(n_cut**-eps, k**-eps).
 
     Flattens the weight over k <= n_cut, which is what makes the derivative a
@@ -260,11 +235,12 @@ def adapted_norm(u: LogSequence, epsilon: float, n_cut: int) -> float:
         raise ValueError("epsilon must be positive")
     if n_cut < 1:
         raise ValueError("n_cut must be at least 1")
-    if len(u) == 0:
+    u = np.asarray(u, dtype=float)
+    if u.size == 0:
         return 0.0
-    k = np.arange(1, len(u) + 1, dtype=float)
+    k = np.arange(1, u.size + 1, dtype=float)
     reference = np.minimum(float(n_cut) ** (-epsilon), k ** (-epsilon))
-    return float(np.max(np.abs(u.entries) / reference))
+    return float(np.max(np.abs(u) / reference))
 
 
 def upper_bracket(A: float, n: int, kernel: KernelParams) -> EnergySequence:
@@ -312,7 +288,7 @@ def verify_bracket(X: EnergySequence, Q: OffsetSequence, kernel: KernelParams,
     SUB.  With kind omitted, the better-satisfied hypothesis is reported; a
     fixed point satisfies both within solver noise.
     """
-    diffs = _kernel_sums(X, X.values, kernel, cfg) - Q.values(len(X))
+    diffs = counting_function(X, X.values, kernel, cfg) - Q.values(len(X))
     super_violation = float(-diffs.min())
     sub_violation = float(diffs.max())
     if kind is None:
@@ -334,11 +310,8 @@ def empirical_rate(trace: IterationTrace, reference: EnergySequence, epsilon: fl
     if len(trace.iterates) < 4:
         raise InsufficientData("need at least 4 iterates to fit a rate")
     ref_log = np.log(reference.values)
-    k = np.arange(1, len(reference) + 1, dtype=float)
-    weights = k ** epsilon
-    errors = np.array([
-        np.max(weights * np.abs(np.log(it.values) - ref_log)) for it in trace.iterates
-    ])
+    errors = np.array([weighted_norm(np.log(it.values) - ref_log, epsilon)
+                       for it in trace.iterates])
     steps = np.arange(len(errors))
     usable = (steps >= len(errors) // 4) & (errors > floor)
     if usable.sum() < 2:

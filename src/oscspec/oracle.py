@@ -21,21 +21,18 @@ class OracleConfig:
     """Discretization parameters.
 
     grid_points is the interior point count of the coarsest level; each
-    refinement level doubles it.  domain_halfwidth of None defers to
-    suggest_halfwidth at call time.  The tolerance bounds the disagreement
-    between the two finest Richardson extrapolants, per eigenvalue.
+    refinement level doubles it; the domain half-width comes from
+    suggest_halfwidth.  The tolerance bounds the disagreement between the two
+    finest Richardson extrapolants, per eigenvalue.
     """
 
     grid_points: int = 2048
-    domain_halfwidth: float | None = None
     refinement_levels: int = 3
     tolerance: float = 1e-6
 
     def __post_init__(self):
         if self.grid_points < 64:
             raise ValueError("grid_points must be at least 64")
-        if self.domain_halfwidth is not None and not self.domain_halfwidth > 0:
-            raise ValueError("domain_halfwidth must be positive")
         if self.refinement_levels < 1:
             raise ValueError("refinement_levels must be at least 1")
         if not self.tolerance > 0:
@@ -65,7 +62,8 @@ def _grid_eigenvalues(power: int, count: int, points: int, halfwidth: float) -> 
     q = -halfwidth + h * np.arange(1, points + 1)
     diagonal = 2.0 / h**2 + q**power
     off = np.full(points - 1, -1.0 / h**2)
-    return eigh_tridiagonal(diagonal, off, select="i", select_range=(0, count - 1))[0]
+    return eigh_tridiagonal(diagonal, off, eigvals_only=True, select="i",
+                            select_range=(0, count - 1))
 
 
 def _richardson_eigenvalues(power: int, count: int, cfg: OracleConfig,
@@ -109,8 +107,7 @@ def hamiltonian_eigenvalues(M: int, count: int, cfg: OracleConfig) -> np.ndarray
         raise ValueError("count must be at least 1")
     if count * 8 > cfg.grid_points:
         raise ValueError("count must be far below grid_points for discretization accuracy")
-    halfwidth = cfg.domain_halfwidth or suggest_halfwidth(M, count)
-    return _richardson_eigenvalues(2 * M, count, cfg, halfwidth)
+    return _richardson_eigenvalues(2 * M, count, cfg, suggest_halfwidth(M, count))
 
 
 def harmonic_reference_eigenvalues(count: int, cfg: OracleConfig) -> np.ndarray:
@@ -121,7 +118,7 @@ def harmonic_reference_eigenvalues(count: int, cfg: OracleConfig) -> np.ndarray:
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    halfwidth = cfg.domain_halfwidth or float(np.sqrt(4.0 * (2.0 * count + 1.0)))
+    halfwidth = float(np.sqrt(4.0 * (2.0 * count + 1.0)))
     return _richardson_eigenvalues(2, count, cfg, halfwidth)
 
 

@@ -10,9 +10,10 @@ Q is an admissible offset sequence.  Because the left side depends on Y only
 through Y_j and is strictly increasing in it, each component has a unique root
 and the components solve independently.
 
-This module provides the two pair kernels, the counting function and its
-logarithmic derivative, the implicit solve, the row-stochastic derivative
-matrix of the operator in log coordinates, and the iteration driver.
+This module provides the two pair kernels, the dense counting function and
+its logarithmic derivative, the closed-form drift of power sequences, the
+implicit solve, the row-stochastic derivative matrix of the operator in log
+coordinates, and the iteration driver.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebpts1, chebvander
 
-from .errors import BracketFailure, ConditionViolation, NoConvergence, TailDivergence
-from .sequences import EnergySequence, TailModel
+from .errors import BracketFailure, ConditionViolation, DomainError, NoConvergence, TailDivergence
+from .sequences import EnergySequence, TailModel, weighted_norm
 
 _LOG8 = math.log(8.0)
 # widest admissible panel range: total widening factor 2**64 on either side
@@ -213,7 +214,7 @@ class IterationTrace:
 
     residual_sup[n] and residual_weighted[n] measure the residual of the
     operator at iterates[n], ln T(iterates[n]) - ln iterates[n]; the weighted
-    residual uses the configured rate_epsilon.  Under plain Picard iteration
+    residual uses the stop rule's rate_epsilon.  Under plain Picard iteration
     iterates[n+1] is T(iterates[n]), so they measure the step between
     consecutive iterates.  Under Anderson acceleration the intermediate
     iterates are mixed points, and the last iterate is always the image
@@ -223,7 +224,6 @@ class IterationTrace:
     iterates: list[EnergySequence] = field(default_factory=list)
     residual_sup: list[float] = field(default_factory=list)
     residual_weighted: list[float] = field(default_factory=list)
-    rate_epsilon: float = 1.0
 
     @property
     def steps(self) -> int:
@@ -277,7 +277,7 @@ def _tail_rule(n: int, tail: TailModel, npts: int) -> tuple[np.ndarray, np.ndarr
     s0 = n + 0.5
     s = s0 * u ** (-1.0 / (a - 1.0))
     jac = s0 / (a - 1.0) * u ** (-a / (a - 1.0))
-    return tail.amplitude * (s + tail.shift) ** a, w * jac
+    return tail.value(s), w * jac
 
 
 def _extended(X: EnergySequence, cfg: OperatorConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -289,21 +289,19 @@ def _extended(X: EnergySequence, cfg: OperatorConfig) -> tuple[np.ndarray, np.nd
     )
 
 
-def _kernel_sums(X: EnergySequence, probes: np.ndarray, kernel: KernelParams,
-                 cfg: OperatorConfig, slope: bool = False,
-                 rows: np.ndarray | None = None) -> np.ndarray:
-    """Dense kernel sums over the full sequence X at every probe energy.
+def counting_function(X: EnergySequence, probes, kernel: KernelParams,
+                      cfg: OperatorConfig, slope: bool = False) -> np.ndarray:
+    """Dense counting function of the full sequence X at every probe energy.
 
-    Returns the counting function (1/pi) sum_k w_k angle_kernel(X_k, y) or,
-    with slope set, its derivative in ln y, (sin theta / pi) sum_k w_k
-    derivative_kernel(X_k, y); the weights w_k are one on the stored entries
-    and the tail quadrature weights on the tail nodes.  Probes are taken in
-    blocks of at most _BLOCK_ENTRIES kernel values (one probe at least), so a
-    temporary holds O(N * block) values whatever the number of probes.  With
-    rows given, of shape (len(probes), len(X) + tail nodes), the unweighted
-    kernel values against the stored entries and tail nodes are written into
-    it.
+    Returns (1/pi) sum_k w_k angle_kernel(X_k, y) for each probe y or, with
+    slope set, its derivative in ln y, (sin theta / pi) sum_k w_k
+    derivative_kernel(X_k, y), which is strictly positive.  The weights w_k
+    are one on the stored entries and the tail quadrature weights on the tail
+    nodes.  Probes are taken in blocks of at most _BLOCK_ENTRIES kernel values
+    (one probe at least), so a temporary holds O(N * block) values whatever
+    the number of probes.
     """
+    probes = np.asarray(probes, dtype=float)
     xe, we = _extended(X, cfg)
     if slope:
         pair, scale = derivative_kernel, kernel.sin / math.pi
@@ -313,31 +311,12 @@ def _kernel_sums(X: EnergySequence, probes: np.ndarray, kernel: KernelParams,
     step = max(1, _BLOCK_ENTRIES // xe.size)
     for start in range(0, probes.size, step):
         block = slice(start, start + step)
+        # the name keeps this block alive while the next one is evaluated:
+        # freed at once, its pages go back to the OS and fault in again
+        # (on a 2-core Xeon at N = 2000: 3x the minor faults, ~20% slower)
         values = pair(kernel, xe, probes[block, None])
         out[block] = values @ we
-        if rows is not None:
-            rows[block] = values
     return out * scale
-
-
-def counting_component(X: EnergySequence, y_level: float, kernel: KernelParams,
-                       cfg: OperatorConfig) -> float:
-    """One component of the counting function: (1/pi) sum_k angle_kernel(X_k, y).
-
-    Strictly increasing in y_level; the tail of the sum is evaluated by the
-    quadrature rule of the tail model.
-    """
-    return float(_kernel_sums(X, np.asarray([y_level], dtype=float), kernel, cfg)[0])
-
-
-def counting_derivative(X: EnergySequence, y_level: float, kernel: KernelParams,
-                        cfg: OperatorConfig) -> float:
-    """Derivative of counting_component with respect to ln(y_level).
-
-    Equals (sin theta / pi) times the sum of derivative_kernel(X_k, y) over
-    the full sequence; strictly positive.
-    """
-    return float(_kernel_sums(X, np.asarray([y_level], dtype=float), kernel, cfg, slope=True)[0])
 
 
 class _CountingPanels:
@@ -358,7 +337,7 @@ class _CountingPanels:
         self.centers = lo + self.width * (np.arange(count) + 0.5)
         self.edges = lo + self.width * np.arange(count + 1)
         nodes = self.centers[:, None] + 0.5 * self.width * _CHEB_NODES
-        phi = _kernel_sums(X, np.exp(nodes).ravel(), kernel, cfg).reshape(nodes.shape)
+        phi = counting_function(X, np.exp(nodes).ravel(), kernel, cfg).reshape(nodes.shape)
         # (degree + 1, value/slope, panel)
         self.coef = np.stack([_CHEB_FROM_VALUES @ phi.T,
                               (2.0 / self.width) * (_CHEB_SLOPE_FROM_VALUES @ phi.T)], axis=1)
@@ -386,8 +365,8 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
     runs on that piecewise interpolant and its Chebyshev derivative, which
     agree with the dense sum to its rounding floor (measured ~1e-15 * max phi),
     at a cost of O(panels * 25 * N) per application instead of several
-    O(N**2) passes, and with memory bounded by O(N * block).  Certificates,
-    counting_component and derivative_matrix use the dense sum directly.
+    O(N**2) passes, and with memory bounded by O(N * block).  Certificates
+    and derivative_matrix use the dense sum directly.
 
     The range starts at [min X / 8, 8 max X] and widens by a factor 8 at an
     end, rebuilding the panels, until the interpolant there lies below min Q
@@ -463,17 +442,18 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
             f"first at level {int(active[0]) + 1}"
         )
 
-    out_values = np.exp(y)
-    factor = _tail_drift_factor(kernel.theta, X.tail.exponent)
-    return EnergySequence(out_values, TailModel(X.tail.amplitude * factor,
-                                                X.tail.exponent, X.tail.shift))
+    a = X.tail.exponent
+    factor = drift_closed(a, kernel) ** (-a)
+    return EnergySequence(np.exp(y), TailModel(X.tail.amplitude * factor, a, X.tail.shift))
 
 
-def _tail_drift_factor(theta: float, exponent: float) -> float:
-    """Asymptotic per-application rescaling D**(-a) of exponent-a power tails,
-    with D = sin(theta/a) / sin(pi/a); equal to one at a = 1 + theta/pi."""
-    drift = math.sin(theta / exponent) / math.sin(math.pi / exponent)
-    return drift ** (-exponent)
+def drift_closed(alpha: float, kernel: KernelParams) -> float:
+    """Closed form sin(theta/alpha) / sin(pi/alpha) of the drift: one
+    application rescales a power sequence of exponent alpha by its
+    -alpha-th power, and it equals one at alpha = 1 + theta/pi."""
+    if alpha <= 1.0:
+        raise DomainError(f"drift is defined for alpha > 1, got {alpha}")
+    return math.sin(kernel.theta / alpha) / math.sin(math.pi / alpha)
 
 
 def derivative_matrix(X: EnergySequence, Y: EnergySequence, kernel: KernelParams,
@@ -486,12 +466,10 @@ def derivative_matrix(X: EnergySequence, Y: EnergySequence, kernel: KernelParams
     not re-verified.
     """
     n = len(X)
-    tail_weights = _tail_rule(n, X.tail, cfg.tail_quadrature_points)[1]
-    p = np.empty((len(Y), n + tail_weights.size))
-    z = _kernel_sums(X, Y.values, kernel, cfg, slope=True, rows=p) * (math.pi / kernel.sin)
-    entries = p[:, :n] / z[:, None]
-    defect = (p[:, n:] @ tail_weights) / z
-    return DerivativeMatrix(entries, defect)
+    xe, we = _extended(X, cfg)
+    p = derivative_kernel(kernel, xe, Y.values[:, None])
+    z = p @ we
+    return DerivativeMatrix(p[:, :n] / z[:, None], (p[:, n:] @ we[n:]) / z)
 
 
 def iterate(X0: EnergySequence, Q: OffsetSequence, kernel: KernelParams,
@@ -517,10 +495,8 @@ def iterate(X0: EnergySequence, Q: OffsetSequence, kernel: KernelParams,
     """
     if history < 0:
         raise ValueError(f"history must be nonnegative, got {history}")
-    trace = IterationTrace(iterates=[X0], rate_epsilon=stop.rate_epsilon)
+    trace = IterationTrace(iterates=[X0])
     current = X0
-    k = np.arange(1, len(X0) + 1, dtype=float)
-    weights = k ** stop.rate_epsilon
     pairs: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=history + 1)
     for step in range(stop.max_steps):
         try:
@@ -529,9 +505,8 @@ def iterate(X0: EnergySequence, Q: OffsetSequence, kernel: KernelParams,
             raise type(exc)(f"step {step + 1}: {exc}") from exc
         g = np.log(image.values)
         f = g - np.log(current.values)
-        delta = np.abs(f)
-        trace.residual_sup.append(float(delta.max()))
-        trace.residual_weighted.append(float((weights * delta).max()))
+        trace.residual_sup.append(float(np.abs(f).max()))
+        trace.residual_weighted.append(weighted_norm(f, stop.rate_epsilon))
         done = trace.residual_sup[-1] <= stop.target_residual
         current = image
         if history and not done and step + 1 < stop.max_steps:

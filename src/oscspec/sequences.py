@@ -1,9 +1,10 @@
-"""Sequence containers, logarithmic coordinates, weighted norms and the
-entrywise partial order shared by all numerical modules.
+"""Sequence containers, the weighted sup-norm and the entrywise partial
+order shared by all numerical modules.
 
 Sequences are stored as a finite positive prefix plus an analytic tail model
 standing in for every index beyond the truncation.  All containers are
-immutable values and all operations are pure functions.
+immutable values and all operations are pure functions.  Differences of
+sequences in logarithmic coordinates are plain arrays, ln X - ln X'.
 """
 
 from __future__ import annotations
@@ -14,14 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, TailDivergence
-
-
-def _frozen_array(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -64,7 +57,9 @@ class EnergySequence:
     tail: TailModel
 
     def __post_init__(self):
-        arr = _frozen_array(self.values, "values")
+        arr = np.array(self.values, dtype=float)
+        if arr.ndim != 1:
+            raise ValueError("values must be one-dimensional")
         if arr.size < 1:
             raise ValueError("at least one stored entry is required")
         if not np.all(np.isfinite(arr)) or not np.all(arr > 0):
@@ -75,6 +70,7 @@ class EnergySequence:
             )
         if not arr.size + 0.5 + self.tail.shift > 0:
             raise ValueError("tail shift would make extrapolated entries nonpositive")
+        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
@@ -91,30 +87,6 @@ class EnergySequence:
         return EnergySequence(lam * self.values, self.tail.scaled(lam))
 
 
-@dataclass(frozen=True)
-class LogSequence:
-    """Natural logarithms of an EnergySequence prefix (or differences of such)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _frozen_array(self.entries, "entries"))
-
-    def __len__(self) -> int:
-        return self.entries.size
-
-
-@dataclass(frozen=True)
-class WeightedNorm:
-    """Weighted supremum norm: sup over k of k**epsilon * |v_k|."""
-
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("weight exponent must be nonnegative")
-
-
 class Ordering(enum.Enum):
     LE = "LE"
     GE = "GE"
@@ -122,18 +94,19 @@ class Ordering(enum.Enum):
     INCOMPARABLE = "INCOMPARABLE"
 
 
-def log_coords(X: EnergySequence) -> LogSequence:
-    """Logarithmic coordinates of the stored prefix."""
-    return LogSequence(np.log(X.values))
+def weighted_norm(v, epsilon: float) -> float:
+    """sup_k k**epsilon |v_k| over the entries of v, with v_1 at k = 1.
 
-
-def weighted_norm(v: LogSequence, w: WeightedNorm) -> float:
-    """sup_k k**epsilon |v_k| over the stored entries (the tail is not scanned:
-    compared sequences share tail models by construction)."""
-    if len(v) == 0:
+    Applied to differences of stored prefixes only (the tail is not scanned:
+    compared sequences share tail models by construction).
+    """
+    if not epsilon >= 0:
+        raise ValueError(f"weight exponent must be nonnegative, got {epsilon}")
+    v = np.asarray(v, dtype=float)
+    if v.size == 0:
         return 0.0
-    k = np.arange(1, len(v) + 1, dtype=float)
-    return float(np.max(k ** w.epsilon * np.abs(v.entries)))
+    k = np.arange(1, v.size + 1, dtype=float)
+    return float(np.max(k ** epsilon * np.abs(v)))
 
 
 def partial_compare(X: EnergySequence, Xprime: EnergySequence) -> Ordering:

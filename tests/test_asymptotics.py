@@ -13,7 +13,6 @@ from oscspec import (
     InsufficientData,
     IterationTrace,
     KernelParams,
-    LogSequence,
     OperatorConfig,
     TailModel,
     adapted_norm,
@@ -188,27 +187,27 @@ class TestAdaptedNorm:
         k = np.arange(1, 31, dtype=float)
         eps, cut = 1.2, 7
         profile = np.minimum(float(cut) ** (-eps), k ** (-eps))
-        assert adapted_norm(LogSequence(profile), eps, cut) == pytest.approx(1.0, abs=0)
+        assert adapted_norm(profile, eps, cut) == pytest.approx(1.0, abs=0)
 
     def test_zero(self):
-        assert adapted_norm(LogSequence(np.zeros(5)), 0.5, 3) == 0.0
+        assert adapted_norm(np.zeros(5), 0.5, 3) == 0.0
 
     def test_equivalence_with_plain_weighted_norm(self, rng):
-        from oscspec import WeightedNorm, weighted_norm
+        from oscspec import weighted_norm
 
         for _ in range(30):
             n = int(rng.integers(2, 60))
-            u = LogSequence(rng.normal(size=n))
+            u = rng.normal(size=n)
             eps = float(rng.uniform(0.1, 2.5))
             cut = int(rng.integers(1, n + 1))
-            plain = weighted_norm(u, WeightedNorm(eps))
+            plain = weighted_norm(u, eps)
             adapted = adapted_norm(u, eps, cut)
             assert plain <= adapted * (1 + 1e-12)
             assert adapted <= float(cut) ** eps * plain * (1 + 1e-12)
 
     def test_epsilon_positive_required(self):
         with pytest.raises(ValueError):
-            adapted_norm(LogSequence([1.0]), 0.0, 2)
+            adapted_norm([1.0], 0.0, 2)
 
 
 class TestBrackets:
@@ -318,7 +317,7 @@ class TestEmpiricalRate:
             EnergySequence(np.exp(base + lam**n * direction), tail) for n in range(steps)
         ]
         trace = IterationTrace(iterates=iterates, residual_sup=[0.0] * (steps - 1),
-                               residual_weighted=[0.0] * (steps - 1), rate_epsilon=1.0)
+                               residual_weighted=[0.0] * (steps - 1))
         return trace, reference
 
     def test_exact_geometric(self):

@@ -356,6 +356,17 @@ def test_invalid_stop_rule_is_a_usage_error(capsys):
         assert out == "" and "invalid input" in err
 
 
+def test_negative_exponent_notation_is_a_value(capsys):
+    argv = ("iterate", "--M", "2", "--N", "60", "--steps", "5")
+    code, spaced, _ = run(capsys, *argv, "--perturb-eps", "-1e-1")
+    assert code == EXIT_OK
+    assert spaced == run(capsys, *argv, "--perturb-eps=-1e-1")[1]
+    # the value reaches StopRule's check instead of being read as a flag
+    code, out, err = run(capsys, "spectrum", "--M", "2", "--tol", "-1e-3")
+    assert code == EXIT_USAGE
+    assert out == "" and "invalid input" in err
+
+
 def test_module_runs_as_a_process():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 

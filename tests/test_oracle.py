@@ -108,8 +108,6 @@ def test_oracle_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(grid_points=32)
     with pytest.raises(ValueError):
-        OracleConfig(domain_halfwidth=-1.0)
-    with pytest.raises(ValueError):
         OracleConfig(refinement_levels=0)
     with pytest.raises(ValueError):
         OracleConfig(tolerance=0.0)

@@ -12,18 +12,15 @@ from oscspec import (
     ConditionViolation,
     EnergySequence,
     KernelParams,
-    LogSequence,
     NoConvergence,
     OffsetSequence,
     OperatorConfig,
     StopRule,
     TailModel,
-    WeightedNorm,
     angle_kernel,
     apply_quantization,
     build_problem,
-    counting_component,
-    counting_derivative,
+    counting_function,
     derivative_kernel,
     derivative_matrix,
     hamiltonian_eigenvalues,
@@ -34,7 +31,7 @@ from oscspec import (
     OracleConfig,
     seed_sequence,
 )
-from oscspec.quantize import _LOG8, _anderson_point, _CountingPanels, _kernel_sums
+from oscspec.quantize import _LOG8, _anderson_point, _CountingPanels
 from conftest import random_growth_sequence
 from test_acceptance import THETA_GRID
 
@@ -105,7 +102,7 @@ class TestCountingFunction:
         kp = KernelParams(math.pi / 3)
         t, probe = 0.7, 3.0
         seq = EnergySequence(np.full(8, t * probe), FAR_TAIL)
-        got = counting_component(seq, probe, kp, OperatorConfig(truncation=8))
+        got = counting_function(seq, [probe], kp, OperatorConfig(truncation=8))[0]
         expected = 8.0 / math.pi * float(angle_kernel(kp, t * probe, probe))
         assert got == pytest.approx(expected, rel=1e-14)
 
@@ -114,7 +111,7 @@ class TestCountingFunction:
         seq = random_growth_sequence(rng, 40)
         cfg = OperatorConfig(truncation=40)
         probes = np.sort(np.exp(rng.uniform(-1, 6, size=25)))
-        vals = [counting_component(seq, p, kp, cfg) for p in probes]
+        vals = counting_function(seq, probes, kp, cfg)
         assert np.all(np.diff(vals) > 0)
 
     def test_matches_offsets_at_oracle_spectrum(self):
@@ -127,11 +124,8 @@ class TestCountingFunction:
         amp = 2.0**problem.alpha * problem.nu
         seq = EnergySequence(even, TailModel(amp, problem.alpha))
         cfg = OperatorConfig(truncation=len(even))
-        residuals = [
-            abs(counting_component(seq, seq.values[j], problem.kernel, cfg)
-                - problem.offsets.value(j + 1))
-            for j in range(5)
-        ]
+        residuals = np.abs(counting_function(seq, seq.values[:5], problem.kernel, cfg)
+                           - problem.offsets.values(5))
         assert residuals[0] <= 1e-3
         assert max(residuals) <= 0.02
 
@@ -140,7 +134,7 @@ class TestCountingDerivative:
     def test_single_entry(self):
         kp = KernelParams(math.pi / 2)
         seq = EnergySequence([5.0], FAR_TAIL)
-        got = counting_derivative(seq, 5.0, kp, OperatorConfig(truncation=1))
+        got = counting_function(seq, [5.0], kp, OperatorConfig(truncation=1), slope=True)[0]
         assert got == pytest.approx(0.5 / math.pi, abs=1e-8)
 
     def test_finite_difference(self, rng):
@@ -149,9 +143,9 @@ class TestCountingDerivative:
         cfg = OperatorConfig(truncation=60)
         probe = 40.0
         h = 1e-5
-        exact = counting_derivative(seq, probe, kp, cfg)
-        fd = (counting_component(seq, probe * math.exp(h), kp, cfg)
-              - counting_component(seq, probe * math.exp(-h), kp, cfg)) / (2 * h)
+        exact = counting_function(seq, [probe], kp, cfg, slope=True)[0]
+        up, down = counting_function(seq, [probe * math.exp(h), probe * math.exp(-h)], kp, cfg)
+        fd = (up - down) / (2 * h)
         assert fd == pytest.approx(exact, abs=5e-9)
 
     def test_positive(self, rng):
@@ -159,7 +153,8 @@ class TestCountingDerivative:
         for _ in range(10):
             seq = random_growth_sequence(rng, 20)
             probe = math.exp(rng.uniform(-2, 6))
-            assert counting_derivative(seq, probe, kp, OperatorConfig(truncation=20)) > 0
+            assert counting_function(seq, [probe], kp, OperatorConfig(truncation=20),
+                                     slope=True)[0] > 0
 
 
 class TestOffsetSequence:
@@ -205,9 +200,9 @@ class TestApplyQuantization:
         for offsets in (problem.offsets, OffsetSequence(constant=300.0),
                         OffsetSequence(constant=-0.3, overrides=((1, 0.05),))):
             out = apply_quantization(seq, offsets, problem.kernel, self.CFG)
-            for j in (0, 5, 23, 47):
-                phi = counting_component(seq, out.values[j], problem.kernel, self.CFG)
-                assert abs(phi - offsets.value(j + 1)) <= 2 * self.CFG.root_tol
+            levels = [0, 5, 23, 47]
+            phi = counting_function(seq, out.values[levels], problem.kernel, self.CFG)
+            assert np.max(np.abs(phi - offsets.values(48)[levels])) <= 2 * self.CFG.root_tol
 
     def test_roots_on_panel_edges(self, rng):
         # a root exactly on a panel edge sits at the end of its bracket; a wrong
@@ -226,7 +221,7 @@ class TestApplyQuantization:
         for j, value in enumerate(phi_edges[1:-1]):
             offsets = OffsetSequence(problem.offsets.constant, overrides=((j + 1, value),))
             out = apply_quantization(seq, offsets, problem.kernel, self.CFG)
-            phi = counting_component(seq, out.values[j], problem.kernel, self.CFG)
+            phi = counting_function(seq, out.values[j:j + 1], problem.kernel, self.CFG)[0]
             assert abs(phi - value) <= 2 * self.CFG.root_tol, j
 
     def test_dilatation_equivariance(self, rng):
@@ -290,8 +285,8 @@ class TestCountingPanels:
             panels = _CountingPanels(seq, kp, cfg, x_log.min() - _LOG8, x_log.max() + _LOG8)
             s = np.concatenate([[panels.lo, panels.hi], rng.uniform(panels.lo, panels.hi, 400)])
             phi, slope = panels(s)
-            dense = _kernel_sums(seq, np.exp(s), kp, cfg)
-            dense_slope = _kernel_sums(seq, np.exp(s), kp, cfg, slope=True)
+            dense = counting_function(seq, np.exp(s), kp, cfg)
+            dense_slope = counting_function(seq, np.exp(s), kp, cfg, slope=True)
             assert np.max(np.abs(phi - dense)) <= 1e-14 * np.max(np.abs(dense)), theta
             assert np.max(np.abs(slope - dense_slope)) <= 1e-10 * np.max(dense_slope), theta
 
@@ -302,8 +297,8 @@ class TestCountingPanels:
                 problem = build_problem(M, parity)
                 seq = seed_sequence(problem, 2000)
                 out = apply_quantization(seq, problem.offsets, problem.kernel, cfg)
-                phi = _kernel_sums(seq, out.values, problem.kernel, cfg)
-                slope = _kernel_sums(seq, out.values, problem.kernel, cfg, slope=True)
+                phi = counting_function(seq, out.values, problem.kernel, cfg)
+                slope = counting_function(seq, out.values, problem.kernel, cfg, slope=True)
                 log_error = np.abs(phi - problem.offsets.values(2000)) / slope
                 assert np.max(log_error) <= 1e-11, (M, parity)
 
@@ -405,10 +400,11 @@ class TestIterate:
                         OperatorConfig(truncation=30), stop)
         assert len(trace.iterates) == trace.steps + 1
         assert len(trace.residual_weighted) == trace.steps
-        k = np.arange(1, 31, dtype=float)
-        delta = np.abs(np.log(trace.iterates[1].values) - np.log(trace.iterates[0].values))
-        assert trace.residual_weighted[0] == pytest.approx(np.max(k**1.5 * delta), rel=1e-12)
-        assert trace.residual_sup[0] == pytest.approx(np.max(delta), rel=1e-12)
+        # under Picard iteration the residual at X_0 is the step ln X_1 - ln X_0,
+        # and the sup norm is the weighted norm at epsilon = 0
+        step = np.log(trace.iterates[1].values) - np.log(trace.iterates[0].values)
+        assert trace.residual_weighted[0] == weighted_norm(step, 1.5)
+        assert trace.residual_sup[0] == weighted_norm(step, 0.0) == np.max(np.abs(step))
 
     def test_accelerated_residuals_are_those_of_the_operator(self, rng):
         problem = build_problem(2, Parity.EVEN)
@@ -443,14 +439,6 @@ def test_anderson_safeguard_takes_picard_step_and_restarts():
     mixed = _anderson_point(pairs, f, g, image)
     assert np.allclose(np.log(mixed.values), [-1.0, 1.0, 2.0], atol=1e-14)
     assert mixed.tail == tail and len(pairs) == 2
-
-
-def test_weighted_norm_of_step_matches_manual(rng):
-    # glue check between iterate bookkeeping and the public norm helper
-    values = np.exp(rng.normal(size=12))
-    seq = LogSequence(np.log(values))
-    norm = weighted_norm(seq, WeightedNorm(0.0))
-    assert norm == pytest.approx(np.max(np.abs(np.log(values))), rel=1e-15)
 
 
 def test_operator_config_validation():

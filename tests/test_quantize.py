@@ -426,6 +426,13 @@ class TestIterate:
                     OperatorConfig(truncation=8), StopRule(max_steps=2), history=-1)
 
 
+def test_weighted_norm_of_step_matches_manual(rng):
+    # glue check between iterate bookkeeping and the public norm helper
+    values = np.exp(rng.normal(size=12))
+    norm = weighted_norm(np.log(values), 0.0)
+    assert norm == pytest.approx(np.max(np.abs(np.log(values))), rel=1e-15)
+
+
 def test_anderson_safeguard_takes_picard_step_and_restarts():
     # one stored pair and a current one whose mix is [5, 1, 2]: not increasing
     tail = TailModel(1.0, 1.5)

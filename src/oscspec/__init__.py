@@ -5,21 +5,20 @@ The package computes the spectrum of -d^2/dq^2 + q**(2M) as the fixed point
 of the exact quantization operator, together with its asymptotic diagnostics
 (drift, contraction constants, convergence rates) and an independent
 finite-difference eigensolver used as ground truth.  The dense counting sum
-is quantize.counting_function and the weighted sup-norm of the convergence
-diagnostics is sequences.weighted_norm.
+is quantize.counting_function, the closed-form drift is quantize.drift_closed,
+and the weighted sup-norm of the convergence diagnostics is
+sequences.weighted_norm.
 """
 
 from .asymptotics import (
     BracketCertificate,
     BracketKind,
     ContractionReport,
-    adapted_norm,
     contraction_closed,
     contraction_factor,
     contraction_integral,
     critical_exponent,
     critical_exponent_from_drift,
-    drift_closed,
     drift_integral,
     empirical_rate,
     lower_bracket,
@@ -33,7 +32,6 @@ from .errors import (
     DomainError,
     InsufficientData,
     InterlacingViolation,
-    LengthMismatch,
     NoConvergence,
     NotSorted,
     OscspecError,
@@ -70,13 +68,12 @@ from .quantize import (
     counting_function,
     derivative_kernel,
     derivative_matrix,
+    drift_closed,
     iterate,
 )
 from .sequences import (
     EnergySequence,
-    Ordering,
     TailModel,
-    partial_compare,
     weighted_norm,
 )
 

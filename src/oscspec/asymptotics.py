@@ -1,10 +1,10 @@
 """Asymptotic diagnostics of the quantization operator.
 
 Quadrature evaluation of the drift of power sequences (its closed form,
-drift_closed, lives in quantize, which applies it to tails, and is
-re-exported here), the critical growth exponent, the contraction integrals
-governing weighted perturbations, adapted norms, sub/super-solution brackets,
-and empirical rate measurement on iteration traces.
+drift_closed, lives in quantize, which applies it to tails), the critical
+growth exponent, the contraction integrals governing weighted perturbations,
+sub/super-solution brackets, and empirical rate measurement on iteration
+traces.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .quantize import (
     OffsetSequence,
     OperatorConfig,
     counting_function,
-    drift_closed,
 )
 from .sequences import EnergySequence, TailModel, weighted_norm
 
@@ -52,9 +51,7 @@ def _power_tail_quad(f, cut: float, decay: float) -> float:
 class ContractionReport:
     epsilon: float
     s_eps: float
-    s_zero: float
     factor: float
-    predicted_rate_at_1: float
 
 
 class BracketKind(enum.Enum):
@@ -74,7 +71,6 @@ class BracketCertificate:
     """
 
     kind: BracketKind
-    sequence: EnergySequence
     verified: bool
     max_violation: float
 
@@ -199,9 +195,7 @@ def contraction_factor(epsilon: float, kernel: KernelParams) -> ContractionRepor
     return ContractionReport(
         epsilon=epsilon,
         s_eps=s_eps,
-        s_zero=s_zero,
         factor=factor,
-        predicted_rate_at_1=critical_exponent(kernel) - 1.0,
     )
 
 
@@ -222,25 +216,6 @@ def spectral_rate_estimate(D: DerivativeMatrix, epsilon: float, steps: int) -> f
     window = np.arange(steps // 2, steps)
     slope = np.polyfit(window, np.log(norms[window]), 1)[0]
     return float(np.exp(slope))
-
-
-def adapted_norm(u, epsilon: float, n_cut: int) -> float:
-    """Boundary-adapted weighted norm sup_k |u_k| / min(n_cut**-eps, k**-eps).
-
-    Flattens the weight over k <= n_cut, which is what makes the derivative a
-    uniform contraction there; equivalent to the plain weighted norm within a
-    factor n_cut**eps.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if n_cut < 1:
-        raise ValueError("n_cut must be at least 1")
-    u = np.asarray(u, dtype=float)
-    if u.size == 0:
-        return 0.0
-    k = np.arange(1, u.size + 1, dtype=float)
-    reference = np.minimum(float(n_cut) ** (-epsilon), k ** (-epsilon))
-    return float(np.max(np.abs(u) / reference))
 
 
 def upper_bracket(A: float, n: int, kernel: KernelParams) -> EnergySequence:
@@ -279,23 +254,17 @@ def lower_bracket(n_param: int, n: int, kernel: KernelParams) -> EnergySequence:
 
 
 def verify_bracket(X: EnergySequence, Q: OffsetSequence, kernel: KernelParams,
-                   cfg: OperatorConfig, slack: float = 1e-8,
-                   kind: BracketKind | None = None) -> BracketCertificate:
+                   cfg: OperatorConfig, slack: float = 1e-8, *,
+                   kind: BracketKind) -> BracketCertificate:
     """Certify X as a sub- or super-solution over the stored levels.
 
     Evaluates d_j = phi_j(X, X_j) - Q_j for every stored j.  All d_j >= -slack
     certifies SUPER (one application moves X down), all d_j <= slack certifies
-    SUB.  With kind omitted, the better-satisfied hypothesis is reported; a
-    fixed point satisfies both within solver noise.
+    SUB; a fixed point satisfies both within solver noise.
     """
     diffs = counting_function(X, X.values, kernel, cfg) - Q.values(len(X))
-    super_violation = float(-diffs.min())
-    sub_violation = float(diffs.max())
-    if kind is None:
-        kind = BracketKind.SUPER if super_violation <= sub_violation else BracketKind.SUB
-    violation = super_violation if kind is BracketKind.SUPER else sub_violation
-    return BracketCertificate(kind=kind, sequence=X, verified=violation <= slack,
-                              max_violation=violation)
+    violation = float(-diffs.min()) if kind is BracketKind.SUPER else float(diffs.max())
+    return BracketCertificate(kind=kind, verified=violation <= slack, max_violation=violation)
 
 
 def empirical_rate(trace: IterationTrace, reference: EnergySequence, epsilon: float,
@@ -304,8 +273,8 @@ def empirical_rate(trace: IterationTrace, reference: EnergySequence, epsilon: fl
 
     Least-squares slope of the log error over the geometric regime: the first
     quarter of the steps is dropped as transient and steps with error at or
-    below the floor are dropped as noise (the floor default is 100 times the
-    default root tolerance).  Returns lambda = exp(slope).
+    below the floor are dropped as noise (the floor default is 100 times
+    quantize.ROOT_TOL).  Returns lambda = exp(slope).
     """
     if len(trace.iterates) < 4:
         raise InsufficientData("need at least 4 iterates to fit a rate")

@@ -35,7 +35,7 @@ from .errors import (
     OscspecError,
     ResolutionError,
 )
-from .quantize import KernelParams, OperatorConfig, StopRule, iterate as run_iteration
+from .quantize import KernelParams, OperatorConfig, StopRule, drift_closed, iterate as run_iteration
 
 EXIT_OK = 0
 EXIT_CONVERGENCE = 1
@@ -60,8 +60,9 @@ DEFAULTS = {
                 "slack": 1e-8, "format": "csv", "upper": False, "lower": False},
 }
 
-# a handler's exit code, JSON document, and CSV columns and rows
-_Result = tuple[int, dict, list[str], list[dict]]
+# a handler's exit code, JSON document and CSV rows; the CSV header is the
+# ordered union of the rows' keys
+_Result = tuple[int, dict, list[dict]]
 
 
 class _UsageError(Exception):
@@ -162,7 +163,7 @@ def cmd_spectrum(opts: dict) -> _Result:
         "residuals": residuals,
         "iterations": iterations,
     }
-    return EXIT_OK, document, ["level", "energy", "parity", "parity_index"], rows
+    return EXIT_OK, document, rows
 
 
 def cmd_iterate(opts: dict) -> _Result:
@@ -212,7 +213,7 @@ def cmd_iterate(opts: dict) -> _Result:
     }
     if opts["format"] == "csv" and fitted is not None:
         sys.stderr.write(f"fitted_lambda {fitted:.6f}\n")
-    return EXIT_OK, document, ["step", "residual_sup", "residual_weighted"], rows
+    return EXIT_OK, document, rows
 
 
 def cmd_analyze(opts: dict) -> _Result:
@@ -233,7 +234,7 @@ def cmd_analyze(opts: dict) -> _Result:
     drift_rows = []
     for alpha in alpha_grid:
         integral = asymptotics.drift_integral(alpha, kernel)
-        closed = asymptotics.drift_closed(alpha, kernel)
+        closed = drift_closed(alpha, kernel)
         drift_rows.append({"kind": "drift", "alpha": alpha, "integral": integral,
                            "closed": closed, "gap": abs(integral - closed)})
     contraction_rows = []
@@ -254,9 +255,7 @@ def cmd_analyze(opts: dict) -> _Result:
         "drift": [{k: v for k, v in row.items() if k != "kind"} for row in drift_rows],
         "contraction": [{k: v for k, v in row.items() if k != "kind"} for row in contraction_rows],
     }
-    columns = ["kind", "alpha", "integral", "closed", "gap",
-               "epsilon", "s_integral", "s_closed", "factor"]
-    return EXIT_OK, document, columns, drift_rows + contraction_rows
+    return EXIT_OK, document, drift_rows + contraction_rows
 
 
 def cmd_verify(opts: dict) -> _Result:
@@ -301,7 +300,6 @@ def cmd_verify(opts: dict) -> _Result:
         "bound": bound,
         "pass": passed,
     }
-    columns = ["level", "computed", "oracle", "abs_dev", "rel_dev"]
     if opts["refine"]:
         # doubled truncation: per-level deviations must not increase
         _, _, _, rel_refined = deviations(2 * n)
@@ -313,8 +311,7 @@ def cmd_verify(opts: dict) -> _Result:
         document["refinement_monotone"] = monotone
         passed = passed and monotone
         document["pass"] = passed
-        columns.append("rel_dev_refined")
-    return (EXIT_OK if passed else EXIT_TOLERANCE), document, columns, rows
+    return (EXIT_OK if passed else EXIT_TOLERANCE), document, rows
 
 
 def cmd_bracket(opts: dict) -> _Result:
@@ -347,7 +344,7 @@ def cmd_bracket(opts: dict) -> _Result:
         **params,
     }
     code = EXIT_OK if certificate.verified else EXIT_CONVERGENCE
-    return code, row, list(row), [row]
+    return code, row, [row]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
         if out is not None:
             open(out, "a", encoding="utf-8").close()  # an unwritable path fails before the solve
         try:
-            code, document, columns, rows = _HANDLERS[args.command](opts)
+            code, document, rows = _HANDLERS[args.command](opts)
         except BaseException:
             if created:
                 os.remove(out)  # a failed command leaves no empty artifact
@@ -452,6 +449,7 @@ def main(argv: list[str] | None = None) -> int:
         if opts["format"] == "json":
             text = tables.dump_json(document)
         else:
+            columns = list(dict.fromkeys(key for row in rows for key in row))
             text = tables.emit_csv(columns, rows)
         if out is None:
             sys.stdout.write(text)

@@ -5,10 +5,6 @@ class OscspecError(Exception):
     """Base class for every error raised by this package."""
 
 
-class LengthMismatch(OscspecError, ValueError):
-    """Sequences with different stored lengths were compared."""
-
-
 class TailDivergence(OscspecError, ValueError):
     """A tail exponent at or below one makes the kernel sums diverge."""
 

@@ -1,9 +1,10 @@
 """Independent finite-difference eigensolver for H = -d^2/dq^2 + q**(2M).
 
-Ground-truth reference for the fixed-point solver, kept deliberately free of
-any code shared with the operator modules: plain second-order central
-differences with Dirichlet ends on a symmetric interval, a tridiagonal
-eigensolver, and Richardson extrapolation across grid doublings.
+Ground-truth reference for the fixed-point solver, sharing none of its
+numerics: plain second-order central differences with Dirichlet ends on a
+symmetric interval, a tridiagonal eigensolver, and Richardson extrapolation
+across grid doublings.  Only the width of the interval comes from the solver
+side, from the semiclassical growth constant of oscillator.growth_constant.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import NotSorted, ResolutionError
+from .oscillator import growth_constant
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,6 @@ def suggest_halfwidth(M: int, count: int) -> float:
     ten: for very low levels the pad must be generous in absolute terms or
     the boundary error alone exceeds the accuracy of the extrapolation.
     """
-    from .oscillator import growth_constant
-
     alpha = 2.0 * M / (M + 1.0)
     top = growth_constant(M) * (max(count, 10) + 2.0) ** alpha
     return float((4.0 * top) ** (1.0 / (2 * M)))

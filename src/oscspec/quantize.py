@@ -34,6 +34,10 @@ _LOG8 = math.log(8.0)
 _MAX_HALFWIDTH = 64.0 * math.log(2.0)
 # probes per block of a dense kernel sum hold at most this many kernel values (8 MiB)
 _BLOCK_ENTRIES = 1 << 20
+# apply_quantization solves level j to |phi_j - Q_j| <= ROOT_TOL within MAX_ROOT_ITERS
+# safeguarded Newton iterations
+ROOT_TOL = 1e-12
+MAX_ROOT_ITERS = 100
 # degree of the Chebyshev panels of apply_quantization, their points on [-1, 1],
 # and the maps from values at the points to the coefficients of the interpolant
 # (discrete orthogonality) and of its derivative on [-1, 1]
@@ -97,19 +101,6 @@ class OffsetSequence:
                 out[k - 1] = v
         return out
 
-    def value(self, k: int) -> float:
-        for kk, v in self.overrides:
-            if kk == k:
-                return v
-        return k + self.constant
-
-    def o1_bound(self) -> float:
-        """Bound on |Q_k - k| over all k."""
-        b = abs(self.constant)
-        for k, v in self.overrides:
-            b = max(b, abs(v - k))
-        return b
-
     def validate(self, kernel: KernelParams) -> None:
         """Raise ConditionViolation unless Q_k > (k - 1/2) theta/pi for all k."""
         rate = kernel.theta / math.pi
@@ -137,17 +128,11 @@ class OperatorConfig:
     """Numerical parameters of the truncated operator."""
 
     truncation: int = 500
-    root_tol: float = 1e-12
-    max_root_iters: int = 100
     tail_quadrature_points: int = 64
 
     def __post_init__(self):
         if self.truncation < 1:
             raise ValueError("truncation must be at least 1")
-        if not self.root_tol > 0:
-            raise ValueError("root_tol must be positive")
-        if self.max_root_iters < 1:
-            raise ValueError("max_root_iters must be at least 1")
         if self.tail_quadrature_points < 2:
             raise ValueError("tail_quadrature_points must be at least 2")
 
@@ -160,6 +145,8 @@ class DerivativeMatrix:
     j+1; ``row_defect[i]`` is the derivative mass carried by tail indices
     beyond the truncation.  Every entry is positive and each row plus its
     defect sums to one: the matrix is stochastic once the tail is counted.
+    The arrays handed in are validated and frozen in place, not copied, so a
+    float array the caller passes becomes read-only.
     """
 
     entries: np.ndarray
@@ -179,9 +166,7 @@ class DerivativeMatrix:
         gap = np.abs(entries.sum(axis=1) + defect - 1.0)
         if gap.max() > 1e-12:
             raise ValueError(f"rows plus defect must sum to 1 within 1e-12, worst gap {gap.max():.3e}")
-        entries = entries.copy()
         entries.setflags(write=False)
-        defect = defect.copy()
         defect.setflags(write=False)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "row_defect", defect)
@@ -374,7 +359,7 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
     bracketed by the panel whose edge values straddle Q_j and solved by a
     safeguarded Newton iteration in y_j = ln Y_j from ln X_j clipped into that
     panel, falling back to bisection.  A component is accepted when
-    |phi_j - Q_j| <= root_tol, or when its bracket collapses to a few ulps of
+    |phi_j - Q_j| <= ROOT_TOL, or when its bracket collapses to a few ulps of
     y_j: at large truncations one ulp of y_j moves phi_j by more than any
     fixed tolerance, so an absolute tolerance alone is not reachable in
     double precision.
@@ -386,7 +371,7 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
     started on a critically normalized seed is pinned.
 
     Raises BracketFailure if widening runs out, NoConvergence if
-    max_root_iters is exhausted.
+    MAX_ROOT_ITERS is exhausted.
     """
     values = X.values
     n = len(values)
@@ -417,13 +402,13 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
 
     eps = np.finfo(float).eps
     active = np.arange(n)
-    for _ in range(cfg.max_root_iters):
+    for _ in range(MAX_ROOT_ITERS):
         f, slope = panels(y[active])
         f -= q[active]
         positive = f > 0
         hi[active[positive]] = y[active[positive]]
         lo[active[~positive]] = y[active[~positive]]
-        keep = np.abs(f) > cfg.root_tol
+        keep = np.abs(f) > ROOT_TOL
         # bracket collapsed to machine resolution: accept the midpoint
         resolved = (hi[active] - lo[active]) <= 8.0 * eps * np.maximum(1.0, np.abs(y[active]))
         keep &= ~resolved
@@ -438,7 +423,7 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
         y[active] = proposal
     if active.size:
         raise NoConvergence(
-            f"{active.size} level(s) unresolved after {cfg.max_root_iters} iterations, "
+            f"{active.size} level(s) unresolved after {MAX_ROOT_ITERS} iterations, "
             f"first at level {int(active[0]) + 1}"
         )
 
@@ -463,13 +448,21 @@ def derivative_matrix(X: EnergySequence, Y: EnergySequence, kernel: KernelParams
     entries[i, j] = K(X_j, Y_i) / Z_i with K the derivative kernel and Z_i the
     full-sequence sum including the tail of X; row_defect[i] is the tail share
     of Z_i.  The caller is responsible for Y = apply_quantization(X); this is
-    not re-verified.
+    not re-verified.  Rows are filled in blocks of at most _BLOCK_ENTRIES
+    kernel values, so besides the result only O(N * block) memory is held.
     """
     n = len(X)
     xe, we = _extended(X, cfg)
-    p = derivative_kernel(kernel, xe, Y.values[:, None])
-    z = p @ we
-    return DerivativeMatrix(p[:, :n] / z[:, None], (p[:, n:] @ we[n:]) / z)
+    entries = np.empty((len(Y), n))
+    row_defect = np.empty(len(Y))
+    step = max(1, _BLOCK_ENTRIES // xe.size)
+    for start in range(0, len(Y), step):
+        rows = slice(start, start + step)
+        p = derivative_kernel(kernel, xe, Y.values[rows, None])
+        z = p @ we
+        np.divide(p[:, :n], z[:, None], out=entries[rows])
+        row_defect[rows] = (p[:, n:] @ we[n:]) / z
+    return DerivativeMatrix(entries, row_defect)
 
 
 def iterate(X0: EnergySequence, Q: OffsetSequence, kernel: KernelParams,

@@ -1,5 +1,5 @@
-"""Sequence containers, the weighted sup-norm and the entrywise partial
-order shared by all numerical modules.
+"""Sequence containers and the weighted sup-norm shared by all numerical
+modules.
 
 Sequences are stored as a finite positive prefix plus an analytic tail model
 standing in for every index beyond the truncation.  All containers are
@@ -9,12 +9,11 @@ sequences in logarithmic coordinates are plain arrays, ln X - ln X'.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, TailDivergence
+from .errors import TailDivergence
 
 
 @dataclass(frozen=True)
@@ -87,13 +86,6 @@ class EnergySequence:
         return EnergySequence(lam * self.values, self.tail.scaled(lam))
 
 
-class Ordering(enum.Enum):
-    LE = "LE"
-    GE = "GE"
-    EQ = "EQ"
-    INCOMPARABLE = "INCOMPARABLE"
-
-
 def weighted_norm(v, epsilon: float) -> float:
     """sup_k k**epsilon |v_k| over the entries of v, with v_1 at k = 1.
 
@@ -107,25 +99,3 @@ def weighted_norm(v, epsilon: float) -> float:
         return 0.0
     k = np.arange(1, v.size + 1, dtype=float)
     return float(np.max(k ** epsilon * np.abs(v)))
-
-
-def partial_compare(X: EnergySequence, Xprime: EnergySequence) -> Ordering:
-    """Entrywise partial order, tail amplitudes included.
-
-    Comparisons are exact, with no tolerance: order arguments downstream are
-    order-theoretic and a caller wanting fuzz applies it before comparing.
-    Requires equal stored lengths and identical tail exponent and shift.
-    """
-    if len(X) != len(Xprime):
-        raise LengthMismatch(f"cannot compare prefixes of length {len(X)} and {len(Xprime)}")
-    if X.tail.exponent != Xprime.tail.exponent or X.tail.shift != Xprime.tail.shift:
-        raise ValueError("compared sequences must share tail exponent and shift")
-    le = bool(np.all(X.values <= Xprime.values)) and X.tail.amplitude <= Xprime.tail.amplitude
-    ge = bool(np.all(X.values >= Xprime.values)) and X.tail.amplitude >= Xprime.tail.amplitude
-    if le and ge:
-        return Ordering.EQ
-    if le:
-        return Ordering.LE
-    if ge:
-        return Ordering.GE
-    return Ordering.INCOMPARABLE

@@ -39,6 +39,7 @@ from oscspec import (
     upper_bracket,
     verify_bracket,
 )
+from oscspec.quantize import ROOT_TOL
 
 THETA_GRID = (math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3, 5 * math.pi / 6)
 ALPHA_GRID = (1.1, 1.5, 2.0, 3.0, 8.0)
@@ -175,7 +176,7 @@ def test_a6_operator_properties():
     rng = np.random.default_rng(11)
     k = np.arange(1, n + 1, dtype=float)
     amp = 2.0**problem.alpha * problem.nu
-    slack = 10 * cfg.root_tol
+    slack = 10 * ROOT_TOL
     failures = []
 
     def random_sequence():

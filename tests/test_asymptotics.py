@@ -1,4 +1,4 @@
-"""Drift and contraction integrals, brackets, adapted norms, rate fits."""
+"""Drift and contraction integrals, brackets, rate fits."""
 
 import math
 
@@ -15,7 +15,6 @@ from oscspec import (
     KernelParams,
     OperatorConfig,
     TailModel,
-    adapted_norm,
     contraction_closed,
     contraction_factor,
     contraction_integral,
@@ -182,34 +181,6 @@ class TestSpectralRateEstimate:
         assert all(a <= b + tol for a, b in zip(rates[3:], rates[4:]))
 
 
-class TestAdaptedNorm:
-    def test_reference_profile_is_unit(self):
-        k = np.arange(1, 31, dtype=float)
-        eps, cut = 1.2, 7
-        profile = np.minimum(float(cut) ** (-eps), k ** (-eps))
-        assert adapted_norm(profile, eps, cut) == pytest.approx(1.0, abs=0)
-
-    def test_zero(self):
-        assert adapted_norm(np.zeros(5), 0.5, 3) == 0.0
-
-    def test_equivalence_with_plain_weighted_norm(self, rng):
-        from oscspec import weighted_norm
-
-        for _ in range(30):
-            n = int(rng.integers(2, 60))
-            u = rng.normal(size=n)
-            eps = float(rng.uniform(0.1, 2.5))
-            cut = int(rng.integers(1, n + 1))
-            plain = weighted_norm(u, eps)
-            adapted = adapted_norm(u, eps, cut)
-            assert plain <= adapted * (1 + 1e-12)
-            assert adapted <= float(cut) ** eps * plain * (1 + 1e-12)
-
-    def test_epsilon_positive_required(self):
-        with pytest.raises(ValueError):
-            adapted_norm([1.0], 0.0, 2)
-
-
 class TestBrackets:
     KP = KernelParams(math.pi / 3)
 
@@ -273,15 +244,6 @@ class TestBrackets:
         for kind in BracketKind:
             cert = verify_bracket(scaled, problem.offsets, problem.kernel, cfg, kind=kind)
             assert cert.verified
-
-    def test_auto_kind_picks_better_side(self):
-        from oscspec import build_problem, Parity
-
-        problem = build_problem(2, Parity.EVEN)
-        cfg = OperatorConfig(truncation=200)
-        cert = verify_bracket(upper_bracket(50.0, 200, problem.kernel), problem.offsets,
-                              problem.kernel, cfg)
-        assert cert.kind is BracketKind.SUPER
 
     def test_wrong_hypothesis_fails_certification(self):
         from oscspec import build_problem, Parity

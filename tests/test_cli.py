@@ -132,6 +132,8 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "--M", "3")
         assert code == EXIT_OK
         header, rows = parse_csv(out)
+        assert header == ["kind", "alpha", "integral", "closed", "gap",
+                          "epsilon", "s_integral", "s_closed", "factor"]
         kinds = {row["kind"] for row in rows}
         assert kinds == {"drift", "contraction"}
 
@@ -203,6 +205,15 @@ class TestBracket:
         doc = json.loads(out)
         assert doc["kind"] == "SUB"
         assert doc["verified"] is True
+
+    def test_csv_header(self, capsys):
+        for side, param in (("--upper", "A"), ("--lower", "Nparam")):
+            code, out, _ = run(capsys, "bracket", "--M", "2", side, "--N", "300")
+            assert code == EXIT_OK
+            header, rows = parse_csv(out)
+            assert header == ["kind", "verified", "max_violation", "slack", "M", "parity", "N",
+                              param]
+            assert len(rows) == 1
 
     def test_requires_side(self, capsys):
         code, _, err = run(capsys, "bracket", "--M", "2", "--N", "300")

@@ -23,6 +23,7 @@ from oscspec import (
     solve_parity,
 )
 from oscspec.oscillator import ANDERSON_HISTORY
+from oscspec.quantize import ROOT_TOL
 
 
 class TestGrowthConstant:
@@ -68,8 +69,9 @@ class TestBuildProblem:
     def test_admissibility_margin_first_level(self):
         problem = build_problem(2, Parity.EVEN)
         # Q_1 = 1/3 while the lower barrier is (1/2)(1/3) = 1/6
-        assert problem.offsets.value(1) == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert problem.offsets.value(1) > 0.5 * problem.kernel.theta / math.pi
+        q1 = problem.offsets.values(1)[0]
+        assert q1 == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert q1 > 0.5 * problem.kernel.theta / math.pi
 
     def test_admissibility_explicit_scan(self):
         for M in (2, 3, 4, 5):
@@ -106,7 +108,7 @@ class TestSolveParity:
         assert trace.residual_sup[-1] <= 1e-12
         again = apply_quantization(fixed, problem.offsets, problem.kernel, cfg)
         drift = np.max(np.abs(np.log(again.values) - np.log(fixed.values)))
-        assert drift <= 10 * cfg.root_tol
+        assert drift <= 10 * ROOT_TOL
 
     def test_scaled_seed_converges_to_same_fixed_point(self, m2_even_300):
         # values-only rescale keeps the tail normalization, so the offsets pin

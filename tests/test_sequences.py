@@ -1,15 +1,12 @@
-"""Containers, the weighted norm and the partial order."""
+"""Containers and the weighted norm."""
 
 import numpy as np
 import pytest
 
 from oscspec import (
     EnergySequence,
-    LengthMismatch,
-    Ordering,
     TailModel,
     TailDivergence,
-    partial_compare,
     weighted_norm,
 )
 
@@ -51,52 +48,6 @@ def test_weighted_norm_triangle(rng):
         lhs = weighted_norm(u + v, eps)
         rhs = weighted_norm(u, eps) + weighted_norm(v, eps)
         assert lhs <= rhs * (1 + 1e-13)
-
-
-def test_partial_compare_le():
-    a = EnergySequence([1.0, 2.0], TAIL)
-    b = EnergySequence([1.0, 3.0], TAIL)
-    assert partial_compare(a, b) is Ordering.LE
-    assert partial_compare(b, a) is Ordering.GE
-
-
-def test_partial_compare_eq_reflexive(rng):
-    seq = EnergySequence(np.exp(rng.normal(size=12)), TAIL)
-    assert partial_compare(seq, seq) is Ordering.EQ
-
-
-def test_partial_compare_incomparable():
-    a = EnergySequence([1.0, 3.0], TAIL)
-    b = EnergySequence([2.0, 1.0], TAIL)
-    assert partial_compare(a, b) is Ordering.INCOMPARABLE
-
-
-def test_partial_compare_amplitude_breaks_order():
-    a = EnergySequence([1.0, 2.0], TailModel(1.0, 2.0))
-    b = EnergySequence([1.0, 3.0], TailModel(0.5, 2.0))
-    assert partial_compare(a, b) is Ordering.INCOMPARABLE
-
-
-def test_partial_compare_antisymmetric(rng):
-    # LE and GE together force entrywise equality with zero tolerance
-    values = np.exp(rng.normal(size=9))
-    a = EnergySequence(values, TAIL)
-    b = EnergySequence(values.copy(), TAIL)
-    assert partial_compare(a, b) is Ordering.EQ
-    assert np.array_equal(a.values, b.values)
-
-
-def test_partial_compare_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        partial_compare(EnergySequence([1.0], TAIL), EnergySequence([1.0, 2.0], TAIL))
-
-
-def test_partial_compare_tail_exponent_mismatch():
-    with pytest.raises(ValueError):
-        partial_compare(
-            EnergySequence([1.0], TailModel(1.0, 2.0)),
-            EnergySequence([1.0], TailModel(1.0, 3.0)),
-        )
 
 
 def test_positivity_required():

@@ -19,6 +19,7 @@ values from either source as usage errors.  Only main writes output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import re
@@ -67,6 +68,22 @@ _Result = tuple[int, dict, list[dict]]
 
 class _UsageError(Exception):
     pass
+
+
+class _InvalidInput(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _building_input():
+    """Report a ValueError raised while a command builds its inputs (configs,
+    stop rule, problem, start sequence) as invalid input, exit 2.  A
+    ValueError from the solve itself is a fault of the program and is not
+    caught."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _InvalidInput(str(exc)) from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,8 +143,9 @@ def cmd_spectrum(opts: dict) -> _Result:
     n = opts["N"]
     if levels < 1:
         raise _UsageError("--levels must be at least 1")
-    cfg = OperatorConfig(truncation=n)
-    stop = StopRule(max_steps=opts["max_steps"], target_residual=opts["tol"])
+    with _building_input():
+        cfg = OperatorConfig(truncation=n)
+        stop = StopRule(max_steps=opts["max_steps"], target_residual=opts["tol"])
     parity = opts["parity"]
 
     if parity == "both":
@@ -145,7 +163,8 @@ def cmd_spectrum(opts: dict) -> _Result:
     else:
         if levels > n:
             raise _UsageError(f"--levels {levels} exceeds --N {n}")
-        problem = oscillator.build_problem(M, oscillator.Parity(parity))
+        with _building_input():
+            problem = oscillator.build_problem(M, oscillator.Parity(parity))
         fixed, trace = oscillator.solve_parity(problem, cfg, stop)
         offset = 0 if parity == "even" else 1
         rows = [
@@ -168,21 +187,22 @@ def cmd_spectrum(opts: dict) -> _Result:
 
 def cmd_iterate(opts: dict) -> _Result:
     n = opts["N"]
-    cfg = OperatorConfig(truncation=n)
-    stop = StopRule(max_steps=opts["steps"], target_residual=opts["tol"],
-                    rate_epsilon=opts["eps"])
-    problem = oscillator.build_problem(opts["M"], oscillator.Parity(opts["parity"]))
-    start = oscillator.seed_sequence(problem, n)
+    with _building_input():
+        cfg = OperatorConfig(truncation=n)
+        stop = StopRule(max_steps=opts["steps"], target_residual=opts["tol"],
+                        rate_epsilon=opts["eps"])
+        problem = oscillator.build_problem(opts["M"], oscillator.Parity(opts["parity"]))
+        start = oscillator.seed_sequence(problem, n)
 
-    scale = opts["seed_scale"]
-    if scale != 1.0:
-        # values-only rescale: a compactly supported perturbation that leaves
-        # the asymptotic normalization (the tail) pinned
-        start = start.with_values(scale * start.values)
-    if opts["perturb_eps"] is not None:
-        k = np.arange(1, n + 1, dtype=float)
-        bump = opts["perturb_size"] * k ** (-opts["perturb_eps"])
-        start = start.with_values(start.values * np.exp(bump))
+        scale = opts["seed_scale"]
+        if scale != 1.0:
+            # values-only rescale: a compactly supported perturbation that leaves
+            # the asymptotic normalization (the tail) pinned
+            start = start.with_values(scale * start.values)
+        if opts["perturb_eps"] is not None:
+            k = np.arange(1, n + 1, dtype=float)
+            bump = opts["perturb_size"] * k ** (-opts["perturb_eps"])
+            start = start.with_values(start.values * np.exp(bump))
 
     trace = run_iteration(start, problem.offsets, problem.kernel, cfg, stop)
     try:
@@ -230,6 +250,8 @@ def cmd_analyze(opts: dict) -> _Result:
 
     eps_grid = opts["eps"] if opts["eps"] else list(_DEFAULT_EPS_GRID)
     alpha_grid = opts["alpha"] if opts["alpha"] else list(_DEFAULT_ALPHA_GRID)
+    if any(alpha <= 1.0 for alpha in alpha_grid):
+        raise _UsageError("--alpha must exceed 1: the drift integral diverges at or below 1")
 
     drift_rows = []
     for alpha in alpha_grid:
@@ -268,12 +290,15 @@ def cmd_verify(opts: dict) -> _Result:
         raise _UsageError(f"--levels {levels} exceeds the {2 * n} merged levels at --N {n}")
     bound = opts["bound"]
 
-    stop = StopRule(max_steps=opts["max_steps"], target_residual=opts["tol"])
-    oracle_cfg = oracle.OracleConfig(
-        grid_points=opts["oracle_grid"],
-        refinement_levels=opts["oracle_levels"],
-        tolerance=opts["oracle_tol"],
-    )
+    with _building_input():
+        stop = StopRule(max_steps=opts["max_steps"], target_residual=opts["tol"])
+        oracle_cfg = oracle.OracleConfig(
+            grid_points=opts["oracle_grid"],
+            refinement_levels=opts["oracle_levels"],
+            tolerance=opts["oracle_tol"],
+        )
+    if 8 * levels > oracle_cfg.grid_points:
+        raise _UsageError(f"--levels {levels} needs --oracle-grid of at least {8 * levels}")
     reference = oracle.hamiltonian_eigenvalues(M, levels, oracle_cfg)
 
     def deviations(truncation: int):
@@ -318,18 +343,18 @@ def cmd_bracket(opts: dict) -> _Result:
     if opts["upper"] == opts["lower"]:
         raise _UsageError("bracket requires exactly one of --upper / --lower")
     n = opts["N"]
-    problem = oscillator.build_problem(opts["M"], oscillator.Parity(opts["parity"]))
-    cfg = OperatorConfig(truncation=n)
     slack = opts["slack"]
-
-    if opts["upper"]:
-        candidate = asymptotics.upper_bracket(opts["A"], n, problem.kernel)
-        kind = asymptotics.BracketKind.SUPER
-        params = {"A": opts["A"]}
-    else:
-        candidate = asymptotics.lower_bracket(opts["Nparam"], n, problem.kernel)
-        kind = asymptotics.BracketKind.SUB
-        params = {"Nparam": opts["Nparam"]}
+    with _building_input():
+        problem = oscillator.build_problem(opts["M"], oscillator.Parity(opts["parity"]))
+        cfg = OperatorConfig(truncation=n)
+        if opts["upper"]:
+            candidate = asymptotics.upper_bracket(opts["A"], n, problem.kernel)
+            kind = asymptotics.BracketKind.SUPER
+            params = {"A": opts["A"]}
+        else:
+            candidate = asymptotics.lower_bracket(opts["Nparam"], n, problem.kernel)
+            kind = asymptotics.BracketKind.SUB
+            params = {"Nparam": opts["Nparam"]}
 
     certificate = asymptotics.verify_bracket(candidate, problem.offsets, problem.kernel,
                                              cfg, slack=slack, kind=kind)
@@ -464,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"usage error: the problem does not fit in memory, "
                          f"reduce --N or --oracle-grid ({exc})\n")
         return EXIT_USAGE
-    except ValueError as exc:
+    except _InvalidInput as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_USAGE
     except ResolutionError as exc:

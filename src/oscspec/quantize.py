@@ -274,6 +274,30 @@ def _extended(X: EnergySequence, cfg: OperatorConfig) -> tuple[np.ndarray, np.nd
     )
 
 
+def _kernel_sum(sources: np.ndarray, weights: np.ndarray, probes: np.ndarray,
+                kernel: KernelParams, slope: bool = False) -> np.ndarray:
+    """(1/pi) sum_k w_k angle_kernel(s_k, y) over sources s_k with weights w_k
+    at every probe y or, with slope set, its derivative in ln y, (sin theta /
+    pi) sum_k w_k derivative_kernel(s_k, y).  Probes are taken in blocks of at
+    most _BLOCK_ENTRIES kernel values (one probe at least), so a temporary
+    holds O(sources * block) values whatever the number of probes.
+    """
+    if slope:
+        pair, scale = derivative_kernel, kernel.sin / math.pi
+    else:
+        pair, scale = angle_kernel, 1.0 / math.pi
+    out = np.empty(probes.size)
+    step = max(1, _BLOCK_ENTRIES // sources.size)
+    for start in range(0, probes.size, step):
+        block = slice(start, start + step)
+        # the name keeps this block alive while the next one is evaluated:
+        # freed at once, its pages go back to the OS and fault in again
+        # (on a 2-core Xeon at N = 2000: 3x the minor faults, ~20% slower)
+        values = pair(kernel, sources, probes[block, None])
+        out[block] = values @ weights
+    return out * scale
+
+
 def counting_function(X: EnergySequence, probes, kernel: KernelParams,
                       cfg: OperatorConfig, slope: bool = False) -> np.ndarray:
     """Dense counting function of the full sequence X at every probe energy.
@@ -282,26 +306,11 @@ def counting_function(X: EnergySequence, probes, kernel: KernelParams,
     slope set, its derivative in ln y, (sin theta / pi) sum_k w_k
     derivative_kernel(X_k, y), which is strictly positive.  The weights w_k
     are one on the stored entries and the tail quadrature weights on the tail
-    nodes.  Probes are taken in blocks of at most _BLOCK_ENTRIES kernel values
-    (one probe at least), so a temporary holds O(N * block) values whatever
-    the number of probes.
+    nodes.  The sum is blocked over the probes, so besides its output it holds
+    O(N * block) memory, a block being max(1, _BLOCK_ENTRIES // (N + 64))
+    probes.
     """
-    probes = np.asarray(probes, dtype=float)
-    xe, we = _extended(X, cfg)
-    if slope:
-        pair, scale = derivative_kernel, kernel.sin / math.pi
-    else:
-        pair, scale = angle_kernel, 1.0 / math.pi
-    out = np.empty(probes.size)
-    step = max(1, _BLOCK_ENTRIES // xe.size)
-    for start in range(0, probes.size, step):
-        block = slice(start, start + step)
-        # the name keeps this block alive while the next one is evaluated:
-        # freed at once, its pages go back to the OS and fault in again
-        # (on a 2-core Xeon at N = 2000: 3x the minor faults, ~20% slower)
-        values = pair(kernel, xe, probes[block, None])
-        out[block] = values @ we
-    return out * scale
+    return _kernel_sum(*_extended(X, cfg), np.asarray(probes, dtype=float), kernel, slope)
 
 
 class _CountingPanels:
@@ -311,7 +320,19 @@ class _CountingPanels:
     analytic in the strip |Im s| < pi - theta, so panels of width at most
     2 (pi - theta) / 3 sit in a Bernstein ellipse of parameter 3 + sqrt(10)
     and degree _CHEB_DEGREE reaches the rounding floor of the dense sum.  The
-    dense layer is evaluated once, at the Chebyshev points of every panel.
+    counting sum is evaluated once, at the Chebyshev points of every panel.
+
+    The same strip holds for each term as a function of ln X_k, whatever s
+    is, so the stored levels are interpolated on the same panels (the
+    far-field step of the black-box FMM, Fong & Darve, J. Comput. Phys. 228,
+    2009, with no near field).  A panel holding more than _CHEB_DEGREE + 1
+    stored levels hands the kernel sum its own Chebyshev points instead,
+    weighted by the moments m_a = sum_k l_a(t_k) of the Lagrange basis l_a at
+    the levels' local coordinates t_k; any other panel keeps its levels at
+    weight one, and the tail nodes stay direct.  The sum therefore sees at
+    most N + 64 sources, and one build costs O(N * 25) for the moments plus
+    O((panels * 25) * (panels * 25 + 64)) kernel evaluations.  The stored
+    levels must lie in [lo, hi], in any order.
     """
 
     def __init__(self, X: EnergySequence, kernel: KernelParams, cfg: OperatorConfig,
@@ -321,11 +342,35 @@ class _CountingPanels:
         self.width = (hi - lo) / count
         self.centers = lo + self.width * (np.arange(count) + 0.5)
         self.edges = lo + self.width * np.arange(count + 1)
-        nodes = self.centers[:, None] + 0.5 * self.width * _CHEB_NODES
-        phi = counting_function(X, np.exp(nodes).ravel(), kernel, cfg).reshape(nodes.shape)
+        # energies at the Chebyshev points, one row per panel
+        self.nodes = np.exp(self.centers[:, None] + 0.5 * self.width * _CHEB_NODES)
+        phi = _kernel_sum(*self.sources(X, cfg), self.nodes.ravel(), kernel).reshape(count, -1)
         # (degree + 1, value/slope, panel)
         self.coef = np.stack([_CHEB_FROM_VALUES @ phi.T,
                               (2.0 / self.width) * (_CHEB_SLOPE_FROM_VALUES @ phi.T)], axis=1)
+
+    def sources(self, X: EnergySequence, cfg: OperatorConfig) -> tuple[np.ndarray, np.ndarray]:
+        """Sources and weights of the compressed counting sum: the stored
+        levels outside compressed panels at weight one, the Chebyshev points of
+        compressed panels at their moments, then the tail nodes."""
+        count = self.centers.size
+        x_log = np.log(X.values)
+        panel = np.clip(((x_log - self.lo) / self.width).astype(int), 0, count - 1)
+        packed = np.bincount(panel, minlength=count) > _CHEB_DEGREE + 1
+        in_packed = packed[panel]
+        panel = panel[in_packed]
+        t = (x_log[in_packed] - self.centers[panel]) * (2.0 / self.width)
+        # row m: the sum of T_m(t_k) over the levels of each panel
+        sums = np.empty((_CHEB_DEGREE + 1, count))
+        t_prev, t_cur = np.ones_like(t), t
+        for row in sums:
+            row[:] = np.bincount(panel, weights=t_prev, minlength=count)
+            t_prev, t_cur = t_cur, 2.0 * t * t_cur - t_prev
+        moments = sums[:, packed].T @ _CHEB_FROM_VALUES
+        tail_values, tail_weights = _tail_rule(len(X), X.tail, cfg.tail_quadrature_points)
+        direct = X.values[~in_packed]
+        return (np.concatenate([direct, self.nodes[packed].ravel(), tail_values]),
+                np.concatenate([np.ones(direct.size), moments.ravel(), tail_weights]))
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         """Rows phi and d phi / d s at every s in [lo, hi], from one Clenshaw sweep."""
@@ -343,15 +388,18 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
     """Apply the operator: solve the counting equation at every stored level.
 
     Every component inverts one increasing function, the counting function
-    s -> phi(X, e**s).  It is evaluated densely once, by the blocked kernel
-    sum, at the Chebyshev points of panels covering one range of y = ln Y
-    shared by all levels; the panel width is 2 (pi - theta) / 3, set by the
-    strip of analyticity of the kernel, at degree 24.  All root finding then
-    runs on that piecewise interpolant and its Chebyshev derivative, which
-    agree with the dense sum to its rounding floor (measured ~1e-15 * max phi),
-    at a cost of O(panels * 25 * N) per application instead of several
-    O(N**2) passes, and with memory bounded by O(N * block).  Certificates
-    and derivative_matrix use the dense sum directly.
+    s -> phi(X, e**s).  It is evaluated once, by the blocked kernel sum, at
+    the Chebyshev points of panels covering one range of y = ln Y shared by
+    all levels; the panel width is 2 (pi - theta) / 3, set by the strip of
+    analyticity of the kernel, at degree 24.  Each panel holding more than 25
+    stored levels enters that sum through its 25 Chebyshev moments instead
+    of its levels (see _CountingPanels), so the kernel sum costs
+    O(N * 25 + (panels * 25) * (panels * 25 + 64)) per application instead
+    of several O(N**2) passes, with O(N) memory besides the blocked sum.  All
+    root finding then runs on that piecewise interpolant and its Chebyshev
+    derivative, which agree with the dense sum to its rounding floor
+    (measured ~1e-15 * max phi).  Certificates and derivative_matrix keep the
+    exact dense sum.
 
     The range starts at [min X / 8, 8 max X] and widens by a factor 8 at an
     end, rebuilding the panels, until the interpolant there lies below min Q

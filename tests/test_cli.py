@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from oscspec import oscillator
+from oscspec import oscillator, quantize
 from oscspec.cli import EXIT_CONVERGENCE, EXIT_OK, EXIT_ORACLE, EXIT_TOLERANCE, EXIT_USAGE, main
 from oscspec.tables import parse_csv
 
@@ -365,6 +365,18 @@ def test_invalid_stop_rule_is_a_usage_error(capsys):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == "" and "invalid input" in err
+
+
+def test_value_error_of_the_solve_is_not_invalid_input(capsys, monkeypatch):
+    # only building the inputs maps a ValueError to "invalid input"; one
+    # raised by the solve is a fault of the program and propagates
+    def broken(*args, **kwargs):
+        raise ValueError("internal check failed")
+
+    monkeypatch.setattr(quantize, "apply_quantization", broken)
+    with pytest.raises(ValueError, match="internal check failed"):
+        main(["spectrum", "--M", "2", "--levels", "4", "--N", "60"])
+    assert "invalid input" not in capsys.readouterr().err
 
 
 def test_negative_exponent_notation_is_a_value(capsys):

@@ -311,6 +311,62 @@ class TestCountingPanels:
         assert peak <= 64 * 2**20
 
 
+class TestCompressedSources:
+    """The panel build sums over per-panel Chebyshev moments: a panel holding
+    more than 25 stored levels hands the kernel sum its 25 Chebyshev points."""
+
+    THETAS = sorted(set(THETA_GRID) | {(M - 1) * math.pi / (M + 1) for M in (2, 3, 4, 8)})
+
+    @staticmethod
+    def build(rng, n, theta):
+        kp = KernelParams(theta)
+        seq = random_growth_sequence(rng, n, alpha=1.0 + theta / math.pi)
+        cfg = OperatorConfig(truncation=n)
+        x_log = np.log(seq.values)
+        panels = _CountingPanels(seq, kp, cfg, x_log.min() - _LOG8, x_log.max() + _LOG8)
+        sources, weights = panels.sources(seq, cfg)
+        stored = sources.size - cfg.tail_quadrature_points
+        return seq, kp, cfg, panels, sources[:stored], weights[:stored]
+
+    # 48 levels: every panel stays direct; 250: mixed; 2000: the top panels compress
+    @pytest.mark.parametrize("n", [48, 250, 2000])
+    def test_panel_values_match_dense_sum(self, rng, n):
+        for theta in self.THETAS:
+            seq, kp, cfg, panels, stored, _ = self.build(rng, n, theta)
+            if n == 48:
+                assert np.array_equal(stored, seq.values), theta
+            elif n == 250:
+                assert stored.size < n and np.isin(seq.values, stored).any(), theta
+            else:
+                assert not np.isin(seq.values.max(), stored), theta
+            probes = panels.nodes.ravel()
+            compressed = quantize._kernel_sum(*panels.sources(seq, cfg), probes, kp)
+            dense = counting_function(seq, probes, kp, cfg)
+            assert np.max(np.abs(compressed - dense)) <= 1e-14 * np.max(np.abs(dense)), theta
+
+    @pytest.mark.parametrize("n", [48, 250, 2000])
+    def test_stored_weights_sum_to_level_count(self, rng, n):
+        # the Lagrange basis is a partition of unity, so the moments of a
+        # panel add up to the number of levels they replace
+        for theta in self.THETAS:
+            _, _, _, _, stored, weights = self.build(rng, n, theta)
+            assert stored.size <= n, theta
+            assert abs(weights.sum() - n) <= 64 * np.finfo(float).eps * n, theta
+
+    def test_memory_of_one_application(self):
+        # the parent layer summed every panel node against all N + 64 sources
+        # and peaked at 32.2 MiB here
+        problem = build_problem(2, Parity.EVEN)
+        seq = seed_sequence(problem, 8000)
+        tracemalloc.start()
+        try:
+            apply_quantization(seq, problem.offsets, problem.kernel, OperatorConfig(truncation=8000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+
 class TestDerivativeMatrix:
     CFG = OperatorConfig(truncation=40)
 

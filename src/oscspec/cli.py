@@ -250,8 +250,8 @@ def cmd_analyze(opts: dict) -> _Result:
 
     eps_grid = opts["eps"] if opts["eps"] else list(_DEFAULT_EPS_GRID)
     alpha_grid = opts["alpha"] if opts["alpha"] else list(_DEFAULT_ALPHA_GRID)
-    if any(alpha <= 1.0 for alpha in alpha_grid):
-        raise _UsageError("--alpha must exceed 1: the drift integral diverges at or below 1")
+    if not all(1.0 < alpha < math.inf for alpha in alpha_grid):
+        raise _UsageError("--alpha must be finite and exceed 1, where the drift integral converges")
 
     drift_rows = []
     for alpha in alpha_grid:

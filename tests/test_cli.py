@@ -146,6 +146,13 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze", "--theta", "3.5")
         assert code == EXIT_USAGE
 
+    def test_rejects_alpha_outside_the_drift_domain(self, capsys):
+        # inf used to escape as a ZeroDivisionError and nan to print nan rows
+        for alpha in ("1", "0.5", "inf", "nan"):
+            code, out, err = run(capsys, "analyze", "--M", "2", "--alpha", alpha)
+            assert code == EXIT_USAGE, alpha
+            assert out == "" and "--alpha" in err
+
 
 class TestVerify:
     def test_passes_with_realistic_bound(self, capsys):

@@ -147,7 +147,7 @@ class TestAnalyze:
         assert code == EXIT_USAGE
 
     def test_rejects_alpha_outside_the_drift_domain(self, capsys):
-        # inf used to escape as a ZeroDivisionError and nan to print nan rows
+        # inf would divide by zero in the drift integral and nan print nan rows
         for alpha in ("1", "0.5", "inf", "nan"):
             code, out, err = run(capsys, "analyze", "--M", "2", "--alpha", alpha)
             assert code == EXIT_USAGE, alpha

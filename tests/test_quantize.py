@@ -324,15 +324,14 @@ class TestCompressedSources:
         cfg = OperatorConfig(truncation=n)
         x_log = np.log(seq.values)
         panels = _CountingPanels(seq, kp, cfg, x_log.min() - _LOG8, x_log.max() + _LOG8)
-        sources, weights = panels.sources(seq, cfg)
-        stored = sources.size - cfg.tail_quadrature_points
-        return seq, kp, cfg, panels, sources[:stored], weights[:stored]
+        return seq, kp, cfg, panels, *panels.sources(seq, cfg)
 
     # 48 levels: every panel stays direct; 250: mixed; 2000: the top panels compress
     @pytest.mark.parametrize("n", [48, 250, 2000])
     def test_panel_values_match_dense_sum(self, rng, n):
         for theta in self.THETAS:
-            seq, kp, cfg, panels, stored, _ = self.build(rng, n, theta)
+            seq, kp, cfg, panels, sources, weights = self.build(rng, n, theta)
+            stored = sources[:-cfg.tail_quadrature_points]
             if n == 48:
                 assert np.array_equal(stored, seq.values), theta
             elif n == 250:
@@ -340,7 +339,7 @@ class TestCompressedSources:
             else:
                 assert not np.isin(seq.values.max(), stored), theta
             probes = panels.nodes.ravel()
-            compressed = quantize._kernel_sum(*panels.sources(seq, cfg), probes, kp)
+            compressed = quantize._kernel_sum(sources, weights, probes, kp)
             dense = counting_function(seq, probes, kp, cfg)
             assert np.max(np.abs(compressed - dense)) <= 1e-14 * np.max(np.abs(dense)), theta
 
@@ -349,13 +348,14 @@ class TestCompressedSources:
         # the Lagrange basis is a partition of unity, so the moments of a
         # panel add up to the number of levels they replace
         for theta in self.THETAS:
-            _, _, _, _, stored, weights = self.build(rng, n, theta)
+            _, _, cfg, _, sources, weights = self.build(rng, n, theta)
+            stored = weights[:-cfg.tail_quadrature_points]
             assert stored.size <= n, theta
-            assert abs(weights.sum() - n) <= 64 * np.finfo(float).eps * n, theta
+            assert abs(stored.sum() - n) <= 64 * np.finfo(float).eps * n, theta
 
     def test_memory_of_one_application(self):
-        # the parent layer summed every panel node against all N + 64 sources
-        # and peaked at 32.2 MiB here
+        # summing every panel node against all N + 64 sources peaked at
+        # 32.2 MiB here; the moments keep the sum to a few hundred sources
         problem = build_problem(2, Parity.EVEN)
         seq = seed_sequence(problem, 8000)
         tracemalloc.start()

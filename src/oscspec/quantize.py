@@ -448,36 +448,34 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
     lo, hi = panels.edges[upper - 1], panels.edges[upper]
     y = np.clip(x_log, lo, hi)
 
+    # the open set: a level leaves it when it closes, its root written to roots
     eps = np.finfo(float).eps
-    active = np.arange(n)
+    roots = np.empty(n)
+    level = np.arange(n)
     for _ in range(MAX_ROOT_ITERS):
-        f, slope = panels(y[active])
-        f -= q[active]
+        f, slope = panels(y)
+        f -= q
         positive = f > 0
-        hi[active[positive]] = y[active[positive]]
-        lo[active[~positive]] = y[active[~positive]]
-        keep = np.abs(f) > ROOT_TOL
-        # bracket collapsed to machine resolution: accept the midpoint
-        resolved = (hi[active] - lo[active]) <= 8.0 * eps * np.maximum(1.0, np.abs(y[active]))
-        keep &= ~resolved
-        active = active[keep]
-        if active.size == 0:
+        lo, hi = np.where(positive, lo, y), np.where(positive, y, hi)
+        # bracket collapsed to machine resolution: keep y
+        closed = (np.abs(f) <= ROOT_TOL) | (hi - lo <= 8.0 * eps * np.maximum(1.0, np.abs(y)))
+        roots[level[closed]] = y[closed]
+        open_ = ~closed
+        level, y, lo, hi, q, f, slope = (v[open_] for v in (level, y, lo, hi, q, f, slope))
+        if level.size == 0:
             break
-        f = f[keep]
-        slope = slope[keep]
-        proposal = y[active] - f / slope
-        outside = ~np.isfinite(proposal) | (proposal <= lo[active]) | (proposal >= hi[active])
-        proposal[outside] = 0.5 * (lo[active][outside] + hi[active][outside])
-        y[active] = proposal
-    if active.size:
+        proposal = y - f / slope
+        outside = ~np.isfinite(proposal) | (proposal <= lo) | (proposal >= hi)
+        y = np.where(outside, 0.5 * (lo + hi), proposal)
+    if level.size:
         raise NoConvergence(
-            f"{active.size} level(s) unresolved after {MAX_ROOT_ITERS} iterations, "
-            f"first at level {int(active[0]) + 1}"
+            f"{level.size} level(s) unresolved after {MAX_ROOT_ITERS} iterations, "
+            f"first at level {int(level[0]) + 1}"
         )
 
     a = X.tail.exponent
     factor = drift_closed(a, kernel) ** (-a)
-    return EnergySequence(np.exp(y), TailModel(X.tail.amplitude * factor, a, X.tail.shift))
+    return EnergySequence(np.exp(roots), TailModel(X.tail.amplitude * factor, a, X.tail.shift))
 
 
 def drift_closed(alpha: float, kernel: KernelParams) -> float:

@@ -406,11 +406,12 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
     and above max Q (up to a total factor of 2**64 per side).  Level j is
     bracketed by the panel whose edge values straddle Q_j and solved by a
     safeguarded Newton iteration in y_j = ln Y_j from ln X_j clipped into that
-    panel, falling back to bisection.  A component is accepted when
-    |phi_j - Q_j| <= ROOT_TOL, or when its bracket collapses to a few ulps of
-    y_j: at large truncations one ulp of y_j moves phi_j by more than any
-    fixed tolerance, so an absolute tolerance alone is not reachable in
-    double precision.
+    panel, falling back to bisection.  Level j closes, keeping y_j, when
+    |phi_j - Q_j| <= max(ROOT_TOL, phi'_j r_j), r_j = 8 eps max(1, |y_j|):
+    the residual is at the tolerance, or the Newton step is within the
+    resolution of y_j, since at large truncations one ulp of y_j moves phi_j
+    by more than any fixed tolerance.  A bracket that bisection collapses to
+    r_j also closes its level, so every loop ends.
 
     The output keeps the input tail exponent and shift.  Its amplitude is the
     input amplitude times the closed-form drift factor D(a)**(-a), the
@@ -449,7 +450,6 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
     y = np.clip(x_log, lo, hi)
 
     # the open set: a level leaves it when it closes, its root written to roots
-    eps = np.finfo(float).eps
     roots = np.empty(n)
     level = np.arange(n)
     for _ in range(MAX_ROOT_ITERS):
@@ -457,8 +457,9 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
         f -= q
         positive = f > 0
         lo, hi = np.where(positive, lo, y), np.where(positive, y, hi)
-        # bracket collapsed to machine resolution: keep y
-        closed = (np.abs(f) <= ROOT_TOL) | (hi - lo <= 8.0 * eps * np.maximum(1.0, np.abs(y)))
+        # r: the resolution of y; a bracket collapsed to r cannot move y again
+        r = 8.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(y))
+        closed = (np.abs(f) <= np.maximum(ROOT_TOL, slope * r)) | (hi - lo <= r)
         roots[level[closed]] = y[closed]
         open_ = ~closed
         level, y, lo, hi, q, f, slope = (v[open_] for v in (level, y, lo, hi, q, f, slope))

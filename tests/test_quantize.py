@@ -203,7 +203,7 @@ class TestApplyQuantization:
 
     def test_roots_on_panel_edges(self, rng):
         # a root exactly on a panel edge sits at the end of its bracket; a wrong
-        # panel lookup would leave it outside, where the ulp-floor rule accepts
+        # panel lookup would leave it outside, where the bracket guard closes
         # a wrong level without raising
         problem = self.problem()
         seq = random_growth_sequence(rng, 48)
@@ -298,6 +298,25 @@ class TestCountingPanels:
                 slope = counting_function(seq, out.values, problem.kernel, cfg, slope=True)
                 log_error = np.abs(phi - problem.offsets.values(2000)) / slope
                 assert np.max(log_error) <= 1e-11, (M, parity)
+
+    def test_few_sweeps_from_the_seed(self, monkeypatch):
+        # the interpolant runs once per panel build and once per Newton sweep;
+        # a level whose Newton step is within the resolution of y_j closes
+        # instead of bisecting its panel-wide bracket down to a few ulps
+        calls = []
+        call = _CountingPanels.__call__
+
+        def counted(panels, s):
+            calls.append(s.size)
+            return call(panels, s)
+
+        monkeypatch.setattr(_CountingPanels, "__call__", counted)
+        cfg = OperatorConfig(truncation=2000)
+        for M in (2, 3):
+            problem = build_problem(M, Parity.EVEN)
+            calls.clear()
+            apply_quantization(seed_sequence(problem, 2000), problem.offsets, problem.kernel, cfg)
+            assert len(calls) <= 10, (M, len(calls))
 
     def test_memory_bounded_at_large_truncation(self):
         problem = build_problem(2, Parity.EVEN)

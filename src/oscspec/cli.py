@@ -100,6 +100,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite(text: str) -> float:
+    """Argparse type of every float option: a finite float, nan and inf refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _given(args: argparse.Namespace) -> dict:
     return {key: value for key, value in vars(args).items() if value is not None}
 
@@ -250,8 +261,8 @@ def cmd_analyze(opts: dict) -> _Result:
 
     eps_grid = opts["eps"] if opts["eps"] else list(_DEFAULT_EPS_GRID)
     alpha_grid = opts["alpha"] if opts["alpha"] else list(_DEFAULT_ALPHA_GRID)
-    if not all(1.0 < alpha < math.inf for alpha in alpha_grid):
-        raise _UsageError("--alpha must be finite and exceed 1, where the drift integral converges")
+    if not all(alpha > 1.0 for alpha in alpha_grid):
+        raise _UsageError("--alpha must exceed 1, where the drift integral converges")
 
     drift_rows = []
     for alpha in alpha_grid:
@@ -383,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, parity_choices=("even", "odd", "both")) -> None:
         p.add_argument("--M", type=int, help="potential power parameter, at least 2")
         p.add_argument("--N", type=int, help="truncation length of stored sequences")
-        p.add_argument("--tol", type=float, help="stopping sup-log residual")
+        p.add_argument("--tol", type=_finite, help="stopping sup-log residual")
         p.add_argument("--parity", choices=parity_choices, help="parity class")
         p.add_argument("--format", choices=("csv", "json"), help="artifact format")
         p.add_argument("--out", help="output path ('-' for stdout)")
@@ -397,19 +408,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iterate", help="run the fixed-point iteration and fit its rate")
     common(p, parity_choices=("even", "odd"))
     p.add_argument("--steps", type=int, help="maximum iteration steps")
-    p.add_argument("--eps", type=float, help="weight exponent for residuals and the rate fit")
-    p.add_argument("--perturb-eps", dest="perturb_eps", type=float,
+    p.add_argument("--eps", type=_finite, help="weight exponent for residuals and the rate fit")
+    p.add_argument("--perturb-eps", dest="perturb_eps", type=_finite,
                    help="perturb the seed by perturb-size * k**(-perturb-eps) in log space")
-    p.add_argument("--perturb-size", dest="perturb_size", type=float,
+    p.add_argument("--perturb-size", dest="perturb_size", type=_finite,
                    help="amplitude of the seed perturbation")
-    p.add_argument("--seed-scale", dest="seed_scale", type=float,
+    p.add_argument("--seed-scale", dest="seed_scale", type=_finite,
                    help="rescale stored seed values only (tail normalization stays pinned)")
 
     p = sub.add_parser("analyze", help="drift and contraction diagnostics")
     p.add_argument("--M", type=int)
-    p.add_argument("--theta", type=float, help="kernel angle in (0, pi), alternative to --M")
-    p.add_argument("--eps", type=float, action="append", help="epsilon grid point (repeatable)")
-    p.add_argument("--alpha", type=float, action="append", help="alpha grid point (repeatable)")
+    p.add_argument("--theta", type=_finite, help="kernel angle in (0, pi), alternative to --M")
+    p.add_argument("--eps", type=_finite, action="append", help="epsilon grid point (repeatable)")
+    p.add_argument("--alpha", type=_finite, action="append", help="alpha grid point (repeatable)")
     p.add_argument("--format", choices=("csv", "json"))
     p.add_argument("--out")
     p.add_argument("--config")
@@ -417,22 +428,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="compare the solved spectrum against the eigensolver oracle")
     common(p, parity_choices=("both",))
     p.add_argument("--levels", type=int)
-    p.add_argument("--bound", type=float, help="relative deviation bound per level")
+    p.add_argument("--bound", type=_finite, help="relative deviation bound per level")
     p.add_argument("--refine", action="store_true", default=None,
                    help="also solve at doubled N and require per-level deviations not to grow")
     p.add_argument("--max-steps", dest="max_steps", type=int)
     p.add_argument("--oracle-grid", dest="oracle_grid", type=int)
     p.add_argument("--oracle-levels", dest="oracle_levels", type=int)
-    p.add_argument("--oracle-tol", dest="oracle_tol", type=float)
+    p.add_argument("--oracle-tol", dest="oracle_tol", type=_finite)
 
     p = sub.add_parser("bracket", help="certify a sub- or super-solution")
     common(p, parity_choices=("even", "odd"))
     p.add_argument("--upper", action="store_true", default=None,
                    help="shifted-power super-solution")
     p.add_argument("--lower", action="store_true", default=None, help="staircase sub-solution")
-    p.add_argument("--A", type=float, help="shift of the super-solution")
+    p.add_argument("--A", type=_finite, help="shift of the super-solution")
     p.add_argument("--Nparam", type=int, help="staircase parameter of the sub-solution")
-    p.add_argument("--slack", type=float, help="certification slack in counting units")
+    p.add_argument("--slack", type=_finite, help="certification slack in counting units")
 
     return parser
 

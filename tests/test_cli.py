@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from oscspec import oscillator, quantize
+from oscspec import asymptotics, cli, oracle, oscillator, quantize
 from oscspec.cli import EXIT_CONVERGENCE, EXIT_OK, EXIT_ORACLE, EXIT_TOLERANCE, EXIT_USAGE, main
 from oscspec.tables import parse_csv
 
@@ -395,6 +395,24 @@ def test_negative_exponent_notation_is_a_value(capsys):
     code, out, err = run(capsys, "spectrum", "--M", "2", "--tol", "-1e-3")
     assert code == EXIT_USAGE
     assert out == "" and "invalid input" in err
+
+
+def test_non_finite_float_options_are_usage_errors(capsys, tmp_path, monkeypatch):
+    # every float option, flag or config key, refuses nan and inf before any solve
+    for module, name in ((asymptotics, "drift_integral"), (asymptotics, "contraction_integral"),
+                         (asymptotics, "verify_bracket"), (oracle, "hamiltonian_eigenvalues"),
+                         (oscillator, "compute_spectrum"), (cli, "run_iteration")):
+        monkeypatch.setattr(module, name, _must_not_solve)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps = nan\n")
+    for argv, flag in ((("analyze", "--M", "2", "--eps", "nan"), "--eps"),
+                       (("verify", "--M", "2", "--bound", "nan"), "--bound"),
+                       (("bracket", "--M", "2", "--upper", "--slack", "nan"), "--slack"),
+                       (("spectrum", "--M", "2", "--tol", "inf"), "--tol"),
+                       (("iterate", "--M", "2", "--config", str(cfg)), "--eps")):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert out == "" and flag in err and "usage error" in err, (argv, err)
 
 
 def test_module_runs_as_a_process():

@@ -41,7 +41,6 @@ from .errors import (
 from .oracle import (
     OracleConfig,
     hamiltonian_eigenvalues,
-    harmonic_reference_eigenvalues,
     parity_split,
     suggest_halfwidth,
 )

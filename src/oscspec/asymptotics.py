@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, InsufficientData
 from .quantize import (
@@ -28,6 +27,19 @@ from .quantize import (
 from .sequences import EnergySequence, TailModel, weighted_norm
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=400)
+# empirical_rate drops errors at or below this floor as noise: 100 times quantize.ROOT_TOL
+_RATE_FLOOR = 1e-10
+# bisection width at which critical_exponent_from_drift stops
+_DRIFT_XTOL = 1e-12
+
+
+def _quad(f, a: float, b: float) -> float:
+    """Adaptive quadrature of f over [a, b] with _QUAD_OPTS."""
+    # imported on first use: no solve path integrates, and importing
+    # scipy.integrate costs every process ~0.3 s
+    from scipy.integrate import quad
+
+    return quad(f, a, b, **_QUAD_OPTS)[0]
 
 
 def _power_tail_quad(f, cut: float, decay: float) -> float:
@@ -44,7 +56,7 @@ def _power_tail_quad(f, cut: float, decay: float) -> float:
         s = cut * u ** (-scale)
         return f(s) * cut * scale * u ** (-decay * scale)
 
-    return quad(transformed, 0.0, 1.0, **_QUAD_OPTS)[0]
+    return _quad(transformed, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -106,9 +118,9 @@ def drift_integral(alpha: float, kernel: KernelParams) -> float:
     # alpha -> 1 where the tail is nearly divergent.
     knot = 1.0 + 4.0 / alpha
     lead = sin_t * knot ** (1.0 - alpha) / (alpha - 1.0)
-    hi = (quad(upper, 1.0, knot, **_QUAD_OPTS)[0] + lead
+    hi = (_quad(upper, 1.0, knot) + lead
           + _power_tail_quad(upper_remainder, knot, 2.0 * alpha))
-    lo = quad(lower, 1.0, knot, **_QUAD_OPTS)[0] + _power_tail_quad(lower, knot, 2.0)
+    lo = _quad(lower, 1.0, knot) + _power_tail_quad(lower, knot, 2.0)
     return (hi + lo) / math.pi
 
 
@@ -117,7 +129,7 @@ def critical_exponent(kernel: KernelParams) -> float:
     return 1.0 + kernel.theta / math.pi
 
 
-def critical_exponent_from_drift(kernel: KernelParams, xtol: float = 1e-12) -> float:
+def critical_exponent_from_drift(kernel: KernelParams) -> float:
     """Bisection root of drift_integral(alpha) = 1 over [1 + 1e-6, 64].
 
     Verification mode for the closed form: the drift decreases strictly in
@@ -126,7 +138,7 @@ def critical_exponent_from_drift(kernel: KernelParams, xtol: float = 1e-12) -> f
     lo, hi = 1.0 + 1e-6, 64.0
     if drift_integral(lo, kernel) < 1.0 or drift_integral(hi, kernel) > 1.0:
         raise DomainError("drift does not cross 1 inside [1 + 1e-6, 64]")
-    while hi - lo > xtol:
+    while hi - lo > _DRIFT_XTOL:
         mid = 0.5 * (lo + hi)
         if drift_integral(mid, kernel) > 1.0:
             lo = mid
@@ -167,7 +179,7 @@ def contraction_integral(epsilon: float, kernel: KernelParams) -> float:
     # the two symmetrized terms decay like s**-(eps + a) and s**-(2 - eps + a);
     # both exponents exceed one inside the convergence strip
     knot = 2.0
-    head = quad(integrand, 1.0, knot, **_QUAD_OPTS)[0]
+    head = _quad(integrand, 1.0, knot)
     return head + tail_piece(epsilon) + tail_piece(2.0 - epsilon)
 
 
@@ -267,14 +279,12 @@ def verify_bracket(X: EnergySequence, Q: OffsetSequence, kernel: KernelParams,
     return BracketCertificate(kind=kind, verified=violation <= slack, max_violation=violation)
 
 
-def empirical_rate(trace: IterationTrace, reference: EnergySequence, epsilon: float,
-                   floor: float = 1e-10) -> float:
+def empirical_rate(trace: IterationTrace, reference: EnergySequence, epsilon: float) -> float:
     """Fitted geometric rate of epsilon-weighted errors against a reference.
 
     Least-squares slope of the log error over the geometric regime: the first
     quarter of the steps is dropped as transient and steps with error at or
-    below the floor are dropped as noise (the floor default is 100 times
-    quantize.ROOT_TOL).  Returns lambda = exp(slope).
+    below _RATE_FLOOR are dropped as noise.  Returns lambda = exp(slope).
     """
     if len(trace.iterates) < 4:
         raise InsufficientData("need at least 4 iterates to fit a rate")
@@ -282,7 +292,7 @@ def empirical_rate(trace: IterationTrace, reference: EnergySequence, epsilon: fl
     errors = np.array([weighted_norm(np.log(it.values) - ref_log, epsilon)
                        for it in trace.iterates])
     steps = np.arange(len(errors))
-    usable = (steps >= len(errors) // 4) & (errors > floor)
+    usable = (steps >= len(errors) // 4) & (errors > _RATE_FLOOR)
     if usable.sum() < 2:
         raise InsufficientData("fewer than 2 points remain in the geometric regime")
     slope = np.polyfit(steps[usable], np.log(errors[usable]), 1)[0]

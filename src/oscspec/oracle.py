@@ -102,24 +102,12 @@ def _richardson_eigenvalues(power: int, count: int, cfg: OracleConfig,
 def hamiltonian_eigenvalues(M: int, count: int, cfg: OracleConfig) -> np.ndarray:
     """Lowest `count` eigenvalues of -d^2/dq^2 + q**(2M), sorted ascending."""
     if M < 2:
-        raise ValueError("M must be at least 2; harmonic_reference_eigenvalues covers q**2")
+        raise ValueError("M must be at least 2")
     if count < 1:
         raise ValueError("count must be at least 1")
     if count * 8 > cfg.grid_points:
         raise ValueError("count must be far below grid_points for discretization accuracy")
     return _richardson_eigenvalues(2 * M, count, cfg, suggest_halfwidth(M, count))
-
-
-def harmonic_reference_eigenvalues(count: int, cfg: OracleConfig) -> np.ndarray:
-    """Sanity mode with potential q**2, whose exact levels are 2k + 1.
-
-    Exposed for testing the discretization machinery only; the production
-    solver starts at M = 2.
-    """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    halfwidth = float(np.sqrt(4.0 * (2.0 * count + 1.0)))
-    return _richardson_eigenvalues(2, count, cfg, halfwidth)
 
 
 def parity_split(energies) -> tuple[np.ndarray, np.ndarray]:

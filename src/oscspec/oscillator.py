@@ -55,8 +55,6 @@ class SpectrumResult:
     """Merged spectrum with per-parity diagnostics."""
 
     energies: np.ndarray
-    even_fixed_point: EnergySequence
-    odd_fixed_point: EnergySequence
     residuals: dict
     iterations: dict
 
@@ -158,8 +156,6 @@ def merge_spectrum(even: EnergySequence, odd: EnergySequence,
         )
     return SpectrumResult(
         energies=merged,
-        even_fixed_point=even,
-        odd_fixed_point=odd,
         residuals=residuals or {},
         iterations=iterations or {},
     )

@@ -22,6 +22,7 @@ import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebpts1, chebvander
@@ -72,54 +73,27 @@ class KernelParams:
 class OffsetSequence:
     """Right-hand side Q of the counting equations.
 
-    Stored in closed form Q_k = k + constant, with optional explicit
-    overrides for small k given as (k, value) pairs.  Admissibility asks for
+    Stored in closed form Q_k = k + constant.  Admissibility asks for
     Q_k = k + O(1) (automatic here) and the strict lower bound
     Q_k > (k - 1/2) theta / pi for every k, without which the operator has no
-    fixed point at all.  ``validate`` checks the overrides individually and
-    the closed-form rule by a single inequality at the smallest plain index,
-    which suffices because the margin grows linearly in k.
+    fixed point at all.  ``validate`` checks the bound by a single inequality
+    at k = 1, which suffices because the margin grows linearly in k.
     """
 
     constant: float
-    overrides: tuple[tuple[int, float], ...] = ()
-
-    def __post_init__(self):
-        seen = set()
-        for k, v in self.overrides:
-            if k < 1 or k != int(k):
-                raise ValueError(f"override index must be a positive integer, got {k}")
-            if k in seen:
-                raise ValueError(f"duplicate override for k={k}")
-            seen.add(k)
 
     def values(self, n: int) -> np.ndarray:
         """Q_1 .. Q_n as an array."""
-        out = np.arange(1, n + 1, dtype=float) + self.constant
-        for k, v in self.overrides:
-            if k <= n:
-                out[k - 1] = v
-        return out
+        return np.arange(1, n + 1, dtype=float) + self.constant
 
     def validate(self, kernel: KernelParams) -> None:
         """Raise ConditionViolation unless Q_k > (k - 1/2) theta/pi for all k."""
         rate = kernel.theta / math.pi
-        for k, v in self.overrides:
-            if not v > (k - 0.5) * rate:
-                raise ConditionViolation(
-                    f"offset Q_{k}={v} does not exceed (k - 1/2) theta/pi = {(k - 0.5) * rate}", k=k
-                )
-        plain = 1
-        covered = {k for k, _ in self.overrides}
-        while plain in covered:
-            plain += 1
         # margin k(1 - theta/pi) + constant + theta/(2 pi) increases in k,
-        # so the bound at the smallest plain index proves all larger ones
-        if not plain + self.constant > (plain - 0.5) * rate:
+        # so the bound at k = 1 proves all larger ones
+        if not 1 + self.constant > 0.5 * rate:
             raise ConditionViolation(
-                f"closed-form offsets fail at k={plain}: "
-                f"{plain + self.constant} <= {(plain - 0.5) * rate}",
-                k=plain,
+                f"closed-form offsets fail at k=1: {1 + self.constant} <= {0.5 * rate}", k=1
             )
 
 
@@ -128,13 +102,12 @@ class OperatorConfig:
     """Numerical parameters of the truncated operator."""
 
     truncation: int = 500
-    tail_quadrature_points: int = 64
+    # Gauss-Legendre nodes of the tail quadrature, fixed for every solve
+    tail_quadrature_points: ClassVar[int] = 64
 
     def __post_init__(self):
         if self.truncation < 1:
             raise ValueError("truncation must be at least 1")
-        if self.tail_quadrature_points < 2:
-            raise ValueError("tail_quadrature_points must be at least 2")
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from oscspec import (
     upper_bracket,
     verify_bracket,
 )
+from oscspec import asymptotics
 
 THETA_GRID = (math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3, 5 * math.pi / 6)
 ALPHA_GRID = (1.1, 1.5, 2.0, 3.0, 8.0)
@@ -270,10 +271,11 @@ class TestBrackets:
 
 class TestEmpiricalRate:
     @staticmethod
-    def synthetic_trace(lam: float, steps: int) -> tuple[IterationTrace, EnergySequence]:
+    def synthetic_trace(lam: float, steps: int,
+                        size: float = 1.0) -> tuple[IterationTrace, EnergySequence]:
         tail = TailModel(1.0, 2.0)
         base = np.linspace(1.0, 3.0, 10)
-        direction = np.linspace(1.0, 0.4, 10)
+        direction = np.linspace(size, 0.4 * size, 10)
         reference = EnergySequence(np.exp(base), tail)
         iterates = [
             EnergySequence(np.exp(base + lam**n * direction), tail) for n in range(steps)
@@ -292,7 +294,8 @@ class TestEmpiricalRate:
             empirical_rate(trace, reference, 0.0)
 
     def test_floor_strips_noise(self):
-        trace, reference = self.synthetic_trace(0.5, 14)
+        # every error at or below the noise floor leaves nothing to fit; half
+        # the floor keeps the first one below it despite rounding in exp/log
+        trace, reference = self.synthetic_trace(0.5, 14, size=0.5 * asymptotics._RATE_FLOOR)
         with pytest.raises(InsufficientData):
-            # floor above every error leaves nothing to fit
-            empirical_rate(trace, reference, 0.0, floor=10.0)
+            empirical_rate(trace, reference, 0.0)

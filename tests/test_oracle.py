@@ -1,4 +1,4 @@
-"""Finite-difference eigensolver: sanity modes, refinement, determinism."""
+"""Finite-difference eigensolver: harmonic sanity check, refinement, determinism."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,16 @@ from oscspec import (
     ResolutionError,
     growth_constant,
     hamiltonian_eigenvalues,
-    harmonic_reference_eigenvalues,
     parity_split,
     suggest_halfwidth,
 )
+from oscspec import oracle
 
 
 class TestHarmonicSanity:
     def test_levels_are_odd_integers(self):
-        got = harmonic_reference_eigenvalues(6, OracleConfig())
+        # potential q**2 on [-L, L], L = sqrt(4 (2 count + 1)): exact levels 2k + 1
+        got = oracle._richardson_eigenvalues(2, 6, OracleConfig(), np.sqrt(4.0 * 13.0))
         exact = 2.0 * np.arange(6) + 1.0
         assert np.max(np.abs(got - exact)) <= 1e-8
 

@@ -158,10 +158,24 @@ class TestCountingDerivative:
                                      slope=True)[0] > 0
 
 
+class _ReplacedOffsets:
+    """Offsets k + constant with the entries of `replaced` ({k: Q_k}) put in;
+    apply_quantization reads nothing of Q but values(n)."""
+
+    def __init__(self, constant, replaced):
+        self.constant, self.replaced = constant, replaced
+
+    def values(self, n):
+        out = OffsetSequence(self.constant).values(n)
+        for k, value in self.replaced.items():
+            out[k - 1] = value
+        return out
+
+
 class TestOffsetSequence:
     def test_values_and_overrides(self):
-        q = OffsetSequence(constant=-0.5, overrides=((1, 0.9), (3, 2.0)))
-        assert np.array_equal(q.values(4), [0.9, 1.5, 2.0, 3.5])
+        q = OffsetSequence(constant=-0.5)
+        assert np.array_equal(q.values(4), [0.5, 1.5, 2.5, 3.5])
 
     def test_validate_passes_admissible(self):
         OffsetSequence(constant=-2.0 / 3.0).validate(KernelParams(math.pi / 3))
@@ -171,16 +185,6 @@ class TestOffsetSequence:
         with pytest.raises(ConditionViolation) as err:
             OffsetSequence(constant=-0.9).validate(KernelParams(3.0))
         assert err.value.k == 1
-
-    def test_validate_rejects_override(self):
-        q = OffsetSequence(constant=0.0, overrides=((2, 0.01),))
-        with pytest.raises(ConditionViolation) as err:
-            q.validate(KernelParams(2.0))
-        assert err.value.k == 2
-
-    def test_duplicate_override_rejected(self):
-        with pytest.raises(ValueError):
-            OffsetSequence(constant=0.0, overrides=((2, 1.0), (2, 2.0)))
 
 
 class TestApplyQuantization:
@@ -195,7 +199,7 @@ class TestApplyQuantization:
         # the shifted offsets put roots outside [min X / 8, 8 max X], above and
         # below, so the shared panel range widens at the top and at the bottom
         for offsets in (problem.offsets, OffsetSequence(constant=300.0),
-                        OffsetSequence(constant=-0.3, overrides=((1, 0.05),))):
+                        _ReplacedOffsets(-0.3, {1: 0.05})):
             out = apply_quantization(seq, offsets, problem.kernel, self.CFG)
             levels = [0, 5, 23, 47]
             phi = counting_function(seq, out.values[levels], problem.kernel, self.CFG)
@@ -216,7 +220,7 @@ class TestApplyQuantization:
         assert phi_edges[0] < q.min() and phi_edges[-1] > q.max()
         assert panels.centers.size >= 3
         for j, value in enumerate(phi_edges[1:-1]):
-            offsets = OffsetSequence(problem.offsets.constant, overrides=((j + 1, value),))
+            offsets = _ReplacedOffsets(problem.offsets.constant, {j + 1: value})
             out = apply_quantization(seq, offsets, problem.kernel, self.CFG)
             phi = counting_function(seq, out.values[j:j + 1], problem.kernel, self.CFG)[0]
             assert abs(phi - value) <= 2 * ROOT_TOL, j
@@ -545,8 +549,6 @@ def test_anderson_safeguard_takes_picard_step_and_restarts():
 def test_operator_config_validation():
     with pytest.raises(ValueError):
         OperatorConfig(truncation=0)
-    with pytest.raises(ValueError):
-        OperatorConfig(tail_quadrature_points=1)
 
 
 def test_stop_rule_validation():

@@ -93,10 +93,13 @@ def drift_integral(alpha: float, kernel: KernelParams) -> float:
     (1/pi) times the integral over s in (0, inf) of the angle kernel branch
     atan2(sin theta, s**alpha + cos theta).  Split at s = 1 with s -> 1/s on
     the lower part, so both pieces decay and adaptive quadrature reaches
-    absolute accuracy well below 1e-11.  Defined only for alpha > 1.
+    absolute accuracy well below 1e-11.  Defined only for alpha > 1 with
+    2 alpha finite, the decay exponent of the upper remainder.
     """
     if alpha <= 1.0:
         raise DomainError(f"drift integral diverges for alpha <= 1, got {alpha}")
+    if not math.isfinite(2.0 * alpha):
+        raise DomainError(f"drift integral needs a finite 2 * alpha, got alpha = {alpha}")
     sin_t, cos_t = kernel.sin, kernel.cos
 
     def upper(s: float) -> float:

@@ -261,8 +261,9 @@ def cmd_analyze(opts: dict) -> _Result:
 
     eps_grid = opts["eps"] if opts["eps"] else list(_DEFAULT_EPS_GRID)
     alpha_grid = opts["alpha"] if opts["alpha"] else list(_DEFAULT_ALPHA_GRID)
-    if not all(alpha > 1.0 for alpha in alpha_grid):
-        raise _UsageError("--alpha must exceed 1, where the drift integral converges")
+    if not all(alpha > 1.0 and math.isfinite(2.0 * alpha) for alpha in alpha_grid):
+        raise _UsageError("--alpha must exceed 1, where the drift integral converges, "
+                          "and 2 * alpha must be finite")
 
     drift_rows = []
     for alpha in alpha_grid:

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InterlacingViolation, NoConvergence
 from .quantize import (
@@ -72,8 +71,8 @@ def growth_constant(M: int) -> float:
         math.log(2.0)
         + 0.5 * math.log(math.pi)
         + math.log(M)
-        + float(gammaln(1.5 + 0.5 / M))
-        - float(gammaln(0.5 / M))
+        + math.lgamma(1.5 + 0.5 / M)
+        - math.lgamma(0.5 / M)
     )
     return math.exp(alpha * log_base)
 

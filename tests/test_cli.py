@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from oscspec import asymptotics, cli, oracle, oscillator, quantize
+from oscspec import DomainError, asymptotics, cli, oracle, oscillator, quantize
 from oscspec.cli import EXIT_CONVERGENCE, EXIT_OK, EXIT_ORACLE, EXIT_TOLERANCE, EXIT_USAGE, main
 from oscspec.tables import parse_csv
 
@@ -152,6 +152,14 @@ class TestAnalyze:
             code, out, err = run(capsys, "analyze", "--M", "2", "--alpha", alpha)
             assert code == EXIT_USAGE, alpha
             assert out == "" and "--alpha" in err
+
+    def test_rejects_alpha_whose_double_overflows(self, capsys):
+        # 2 * 1e308 is inf: the drift's tail quadrature printed nan rows
+        with pytest.raises(DomainError):
+            asymptotics.drift_integral(1e308, quantize.KernelParams(1.0))
+        code, out, err = run(capsys, "analyze", "--M", "2", "--alpha", "1e308")
+        assert code == EXIT_USAGE
+        assert out == "" and "--alpha" in err
 
 
 class TestVerify:
@@ -428,6 +436,18 @@ def test_module_runs_as_a_process():
     done = cli("spectrum", "--M", "2.5")
     assert done.returncode == EXIT_USAGE
     assert "usage error" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_import_leaves_integration_and_special_functions_unloaded():
+    # no solve path integrates or needs scipy.special, and loading them
+    # costs every process ~0.3 s
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    probe = ("import sys, oscspec; "
+             "print(sorted(m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_convergence_failure_exit_code(capsys):

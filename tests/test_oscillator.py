@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gamma
 
 from oscspec import (
     EnergySequence,
@@ -31,11 +30,11 @@ class TestGrowthConstant:
         assert growth_constant(2) == pytest.approx(2.1850693003123776, abs=1e-12)
 
     def test_gamma_backend_sanity(self):
-        # the special-function backend must reproduce the classic values the
+        # the log-gamma backend must reproduce the classic values the
         # formula leans on
-        assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+        assert math.lgamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
         for n in (2, 5, 9):
-            assert gamma(n) == pytest.approx(math.factorial(n - 1), rel=1e-14)
+            assert math.lgamma(n) == pytest.approx(math.log(math.factorial(n - 1)), abs=1e-14)
 
     def test_positive_and_finite_for_large_m(self):
         for M in (2, 3, 5, 10, 30, 100):

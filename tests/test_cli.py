@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oscspec import DomainError, asymptotics, cli, oracle, oscillator, quantize
@@ -193,6 +194,17 @@ class TestVerify:
         header, rows = parse_csv(out)
         assert header == ["level", "computed", "oracle", "abs_dev", "rel_dev"]
         assert len(rows) == 3
+
+    def test_odd_oracle_grid(self, capsys):
+        docs = []
+        for grid in ("1025", "1024"):
+            code, out, _ = run(capsys, "verify", "--M", "2", "--N", "250", "--levels", "10",
+                               "--bound", "5e-3", "--oracle-grid", grid)
+            assert code == EXIT_OK
+            docs.append(json.loads(out))
+        odd, even = (np.array([row["oracle"] for row in doc["levels"]]) for doc in docs)
+        assert odd.size == 10
+        assert np.max(np.abs(odd - even) / even) <= 1e-9
 
     def test_refine_tightens_deviations(self, capsys):
         code, out, _ = run(capsys, "verify", "--M", "2", "--levels", "4", "--N", "150",

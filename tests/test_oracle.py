@@ -78,6 +78,26 @@ class TestQuarticOracle:
             hamiltonian_eigenvalues(2, 1000, OracleConfig(grid_points=1024))
 
 
+class TestParityBlocks:
+    @staticmethod
+    def _dense_eigenvalues(power, points, halfwidth):
+        h = 2.0 * halfwidth / (points + 1)
+        q = -halfwidth + h * np.arange(1, points + 1)
+        off = np.full(points - 1, -1.0 / h**2)
+        return np.linalg.eigvalsh(np.diag(2.0 / h**2 + q**power) + np.diag(off, 1) + np.diag(off, -1))
+
+    @pytest.mark.parametrize("M", [2, 3])
+    @pytest.mark.parametrize("points", [256, 257])
+    def test_matches_full_dense_matrix(self, M, points):
+        halfwidth = suggest_halfwidth(M, 10)
+        full = self._dense_eigenvalues(2 * M, points, halfwidth)
+        # count 1 needs no odd block; count 2 solves a one-level block per parity
+        for count in (1, 2, 10):
+            got = oracle._grid_eigenvalues(2 * M, count, points, halfwidth)
+            assert got.shape == (count,)
+            assert np.max(np.abs(got - full[:count]) / full[:count]) <= 1e-10
+
+
 class TestParitySplit:
     def test_basic(self):
         even, odd = parity_split([1.0, 2.0, 3.0, 4.0])

@@ -64,13 +64,13 @@ def _lowest(diagonal: np.ndarray, off: np.ndarray, count: int) -> np.ndarray:
 def _grid_eigenvalues(power: int, count: int, points: int, halfwidth: float) -> np.ndarray:
     """Lowest eigenvalues of the Dirichlet discretization of -u'' + q**power u.
 
-    The potential is even, so the matrix is a persymmetric Jacobi matrix whose
-    eigenvalues are simple and whose eigenvectors alternate between symmetric
-    and antisymmetric, lowest first; each parity class is therefore solved
+    The potential is even, so the matrix is a persymmetric Jacobi matrix: its
+    eigenvalues are simple and its eigenvectors alternate between symmetric
+    and antisymmetric, lowest first.  Each parity class is therefore solved
     exactly as its own half-size tridiagonal problem on the left half of the
-    grid, closed at the centre by u_mirror = +-u (even point count) or by the
-    centre node itself, its off-diagonal symmetrized to -sqrt(2)/h**2, and
-    u_centre = 0 (odd point count), and the two are interleaved.
+    grid, and the two are interleaved.  An even point count closes both blocks
+    with u_mirror = +-u; an odd one gives the even block the centre node, its
+    off-diagonal symmetrized to -sqrt(2)/h**2, and the odd block u_centre = 0.
 
     LAPACK's default bisection tolerance eps * ||T||_1 (about 1e-8 absolute
     at 32768 points) is kept: it sets the oracle's reproducibility floor of

@@ -42,7 +42,6 @@ from .oracle import (
     OracleConfig,
     hamiltonian_eigenvalues,
     parity_split,
-    suggest_halfwidth,
 )
 from .oscillator import (
     OscillatorProblem,
@@ -62,10 +61,8 @@ from .quantize import (
     OffsetSequence,
     OperatorConfig,
     StopRule,
-    angle_kernel,
     apply_quantization,
     counting_function,
-    derivative_kernel,
     derivative_matrix,
     drift_closed,
     iterate,

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientData
 from .quantize import (
+    ROOT_TOL,
     DerivativeMatrix,
     IterationTrace,
     KernelParams,
@@ -27,8 +28,8 @@ from .quantize import (
 from .sequences import EnergySequence, TailModel, weighted_norm
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=400)
-# empirical_rate drops errors at or below this floor as noise: 100 times quantize.ROOT_TOL
-_RATE_FLOOR = 1e-10
+# empirical_rate drops errors at or below this floor as noise
+_RATE_FLOOR = 100 * ROOT_TOL
 # bisection width at which critical_exponent_from_drift stops
 _DRIFT_XTOL = 1e-12
 

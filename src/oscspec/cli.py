@@ -13,13 +13,17 @@ to a stable exit-code enumeration:
 Flag values take precedence over the optional key=value config file, which
 takes precedence over built-in defaults.  The argparse parser declares every
 option once: it parses config-file lines as flag tokens too, and rejects bad
-values from either source as usage errors.  Only main writes output.
+values from either source as usage errors.  Only main writes output, floats in
+17 significant digits (CSV) or shortest repr (JSON) so each round-trips exactly.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
+import io
+import json
 import math
 import os
 import re
@@ -27,7 +31,7 @@ import sys
 
 import numpy as np
 
-from . import asymptotics, oracle, oscillator, tables
+from . import asymptotics, oracle, oscillator
 from .errors import (
     BracketFailure,
     InsufficientData,
@@ -61,8 +65,7 @@ DEFAULTS = {
                 "slack": 1e-8, "format": "csv", "upper": False, "lower": False},
 }
 
-# a handler's exit code, JSON document and CSV rows; the CSV header is the
-# ordered union of the rows' keys
+# a handler's exit code, JSON document and CSV rows
 _Result = tuple[int, dict, list[dict]]
 
 
@@ -152,39 +155,35 @@ def cmd_spectrum(opts: dict) -> _Result:
     M = opts["M"]
     levels = opts["levels"]
     n = opts["N"]
+    parity = opts["parity"]
     if levels < 1:
         raise _UsageError("--levels must be at least 1")
     with _building_input():
         cfg = OperatorConfig(truncation=n)
         stop = StopRule(max_steps=opts["max_steps"], target_residual=opts["tol"])
-    parity = opts["parity"]
 
     if parity == "both":
         if levels > 2 * n:
             raise _UsageError(f"--levels {levels} exceeds the {2 * n} merged levels at --N {n}")
         result = oscillator.compute_spectrum(M, cfg, stop)
-        energies = result.energies[:levels]
-        rows = [
-            {"level": i, "energy": float(energies[i]),
-             "parity": "even" if i % 2 == 0 else "odd", "parity_index": i // 2 + 1}
-            for i in range(levels)
-        ]
-        residuals = result.residuals
-        iterations = result.iterations
+        energies, residuals, iterations = result.energies, result.residuals, result.iterations
+        merged = range(levels)
     else:
         if levels > n:
             raise _UsageError(f"--levels {levels} exceeds --N {n}")
         with _building_input():
             problem = oscillator.build_problem(M, oscillator.Parity(parity))
         fixed, trace = oscillator.solve_parity(problem, cfg, stop)
-        offset = 0 if parity == "even" else 1
-        rows = [
-            {"level": 2 * i + offset, "energy": float(fixed.values[i]),
-             "parity": parity, "parity_index": i + 1}
-            for i in range(levels)
-        ]
+        energies = fixed.values
         residuals = {parity: trace.residual_sup[-1]}
         iterations = {parity: trace.steps}
+        # a parity class holds every other level of the merged spectrum
+        merged = range(0 if parity == "even" else 1, 2 * levels, 2)
+    rows = [
+        {"level": level, "energy": float(energy), "parity": "odd" if level % 2 else "even",
+         "parity_index": level // 2 + 1}
+        for level, energy in zip(merged, energies)
+    ]
 
     document = {
         "problem": {"M": M, "parity": parity, "N": n},
@@ -449,6 +448,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return "" if value is None else str(value)
+
+
+def _json_ready(value):
+    """Each infinite float spelled "inf" or "-inf": JSON has no number for it."""
+    if isinstance(value, dict):
+        return {k: _json_ready(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_ready(v) for v in value]
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return value
+
+
+def _render(fmt: str, document: dict, rows: list[dict]) -> str:
+    """The document as JSON, or the rows as CSV under the ordered union of their
+    keys, a key a row lacks left empty."""
+    if fmt == "json":
+        return json.dumps(_json_ready(document), indent=2) + "\n"
+    columns = list(dict.fromkeys(key for row in rows for key in row))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_cell(row.get(c)) for c in columns] for row in rows)
+    return buf.getvalue()
+
+
 _HANDLERS = {
     "spectrum": cmd_spectrum,
     "iterate": cmd_iterate,
@@ -483,11 +514,7 @@ def main(argv: list[str] | None = None) -> int:
             if created:
                 os.remove(out)  # a failed command leaves no empty artifact
             raise
-        if opts["format"] == "json":
-            text = tables.dump_json(document)
-        else:
-            columns = list(dict.fromkeys(key for row in rows for key in row))
-            text = tables.emit_csv(columns, rows)
+        text = _render(opts["format"], document, rows)
         if out is None:
             sys.stdout.write(text)
         else:

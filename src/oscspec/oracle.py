@@ -107,21 +107,16 @@ def _richardson_eigenvalues(power: int, count: int, cfg: OracleConfig,
     Richardson table with orders h**2, h**4, ... applies; the two deepest
     diagonal entries must agree to cfg.tolerance per eigenvalue.
     """
-    levels = [
+    table = np.array([
         _grid_eigenvalues(power, count, cfg.grid_points * 2**lvl, halfwidth)
         for lvl in range(cfg.refinement_levels)
-    ]
-    table = [levels]
+    ])
     for order in range(1, cfg.refinement_levels):
         weight = 4.0**order
-        previous = table[-1]
-        table.append([
-            (weight * previous[i + 1] - previous[i]) / (weight - 1.0)
-            for i in range(len(previous) - 1)
-        ])
-    best = table[-1][0]
+        runner_up = table[-1]
+        table = (weight * table[1:] - table[:-1]) / (weight - 1.0)
+    best = table[0]
     if cfg.refinement_levels >= 2:
-        runner_up = table[-2][-1]
         disagreement = np.abs(best - runner_up)
         if disagreement.max() > cfg.tolerance:
             worst = int(disagreement.argmax())
@@ -134,8 +129,6 @@ def _richardson_eigenvalues(power: int, count: int, cfg: OracleConfig,
 
 def hamiltonian_eigenvalues(M: int, count: int, cfg: OracleConfig) -> np.ndarray:
     """Lowest `count` eigenvalues of -d^2/dq^2 + q**(2M), sorted ascending."""
-    if M < 2:
-        raise ValueError("M must be at least 2")
     if count < 1:
         raise ValueError("count must be at least 1")
     if count * 8 > cfg.grid_points:

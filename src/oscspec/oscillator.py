@@ -121,8 +121,8 @@ def solve_parity(problem: OscillatorProblem, cfg: OperatorConfig,
     """
     trace = iterate(seed_sequence(problem, cfg.truncation), problem.offsets,
                     problem.kernel, cfg, stop, history=ANDERSON_HISTORY)
-    if not trace.residual_sup or trace.residual_sup[-1] > stop.target_residual:
-        last = trace.residual_sup[-1] if trace.residual_sup else math.inf
+    last = trace.residual_sup[-1]  # stop.max_steps >= 1 leaves one at least
+    if last > stop.target_residual:
         raise NoConvergence(
             f"{problem.parity.value} parity residual {last:.3e} above target "
             f"{stop.target_residual:.3e} after {trace.steps} steps"

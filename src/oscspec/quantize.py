@@ -27,7 +27,7 @@ from typing import ClassVar
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebpts1, chebvander
 
-from .errors import BracketFailure, ConditionViolation, DomainError, NoConvergence, TailDivergence
+from .errors import BracketFailure, ConditionViolation, DomainError, NoConvergence
 from .sequences import EnergySequence, TailModel, weighted_norm
 
 _LOG8 = math.log(8.0)
@@ -226,11 +226,9 @@ def _tail_rule(n: int, tail: TailModel, npts: int) -> tuple[np.ndarray, np.ndarr
     bounded and smooth and a fixed Gauss-Legendre rule suffices.
 
     Returns extrapolated sequence values at the nodes and the combined
-    quadrature-times-Jacobian weights.
+    quadrature-times-Jacobian weights.  EnergySequence refuses exponents <= 1.
     """
     a = tail.exponent
-    if a <= 1.0:
-        raise TailDivergence(f"tail exponent must exceed 1, got {a}")
     u, w = _gauss_nodes(npts)
     s0 = n + 0.5
     s = s0 * u ** (-1.0 / (a - 1.0))
@@ -247,19 +245,10 @@ def _extended(X: EnergySequence, cfg: OperatorConfig) -> tuple[np.ndarray, np.nd
     )
 
 
-def _kernel_sum(sources: np.ndarray, weights: np.ndarray, probes: np.ndarray,
-                kernel: KernelParams, slope: bool = False) -> np.ndarray:
-    """(1/pi) sum_k w_k angle_kernel(s_k, y) over sources s_k with weights w_k
-    at every probe y or, with slope set, its derivative in ln y, (sin theta /
-    pi) sum_k w_k derivative_kernel(s_k, y).  Probes are taken in blocks of at
-    most _BLOCK_ENTRIES kernel values (one probe at least), so a temporary
-    holds O(sources * block) values whatever the number of probes.
-    """
-    if slope:
-        pair, scale = derivative_kernel, kernel.sin / math.pi
-    else:
-        pair, scale = angle_kernel, 1.0 / math.pi
-    out = np.empty(probes.size)
+def _kernel_blocks(pair, kernel: KernelParams, sources: np.ndarray, probes: np.ndarray):
+    """Yield (block, pair(kernel, sources, probes[block, None])) over blocks of
+    at most _BLOCK_ENTRIES kernel values (one probe at least), so a temporary
+    holds O(sources * block) values whatever the number of probes."""
     step = max(1, _BLOCK_ENTRIES // sources.size)
     for start in range(0, probes.size, step):
         block = slice(start, start + step)
@@ -267,6 +256,21 @@ def _kernel_sum(sources: np.ndarray, weights: np.ndarray, probes: np.ndarray,
         # freed at once, its pages go back to the OS and fault in again
         # (on a 2-core Xeon at N = 2000: 3x the minor faults, ~20% slower)
         values = pair(kernel, sources, probes[block, None])
+        yield block, values
+
+
+def _kernel_sum(sources: np.ndarray, weights: np.ndarray, probes: np.ndarray,
+                kernel: KernelParams, slope: bool = False) -> np.ndarray:
+    """(1/pi) sum_k w_k angle_kernel(s_k, y) over sources s_k with weights w_k
+    at every probe y or, with slope set, its derivative in ln y, (sin theta /
+    pi) sum_k w_k derivative_kernel(s_k, y), blocked by _kernel_blocks.
+    """
+    if slope:
+        pair, scale = derivative_kernel, kernel.sin / math.pi
+    else:
+        pair, scale = angle_kernel, 1.0 / math.pi
+    out = np.empty(probes.size)
+    for block, values in _kernel_blocks(pair, kernel, sources, probes):
         out[block] = values @ weights
     return out * scale
 
@@ -468,17 +472,14 @@ def derivative_matrix(X: EnergySequence, Y: EnergySequence, kernel: KernelParams
     entries[i, j] = K(X_j, Y_i) / Z_i with K the derivative kernel and Z_i the
     full-sequence sum including the tail of X; row_defect[i] is the tail share
     of Z_i.  The caller is responsible for Y = apply_quantization(X); this is
-    not re-verified.  Rows are filled in blocks of at most _BLOCK_ENTRIES
-    kernel values, so besides the result only O(N * block) memory is held.
+    not re-verified.  Rows are filled in the blocks of _kernel_blocks, so
+    besides the result only O(N * block) memory is held.
     """
     n = len(X)
     xe, we = _extended(X, cfg)
     entries = np.empty((len(Y), n))
     row_defect = np.empty(len(Y))
-    step = max(1, _BLOCK_ENTRIES // xe.size)
-    for start in range(0, len(Y), step):
-        rows = slice(start, start + step)
-        p = derivative_kernel(kernel, xe, Y.values[rows, None])
+    for rows, p in _kernel_blocks(derivative_kernel, kernel, xe, Y.values):
         z = p @ we
         np.divide(p[:, :n], z[:, None], out=entries[rows])
         row_defect[rows] = (p[:, n:] @ we[n:]) / z

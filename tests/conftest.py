@@ -1,6 +1,9 @@
-"""Shared fixtures: cached parity solves reused across test modules."""
+"""Shared fixtures: cached parity solves reused across test modules, and the
+parser of the CLI's CSV output."""
 
+import csv
 import functools
+import io
 
 import numpy as np
 import pytest
@@ -48,3 +51,26 @@ def random_growth_sequence(rng, n: int, alpha: float = 4.0 / 3.0,
     noise = rng.uniform(-wobble, wobble, size=n)
     return EnergySequence(amplitude * k ** alpha * np.exp(noise),
                           TailModel(amplitude, alpha))
+
+
+def parse_cell(text: str):
+    """A CSV cell as the CLI wrote it: empty is None, then bool, int, float, str."""
+    if text == "":
+        return None
+    if text in ("true", "false"):
+        return text == "true"
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def parse_csv(text: str) -> tuple[list[str], list[dict]]:
+    """Header and typed rows of the CLI's CSV output."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    return header, [dict(zip(header, map(parse_cell, row))) for row in reader]

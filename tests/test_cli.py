@@ -11,7 +11,7 @@ import pytest
 
 from oscspec import DomainError, asymptotics, cli, oracle, oscillator, quantize
 from oscspec.cli import EXIT_CONVERGENCE, EXIT_OK, EXIT_ORACLE, EXIT_TOLERANCE, EXIT_USAGE, main
-from oscspec.tables import parse_csv
+from conftest import parse_csv
 
 
 def run(capsys, *argv):
@@ -365,6 +365,24 @@ class TestConfigFile:
 
 def _must_not_solve(*args, **kwargs):
     raise AssertionError("the solver ran on input that should have been refused")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("spectrum", "--levels", "0"), "--levels"),
+    (("spectrum", "--N", "10", "--levels", "21"), "--levels"),
+    (("spectrum", "--N", "10", "--parity", "odd", "--levels", "11"), "--levels"),
+    (("verify", "--levels", "0"), "--levels"),
+    (("verify", "--N", "10", "--levels", "21"), "--levels"),
+    (("verify", "--levels", "20", "--oracle-grid", "128"), "--oracle-grid"),
+    (("spectrum", "--tol", "abc"), "--tol"),
+])
+def test_out_of_range_options_are_refused_before_any_solve(capsys, monkeypatch, argv, flag):
+    for module, name in ((oracle, "hamiltonian_eigenvalues"), (oscillator, "compute_spectrum"),
+                         (oscillator, "solve_parity")):
+        monkeypatch.setattr(module, name, _must_not_solve)
+    code, out, err = run(capsys, argv[0], "--M", "2", *argv[1:])
+    assert code == EXIT_USAGE
+    assert out == "" and flag in err and "usage error" in err, err
 
 
 def test_no_command_prints_help(capsys):

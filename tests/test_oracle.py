@@ -10,9 +10,9 @@ from oscspec import (
     growth_constant,
     hamiltonian_eigenvalues,
     parity_split,
-    suggest_halfwidth,
 )
 from oscspec import oracle
+from oscspec.oracle import suggest_halfwidth
 
 
 class TestHarmonicSanity:
@@ -96,6 +96,22 @@ class TestParityBlocks:
             got = oracle._grid_eigenvalues(2 * M, count, points, halfwidth)
             assert got.shape == (count,)
             assert np.max(np.abs(got - full[:count]) / full[:count]) <= 1e-10
+
+
+def test_richardson_recurrence_matches_the_table_entry_by_entry():
+    # the array recurrence does the arithmetic of the classic list-of-lists
+    # table, so the extrapolants agree bit for bit
+    cfg = OracleConfig(grid_points=256, refinement_levels=4, tolerance=1.0)
+    halfwidth = suggest_halfwidth(2, 6)
+    table = [[oracle._grid_eigenvalues(4, 6, cfg.grid_points * 2**lvl, halfwidth)
+              for lvl in range(cfg.refinement_levels)]]
+    for order in range(1, cfg.refinement_levels):
+        weight = 4.0**order
+        previous = table[-1]
+        table.append([(weight * previous[i + 1] - previous[i]) / (weight - 1.0)
+                      for i in range(len(previous) - 1)])
+    got = oracle._richardson_eigenvalues(4, 6, cfg, halfwidth)
+    assert np.array_equal(got, table[-1][0])
 
 
 class TestParitySplit:

@@ -10,6 +10,7 @@ import pytest
 from oscspec import (
     BracketFailure,
     ConditionViolation,
+    DerivativeMatrix,
     EnergySequence,
     KernelParams,
     NoConvergence,
@@ -17,11 +18,9 @@ from oscspec import (
     OperatorConfig,
     StopRule,
     TailModel,
-    angle_kernel,
     apply_quantization,
     build_problem,
     counting_function,
-    derivative_kernel,
     derivative_matrix,
     hamiltonian_eigenvalues,
     iterate,
@@ -32,7 +31,8 @@ from oscspec import (
     seed_sequence,
 )
 from oscspec import quantize
-from oscspec.quantize import ROOT_TOL, _LOG8, _anderson_point, _CountingPanels
+from oscspec.quantize import (ROOT_TOL, _LOG8, _anderson_point, _CountingPanels, angle_kernel,
+                              derivative_kernel)
 from conftest import random_growth_sequence
 from test_acceptance import THETA_GRID
 
@@ -439,6 +439,17 @@ class TestDerivativeMatrix:
             predicted = derivative_matrix(seq, out, problem.kernel, self.CFG).entries @ v
             gap = np.max(np.abs(np.log(moved.values) - np.log(out.values) - predicted))
             assert gap <= 4 * np.max(np.abs(v)) ** 2 + 100 * ROOT_TOL
+
+    @pytest.mark.parametrize("entries, defect, message", [
+        (np.full((2, 3), 0.25), np.full(2, 0.25), "square"),
+        (np.full((2, 2), 0.25), np.full(3, 0.5), "row_defect length"),
+        (np.array([[0.5, 0.0], [0.25, 0.25]]), np.full(2, 0.5), "strictly positive"),
+        (np.full((2, 2), 0.6), np.full(2, -0.2), "nonnegative"),
+        (np.full((2, 2), 0.25), np.full(2, 0.5 + 1e-11), "sum to 1"),
+    ], ids=["not-square", "defect-length", "zero-entry", "negative-defect", "row-sum-gap"])
+    def test_refuses_malformed_input(self, entries, defect, message):
+        with pytest.raises(ValueError, match=message):
+            DerivativeMatrix(entries, defect)
 
     def test_row_blocks_in_bounded_memory(self):
         # N = 2000 fills the 30.5 MiB result in four row blocks, holding only a

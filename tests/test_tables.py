@@ -1,9 +1,10 @@
-"""CSV/JSON emission: exact float round-trip, determinism."""
+"""CSV/JSON emission of the CLI: exact float round-trip, determinism."""
 
 import json
 import math
 
-from oscspec.tables import dump_json, emit_csv, format_cell, parse_cell, parse_csv
+from oscspec.cli import _cell, _render
+from conftest import parse_cell, parse_csv
 
 
 AWKWARD_FLOATS = [
@@ -20,47 +21,50 @@ AWKWARD_FLOATS = [
 
 def test_float_cells_roundtrip_exactly():
     for x in AWKWARD_FLOATS:
-        back = parse_cell(format_cell(x))
+        back = parse_cell(_cell(x))
         assert back == x
 
 
 def test_typed_cells():
-    assert parse_cell(format_cell(7)) == 7
-    assert parse_cell(format_cell(True)) is True
-    assert parse_cell(format_cell(False)) is False
-    assert parse_cell(format_cell(None)) is None
-    assert parse_cell(format_cell("even")) == "even"
+    assert parse_cell(_cell(7)) == 7
+    assert parse_cell(_cell(True)) is True
+    assert parse_cell(_cell(False)) is False
+    assert parse_cell(_cell(None)) is None
+    assert parse_cell(_cell("even")) == "even"
 
 
 def test_csv_roundtrip():
-    columns = ["level", "energy", "parity", "note"]
     rows = [
         {"level": 0, "energy": 1.0603620975, "parity": "even", "note": None},
         {"level": 1, "energy": 3.7996730297, "parity": "odd", "note": "x"},
         {"level": 2, "energy": math.pi * 1e10, "parity": "even", "note": None},
     ]
-    header, parsed = parse_csv(emit_csv(columns, rows))
-    assert header == columns
+    header, parsed = parse_csv(_render("csv", {}, rows))
+    assert header == ["level", "energy", "parity", "note"]
     assert parsed == rows
+
+
+def test_csv_header_is_the_ordered_union_of_row_keys():
+    rows = [{"kind": "drift", "alpha": 1.5}, {"kind": "contraction", "epsilon": 0.5}]
+    header, parsed = parse_csv(_render("csv", {}, rows))
+    assert header == ["kind", "alpha", "epsilon"]
+    assert parsed[0]["epsilon"] is None and parsed[1]["alpha"] is None
 
 
 def test_csv_deterministic():
     rows = [{"a": 0.1, "b": 3}]
-    assert emit_csv(["a", "b"], rows) == emit_csv(["a", "b"], rows)
+    assert _render("csv", {}, rows) == _render("csv", {}, rows)
 
 
 def test_json_roundtrip_floats():
     document = {"values": AWKWARD_FLOATS[:-2], "nested": {"x": 2.0 / 3.0}}
-    loaded = json.loads(dump_json(document))
+    loaded = json.loads(_render("json", document, []))
     assert loaded["values"] == AWKWARD_FLOATS[:-2]
     assert loaded["nested"]["x"] == 2.0 / 3.0
 
 
-def test_json_handles_numpy_and_inf():
-    import numpy as np
-
-    doc = {"arr": np.arange(3, dtype=float), "scalar": np.float64(0.25), "s": math.inf}
-    loaded = json.loads(dump_json(doc))
-    assert loaded["arr"] == [0.0, 1.0, 2.0]
-    assert loaded["scalar"] == 0.25
+def test_json_spells_infinities():
+    doc = {"s": math.inf, "nested": {"list": [-math.inf, (1.0, math.inf)]}}
+    loaded = json.loads(_render("json", doc, []))
     assert loaded["s"] == "inf"
+    assert loaded["nested"]["list"] == ["-inf", [1.0, "inf"]]

@@ -30,7 +30,7 @@ from .sequences import EnergySequence, TailModel, weighted_norm
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=400)
 # empirical_rate drops errors at or below this floor as noise
 _RATE_FLOOR = 100 * ROOT_TOL
-# bisection width at which critical_exponent_from_drift stops
+# absolute tolerance of critical_exponent_from_drift's root
 _DRIFT_XTOL = 1e-12
 
 
@@ -62,7 +62,6 @@ def _power_tail_quad(f, cut: float, decay: float) -> float:
 
 @dataclass(frozen=True)
 class ContractionReport:
-    epsilon: float
     s_eps: float
     factor: float
 
@@ -83,7 +82,6 @@ class BracketCertificate:
     verified when it stays within the slack.
     """
 
-    kind: BracketKind
     verified: bool
     max_violation: float
 
@@ -134,21 +132,19 @@ def critical_exponent(kernel: KernelParams) -> float:
 
 
 def critical_exponent_from_drift(kernel: KernelParams) -> float:
-    """Bisection root of drift_integral(alpha) = 1 over [1 + 1e-6, 64].
+    """Brent root of drift_integral(alpha) = 1 over [1 + 1e-6, 64].
 
     Verification mode for the closed form: the drift decreases strictly in
     alpha from +inf to theta/pi, so the root is unique.
     """
-    lo, hi = 1.0 + 1e-6, 64.0
-    if drift_integral(lo, kernel) < 1.0 or drift_integral(hi, kernel) > 1.0:
-        raise DomainError("drift does not cross 1 inside [1 + 1e-6, 64]")
-    while hi - lo > _DRIFT_XTOL:
-        mid = 0.5 * (lo + hi)
-        if drift_integral(mid, kernel) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # imported on first use, like scipy.integrate in _quad
+    from scipy.optimize import brentq
+
+    try:
+        return brentq(lambda alpha: drift_integral(alpha, kernel) - 1.0, 1.0 + 1e-6, 64.0,
+                      xtol=_DRIFT_XTOL)
+    except ValueError:  # brentq's refusal of a bracket without a sign change
+        raise DomainError("drift does not cross 1 inside [1 + 1e-6, 64]") from None
 
 
 def contraction_integral(epsilon: float, kernel: KernelParams) -> float:
@@ -208,11 +204,7 @@ def contraction_factor(epsilon: float, kernel: KernelParams) -> ContractionRepor
     s_eps = contraction_closed(epsilon, kernel)
     s_zero = contraction_closed(0.0, kernel)
     factor = math.inf if math.isinf(s_eps) else s_eps / s_zero
-    return ContractionReport(
-        epsilon=epsilon,
-        s_eps=s_eps,
-        factor=factor,
-    )
+    return ContractionReport(s_eps=s_eps, factor=factor)
 
 
 def spectral_rate_estimate(D: DerivativeMatrix, epsilon: float, steps: int) -> float:
@@ -280,7 +272,7 @@ def verify_bracket(X: EnergySequence, Q: OffsetSequence, kernel: KernelParams,
     """
     diffs = counting_function(X, X.values, kernel, cfg) - Q.values(len(X))
     violation = float(-diffs.min()) if kind is BracketKind.SUPER else float(diffs.max())
-    return BracketCertificate(kind=kind, verified=violation <= slack, max_violation=violation)
+    return BracketCertificate(verified=violation <= slack, max_violation=violation)
 
 
 def empirical_rate(trace: IterationTrace, reference: EnergySequence, epsilon: float) -> float:

@@ -48,16 +48,15 @@ EXIT_USAGE = 2
 EXIT_ORACLE = 3
 EXIT_TOLERANCE = 4
 
-_DEFAULT_EPS_GRID = (0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 1.9)
-_DEFAULT_ALPHA_GRID = (1.1, 1.5, 2.0, 3.0, 8.0)
-
 DEFAULTS = {
     "spectrum": {"levels": 10, "N": 500, "tol": 1e-10, "parity": "both",
                  "format": "csv", "max_steps": 400},
     "iterate": {"parity": "odd", "N": 1000, "steps": 40, "tol": 1e-10, "eps": 1.0,
                 "perturb_eps": None, "perturb_size": 0.1, "seed_scale": 1.0,
                 "format": "csv"},
-    "analyze": {"M": None, "theta": None, "eps": None, "alpha": None, "format": "csv"},
+    "analyze": {"M": None, "theta": None, "format": "csv",
+                "eps": (0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 1.9),
+                "alpha": (1.1, 1.5, 2.0, 3.0, 8.0)},
     "verify": {"levels": 10, "N": 1000, "tol": 1e-10, "bound": 1e-3,
                "oracle_grid": 2048, "oracle_levels": 3, "oracle_tol": 1e-6,
                "format": "json", "max_steps": 400, "refine": False},
@@ -258,26 +257,24 @@ def cmd_analyze(opts: dict) -> _Result:
     kernel = KernelParams(theta)
     alpha_star = asymptotics.critical_exponent(kernel)
 
-    eps_grid = opts["eps"] if opts["eps"] else list(_DEFAULT_EPS_GRID)
-    alpha_grid = opts["alpha"] if opts["alpha"] else list(_DEFAULT_ALPHA_GRID)
-    if not all(alpha > 1.0 and math.isfinite(2.0 * alpha) for alpha in alpha_grid):
+    if not all(alpha > 1.0 and math.isfinite(2.0 * alpha) for alpha in opts["alpha"]):
         raise _UsageError("--alpha must exceed 1, where the drift integral converges, "
                           "and 2 * alpha must be finite")
 
     drift_rows = []
-    for alpha in alpha_grid:
+    for alpha in opts["alpha"]:
         integral = asymptotics.drift_integral(alpha, kernel)
         closed = drift_closed(alpha, kernel)
         drift_rows.append({"kind": "drift", "alpha": alpha, "integral": integral,
                            "closed": closed, "gap": abs(integral - closed)})
     contraction_rows = []
-    for eps in eps_grid:
+    for eps in opts["eps"]:
         integral = asymptotics.contraction_integral(eps, kernel)
         report = asymptotics.contraction_factor(eps, kernel)
         gap = abs(integral - report.s_eps) if math.isfinite(integral) and math.isfinite(report.s_eps) else (
             0.0 if math.isinf(integral) and math.isinf(report.s_eps) else math.inf)
         contraction_rows.append({
-            "kind": "contraction", "epsilon": report.epsilon, "s_integral": integral,
+            "kind": "contraction", "epsilon": eps, "s_integral": integral,
             "s_closed": report.s_eps, "gap": gap, "factor": report.factor,
         })
 
@@ -370,7 +367,7 @@ def cmd_bracket(opts: dict) -> _Result:
     certificate = asymptotics.verify_bracket(candidate, problem.offsets, problem.kernel,
                                              cfg, slack=slack, kind=kind)
     row = {
-        "kind": certificate.kind.value,
+        "kind": kind.value,
         "verified": certificate.verified,
         "max_violation": certificate.max_violation,
         "slack": slack,
@@ -391,22 +388,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def common(p: argparse.ArgumentParser, parity_choices=("even", "odd", "both")) -> None:
-        p.add_argument("--M", type=int, help="potential power parameter, at least 2")
-        p.add_argument("--N", type=int, help="truncation length of stored sequences")
-        p.add_argument("--tol", type=_finite, help="stopping sup-log residual")
-        p.add_argument("--parity", choices=parity_choices, help="parity class")
-        p.add_argument("--format", choices=("csv", "json"), help="artifact format")
-        p.add_argument("--out", help="output path ('-' for stdout)")
-        p.add_argument("--config", help="flat key=value config file")
+    # options every command reads, and those of the three commands that solve
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--M", type=int, help="potential power parameter, at least 2")
+    shared.add_argument("--format", choices=("csv", "json"), help="artifact format")
+    shared.add_argument("--out", help="output path ('-' for stdout)")
+    shared.add_argument("--config", help="flat key=value config file")
+    solve = argparse.ArgumentParser(add_help=False)
+    solve.add_argument("--N", type=int, help="truncation length of stored sequences")
+    solve.add_argument("--tol", type=_finite, help="stopping sup-log residual")
 
-    p = sub.add_parser("spectrum", help="compute merged oscillator levels")
-    common(p)
+    p = sub.add_parser("spectrum", parents=[shared, solve], help="compute merged oscillator levels")
+    p.add_argument("--parity", choices=("even", "odd", "both"), help="parity class")
     p.add_argument("--levels", type=int, help="number of levels to emit")
     p.add_argument("--max-steps", dest="max_steps", type=int, help="iteration cap")
 
-    p = sub.add_parser("iterate", help="run the fixed-point iteration and fit its rate")
-    common(p, parity_choices=("even", "odd"))
+    p = sub.add_parser("iterate", parents=[shared, solve],
+                       help="run the fixed-point iteration and fit its rate")
+    p.add_argument("--parity", choices=("even", "odd"), help="parity class")
     p.add_argument("--steps", type=int, help="maximum iteration steps")
     p.add_argument("--eps", type=_finite, help="weight exponent for residuals and the rate fit")
     p.add_argument("--perturb-eps", dest="perturb_eps", type=_finite,
@@ -416,17 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-scale", dest="seed_scale", type=_finite,
                    help="rescale stored seed values only (tail normalization stays pinned)")
 
-    p = sub.add_parser("analyze", help="drift and contraction diagnostics")
-    p.add_argument("--M", type=int)
+    p = sub.add_parser("analyze", parents=[shared], help="drift and contraction diagnostics")
     p.add_argument("--theta", type=_finite, help="kernel angle in (0, pi), alternative to --M")
     p.add_argument("--eps", type=_finite, action="append", help="epsilon grid point (repeatable)")
     p.add_argument("--alpha", type=_finite, action="append", help="alpha grid point (repeatable)")
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--out")
-    p.add_argument("--config")
 
-    p = sub.add_parser("verify", help="compare the solved spectrum against the eigensolver oracle")
-    common(p, parity_choices=("both",))
+    p = sub.add_parser("verify", parents=[shared, solve],
+                       help="compare the solved spectrum against the eigensolver oracle")
     p.add_argument("--levels", type=int)
     p.add_argument("--bound", type=_finite, help="relative deviation bound per level")
     p.add_argument("--refine", action="store_true", default=None,
@@ -436,8 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-levels", dest="oracle_levels", type=int)
     p.add_argument("--oracle-tol", dest="oracle_tol", type=_finite)
 
-    p = sub.add_parser("bracket", help="certify a sub- or super-solution")
-    common(p, parity_choices=("even", "odd"))
+    p = sub.add_parser("bracket", parents=[shared], help="certify a sub- or super-solution")
+    p.add_argument("--N", type=int, help="truncation length of stored sequences")
+    p.add_argument("--parity", choices=("even", "odd"), help="parity class")
     p.add_argument("--upper", action="store_true", default=None,
                    help="shifted-power super-solution")
     p.add_argument("--lower", action="store_true", default=None, help="staircase sub-solution")

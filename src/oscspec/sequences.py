@@ -9,7 +9,7 @@ sequences in logarithmic coordinates are plain arrays, ln X - ln X'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,9 +38,6 @@ class TailModel:
     def value(self, k):
         """Extrapolated entry at (array of) index k."""
         return self.amplitude * (np.asarray(k, dtype=float) + self.shift) ** self.exponent
-
-    def scaled(self, lam: float) -> "TailModel":
-        return TailModel(lam * self.amplitude, self.exponent, self.shift)
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,8 @@ class EnergySequence:
         """Dilated copy: entries and tail amplitude multiplied by lam."""
         if not lam > 0:
             raise ValueError("scale factor must be positive")
-        return EnergySequence(lam * self.values, self.tail.scaled(lam))
+        tail = replace(self.tail, amplitude=lam * self.tail.amplitude)
+        return EnergySequence(lam * self.values, tail)
 
 
 def weighted_norm(v, epsilon: float) -> float:

@@ -79,6 +79,16 @@ class TestDrift:
                 worst = max(worst, abs(drift_integral(alpha, kp) - drift_closed(alpha, kp)))
         assert worst <= 1e-9
 
+    def test_integral_matches_closed_at_large_exponent(self):
+        # the knot at 1 + 4/alpha and the substituted tail keep the quadrature
+        # accurate where the integrand turns over within O(1/alpha) of s = 1;
+        # quad's own infinite range overflows here
+        for theta in THETA_GRID:
+            kp = KernelParams(theta)
+            for alpha in (1e3, 1e4):
+                closed = drift_closed(alpha, kp)
+                assert abs(drift_integral(alpha, kp) - closed) <= 1e-12 * closed
+
 
 class TestCriticalExponent:
     def test_closed_values(self):
@@ -90,6 +100,11 @@ class TestCriticalExponent:
             kp = KernelParams(theta)
             root = critical_exponent_from_drift(kp)
             assert abs(root - critical_exponent(kp)) <= 1e-10
+
+    def test_root_outside_the_bracket_is_a_domain_error(self):
+        # at theta = 1e-7 the drift stays below 1 even at alpha = 1 + 1e-6
+        with pytest.raises(DomainError):
+            critical_exponent_from_drift(KernelParams(1e-7))
 
 
 class TestContraction:
@@ -120,6 +135,16 @@ class TestContraction:
                     continue
                 worst = max(worst, abs(contraction_integral(eps, kp) - contraction_closed(eps, kp)))
         assert worst <= 1e-9
+
+    def test_integral_matches_closed_next_to_the_strip_edge(self):
+        # the closed-form leading power beyond the knot keeps the substituted
+        # remainder tame as |eps - 1| approaches the strip half-width a
+        for theta in THETA_GRID:
+            kp = KernelParams(theta)
+            a = critical_exponent(kp)
+            for eps in (1.0 + 0.99 * a, 1.0 - 0.99 * a, 1.0 + 0.999 * a, 1.0 - 0.999 * a):
+                closed = contraction_closed(eps, kp)
+                assert abs(contraction_integral(eps, kp) - closed) <= 1e-11 * closed
 
     def test_closed_symmetry_exact(self):
         kp = KernelParams(2 * math.pi / 3)

@@ -316,6 +316,14 @@ class TestConfigFile:
             assert key in err and "run.cfg" in err, err
             assert "Traceback" not in err
 
+    def test_key_the_command_does_not_read_rejected(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(asymptotics, "verify_bracket", _must_not_solve)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol = 1e-3\n")
+        code, out, err = run(capsys, "bracket", "--M", "2", "--upper", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == "" and "--tol" in err and "run.cfg" in err, err
+
     def test_flag_replaces_file_list(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("eps = 0.5\nformat = json\n")
@@ -375,10 +383,13 @@ def _must_not_solve(*args, **kwargs):
     (("verify", "--N", "10", "--levels", "21"), "--levels"),
     (("verify", "--levels", "20", "--oracle-grid", "128"), "--oracle-grid"),
     (("spectrum", "--tol", "abc"), "--tol"),
+    # options that the command would not read
+    (("bracket", "--upper", "--tol", "1e-3"), "--tol"),
+    (("verify", "--parity", "both"), "--parity"),
 ])
 def test_out_of_range_options_are_refused_before_any_solve(capsys, monkeypatch, argv, flag):
     for module, name in ((oracle, "hamiltonian_eigenvalues"), (oscillator, "compute_spectrum"),
-                         (oscillator, "solve_parity")):
+                         (oscillator, "solve_parity"), (asymptotics, "verify_bracket")):
         monkeypatch.setattr(module, name, _must_not_solve)
     code, out, err = run(capsys, argv[0], "--M", "2", *argv[1:])
     assert code == EXIT_USAGE
@@ -469,11 +480,12 @@ def test_module_runs_as_a_process():
 
 
 def test_import_leaves_integration_and_special_functions_unloaded():
-    # no solve path integrates or needs scipy.special, and loading them
-    # costs every process ~0.3 s
+    # no solve path integrates, finds a scalar root or needs scipy.special,
+    # and loading them costs every process ~0.3 s
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     probe = ("import sys, oscspec; "
-             "print(sorted(m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules))")
+             "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special') "
+             "if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -27,16 +27,11 @@ from .asymptotics import (
     verify_bracket,
 )
 from .errors import (
-    BracketFailure,
-    ConditionViolation,
     DomainError,
     InsufficientData,
-    InterlacingViolation,
     NoConvergence,
-    NotSorted,
     OscspecError,
     ResolutionError,
-    TailDivergence,
 )
 from .oracle import (
     OracleConfig,

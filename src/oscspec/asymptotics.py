@@ -203,8 +203,7 @@ def contraction_factor(epsilon: float, kernel: KernelParams) -> ContractionRepor
     """Predicted geometric rate S_eps / S_0 for eps-weighted perturbations."""
     s_eps = contraction_closed(epsilon, kernel)
     s_zero = contraction_closed(0.0, kernel)
-    factor = math.inf if math.isinf(s_eps) else s_eps / s_zero
-    return ContractionReport(s_eps=s_eps, factor=factor)
+    return ContractionReport(s_eps=s_eps, factor=s_eps / s_zero)
 
 
 def spectral_rate_estimate(D: DerivativeMatrix, epsilon: float, steps: int) -> float:
@@ -216,7 +215,7 @@ def spectral_rate_estimate(D: DerivativeMatrix, epsilon: float, steps: int) -> f
     """
     if steps < 2:
         raise InsufficientData("at least two steps are needed to fit a rate")
-    v = np.arange(1, D.size + 1, dtype=float) ** (-epsilon)
+    v = np.arange(1, D.entries.shape[0] + 1, dtype=float) ** (-epsilon)
     norms = np.empty(steps)
     for i in range(steps):
         v = D.entries @ v

@@ -32,14 +32,7 @@ import sys
 import numpy as np
 
 from . import asymptotics, oracle, oscillator
-from .errors import (
-    BracketFailure,
-    InsufficientData,
-    InterlacingViolation,
-    NoConvergence,
-    OscspecError,
-    ResolutionError,
-)
+from .errors import InsufficientData, NoConvergence, OscspecError, ResolutionError
 from .quantize import KernelParams, OperatorConfig, StopRule, drift_closed, iterate as run_iteration
 
 EXIT_OK = 0
@@ -81,9 +74,11 @@ def _building_input():
     """Report a ValueError raised while a command builds its inputs (configs,
     stop rule, problem, start sequence) as invalid input, exit 2.  A
     ValueError from the solve itself is a fault of the program and is not
-    caught."""
+    caught.  Overflow stays silent here: the inf or nan it makes reaches the
+    finite-and-positive check of the sequence built from it."""
     try:
-        yield
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
     except ValueError as exc:
         raise _InvalidInput(str(exc)) from exc
 
@@ -297,6 +292,8 @@ def cmd_verify(opts: dict) -> _Result:
     if levels > 2 * n:
         raise _UsageError(f"--levels {levels} exceeds the {2 * n} merged levels at --N {n}")
     bound = opts["bound"]
+    if bound < 0:
+        raise _UsageError("--bound must be nonnegative")
 
     with _building_input():
         stop = StopRule(max_steps=opts["max_steps"], target_residual=opts["tol"])
@@ -530,7 +527,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResolutionError as exc:
         sys.stderr.write(f"oracle failure: {exc}\n")
         return EXIT_ORACLE
-    except (NoConvergence, BracketFailure, InterlacingViolation) as exc:
+    except NoConvergence as exc:
         sys.stderr.write(f"convergence failure: {exc}\n")
         return EXIT_CONVERGENCE
     except OscspecError as exc:

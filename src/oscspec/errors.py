@@ -1,20 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A class exists only where a caller tells it apart.  The CLI exits 1 on
+NoConvergence and 3 on ResolutionError and reports an InsufficientData rate
+fit as null; quantize.iterate prefixes a NoConvergence with its step.
+DomainError marks an argument outside where a quantity is defined.  Each
+class is also a ValueError or RuntimeError, so a caller that does not know
+this package can still catch it.
+"""
 
 
 class OscspecError(Exception):
     """Base class for every error raised by this package."""
 
 
-class TailDivergence(OscspecError, ValueError):
-    """A tail exponent at or below one makes the kernel sums diverge."""
-
-
-class BracketFailure(OscspecError, RuntimeError):
-    """No sign-changing interval was found within the expansion limits."""
-
-
 class NoConvergence(OscspecError, RuntimeError):
-    """An iterative solve exhausted its iteration budget."""
+    """A solve failed: an iteration budget ran out, a root bracket could not
+    be found, or merged parity levels do not interlace."""
 
 
 class DomainError(OscspecError, ValueError):
@@ -23,22 +24,6 @@ class DomainError(OscspecError, ValueError):
 
 class InsufficientData(OscspecError, ValueError):
     """Not enough data points to perform the requested fit."""
-
-
-class ConditionViolation(OscspecError, ValueError):
-    """An offset sequence fails one of the admissibility conditions."""
-
-    def __init__(self, message: str, k: int | None = None):
-        super().__init__(message)
-        self.k = k
-
-
-class InterlacingViolation(OscspecError, RuntimeError):
-    """Merged even/odd levels are not strictly increasing."""
-
-
-class NotSorted(OscspecError, ValueError):
-    """Input that must be strictly increasing is not."""
 
 
 class ResolutionError(OscspecError, RuntimeError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import NotSorted, ResolutionError
+from .errors import DomainError, ResolutionError
 from .oscillator import growth_constant
 
 
@@ -140,5 +140,5 @@ def parity_split(energies) -> tuple[np.ndarray, np.ndarray]:
     """Even-index and odd-index levels of a strictly increasing spectrum."""
     arr = np.asarray(energies, dtype=float)
     if arr.size >= 2 and not np.all(np.diff(arr) > 0):
-        raise NotSorted("energies must be strictly increasing")
+        raise DomainError("energies must be strictly increasing")
     return arr[0::2].copy(), arr[1::2].copy()

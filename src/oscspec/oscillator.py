@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InterlacingViolation, NoConvergence
+from .errors import NoConvergence
 from .quantize import (
     IterationTrace,
     KernelParams,
@@ -140,7 +140,7 @@ def merge_spectrum(even: EnergySequence, odd: EnergySequence,
     or convergence failure and is raised rather than warned about.
     """
     if len(even) != len(odd):
-        raise InterlacingViolation(
+        raise NoConvergence(
             f"parity prefixes differ in length: {len(even)} vs {len(odd)}"
         )
     merged = np.empty(2 * len(even))
@@ -149,7 +149,7 @@ def merge_spectrum(even: EnergySequence, odd: EnergySequence,
     gaps = np.diff(merged)
     if not np.all(gaps > 0):
         where = int(np.argmin(gaps))
-        raise InterlacingViolation(
+        raise NoConvergence(
             f"merged levels not strictly increasing at position {where} "
             f"(values {merged[where]:.12g} and {merged[where + 1]:.12g})"
         )

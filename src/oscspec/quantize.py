@@ -27,7 +27,7 @@ from typing import ClassVar
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebpts1, chebvander
 
-from .errors import BracketFailure, ConditionViolation, DomainError, NoConvergence
+from .errors import DomainError, NoConvergence
 from .sequences import EnergySequence, TailModel, weighted_norm
 
 _LOG8 = math.log(8.0)
@@ -87,13 +87,13 @@ class OffsetSequence:
         return np.arange(1, n + 1, dtype=float) + self.constant
 
     def validate(self, kernel: KernelParams) -> None:
-        """Raise ConditionViolation unless Q_k > (k - 1/2) theta/pi for all k."""
+        """Raise DomainError unless Q_k > (k - 1/2) theta/pi for all k."""
         rate = kernel.theta / math.pi
         # margin k(1 - theta/pi) + constant + theta/(2 pi) increases in k,
         # so the bound at k = 1 proves all larger ones
         if not 1 + self.constant > 0.5 * rate:
-            raise ConditionViolation(
-                f"closed-form offsets fail at k=1: {1 + self.constant} <= {0.5 * rate}", k=1
+            raise DomainError(
+                f"closed-form offsets fail at k=1: {1 + self.constant} <= {0.5 * rate}"
             )
 
 
@@ -143,10 +143,6 @@ class DerivativeMatrix:
         defect.setflags(write=False)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "row_defect", defect)
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -396,8 +392,8 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
     the factor is one at the critical exponent, so the tail of an iteration
     started on a critically normalized seed is pinned.
 
-    Raises BracketFailure if widening runs out, NoConvergence if
-    MAX_ROOT_ITERS is exhausted.
+    Raises NoConvergence if widening runs out or MAX_ROOT_ITERS is
+    exhausted.
     """
     values = X.values
     n = len(values)
@@ -415,7 +411,7 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
             break
         if x_log.min() - lo > _MAX_HALFWIDTH or hi - x_log.max() > _MAX_HALFWIDTH:
             worst = int(np.argmax(q) if widen_hi else np.argmin(q))
-            raise BracketFailure(
+            raise NoConvergence(
                 f"no sign change bracketing level {worst + 1} within a 2**64 expansion"
             )
         lo -= _LOG8 * widen_lo
@@ -515,8 +511,8 @@ def iterate(X0: EnergySequence, Q: OffsetSequence, kernel: KernelParams,
     for step in range(stop.max_steps):
         try:
             image = apply_quantization(current, Q, kernel, cfg)
-        except (BracketFailure, NoConvergence) as exc:
-            raise type(exc)(f"step {step + 1}: {exc}") from exc
+        except NoConvergence as exc:
+            raise NoConvergence(f"step {step + 1}: {exc}") from exc
         g = np.log(image.values)
         f = g - np.log(current.values)
         trace.residual_sup.append(float(np.abs(f).max()))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import TailDivergence
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class EnergySequence:
         if not np.all(np.isfinite(arr)) or not np.all(arr > 0):
             raise ValueError("all entries must be finite and strictly positive")
         if not self.tail.exponent > 1:
-            raise TailDivergence(
+            raise DomainError(
                 f"tail exponent must exceed 1 for summable kernel tails, got {self.tail.exponent}"
             )
         if not arr.size + 0.5 + self.tail.shift > 0:

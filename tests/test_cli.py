@@ -386,6 +386,8 @@ def _must_not_solve(*args, **kwargs):
     # options that the command would not read
     (("bracket", "--upper", "--tol", "1e-3"), "--tol"),
     (("verify", "--parity", "both"), "--parity"),
+    # a bound no deviation can meet
+    (("verify", "--bound", "-1e-3"), "--bound"),
 ])
 def test_out_of_range_options_are_refused_before_any_solve(capsys, monkeypatch, argv, flag):
     for module, name in ((oracle, "hamiltonian_eigenvalues"), (oscillator, "compute_spectrum"),
@@ -421,6 +423,19 @@ def test_invalid_stop_rule_is_a_usage_error(capsys):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == "" and "invalid input" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("iterate", "--M", "2", "--N", "20", "--seed-scale", "1e308"),
+    ("iterate", "--M", "2", "--N", "20", "--perturb-eps=-1000"),
+    ("bracket", "--M", "2", "--upper", "--A", "1e300", "--N", "20"),
+])
+def test_overflow_while_building_input_is_invalid_input(capsys, argv):
+    # the overflow gives inf, which the sequence built from it refuses, with no warning
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and "RuntimeWarning" not in err
+    assert "invalid input: all entries must be finite and strictly positive" in err
 
 
 def test_value_error_of_the_solve_is_not_invalid_input(capsys, monkeypatch):

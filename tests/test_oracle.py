@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oscspec import (
-    NotSorted,
+    DomainError,
     OracleConfig,
     ResolutionError,
     growth_constant,
@@ -126,9 +126,9 @@ class TestParitySplit:
         assert odd.size == 0
 
     def test_not_sorted(self):
-        with pytest.raises(NotSorted):
+        with pytest.raises(DomainError, match="energies must be strictly increasing"):
             parity_split([1.0, 1.0, 2.0])
-        with pytest.raises(NotSorted):
+        with pytest.raises(DomainError, match="energies must be strictly increasing"):
             parity_split([2.0, 1.0])
 
 

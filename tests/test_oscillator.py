@@ -7,7 +7,7 @@ import pytest
 
 from oscspec import (
     EnergySequence,
-    InterlacingViolation,
+    NoConvergence,
     OperatorConfig,
     Parity,
     StopRule,
@@ -144,13 +144,13 @@ class TestMergeSpectrum:
     def test_rejects_non_interlacing(self):
         even = EnergySequence([1.0, 1.5], self.TAIL)
         odd = EnergySequence([2.0, 4.0], self.TAIL)
-        with pytest.raises(InterlacingViolation):
+        with pytest.raises(NoConvergence, match="merged levels not strictly increasing"):
             merge_spectrum(even, odd)
 
     def test_rejects_length_mismatch(self):
         even = EnergySequence([1.0], self.TAIL)
         odd = EnergySequence([2.0, 4.0], self.TAIL)
-        with pytest.raises(InterlacingViolation):
+        with pytest.raises(NoConvergence, match="parity prefixes differ in length"):
             merge_spectrum(even, odd)
 
     def test_computed_spectrum_strictly_increasing(self, m2_even_300, m2_odd_300):

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from oscspec import (
-    BracketFailure,
-    ConditionViolation,
     DerivativeMatrix,
+    DomainError,
     EnergySequence,
     KernelParams,
     NoConvergence,
@@ -182,9 +181,8 @@ class TestOffsetSequence:
 
     def test_validate_rejects_closed_form(self):
         # Q_k = k - 0.9 dips below (k - 1/2) theta/pi at k = 1 for theta near pi
-        with pytest.raises(ConditionViolation) as err:
+        with pytest.raises(DomainError, match="closed-form offsets fail at k=1"):
             OffsetSequence(constant=-0.9).validate(KernelParams(3.0))
-        assert err.value.k == 1
 
 
 class TestApplyQuantization:
@@ -262,7 +260,7 @@ class TestApplyQuantization:
         problem = self.problem()
         seq = random_growth_sequence(np.random.default_rng(7), 8)
         q = OffsetSequence(constant=1e30)
-        with pytest.raises(BracketFailure):
+        with pytest.raises(NoConvergence, match="no sign change bracketing level"):
             apply_quantization(seq, q, problem.kernel, OperatorConfig(truncation=8))
 
     def test_no_convergence_when_budget_exhausted(self, rng, monkeypatch):
@@ -500,6 +498,13 @@ class TestIterate:
         with pytest.raises(NoConvergence, match="step 1"):
             iterate(seq, OffsetSequence(constant=5.0), problem.kernel, cfg,
                     StopRule(max_steps=3, target_residual=1e-10))
+
+    def test_bracket_failure_carries_step_index(self):
+        problem = build_problem(2, Parity.EVEN)
+        seq = random_growth_sequence(np.random.default_rng(7), 8)
+        with pytest.raises(NoConvergence, match="step 1: no sign change"):
+            iterate(seq, OffsetSequence(constant=1e30), problem.kernel,
+                    OperatorConfig(truncation=8), StopRule(max_steps=3))
 
     def test_residual_bookkeeping(self, rng):
         problem = build_problem(2, Parity.EVEN)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from oscspec import (
+    DomainError,
     EnergySequence,
     TailModel,
-    TailDivergence,
     weighted_norm,
 )
 
@@ -60,9 +60,9 @@ def test_positivity_required():
 
 
 def test_tail_exponent_must_exceed_one():
-    with pytest.raises(TailDivergence):
+    with pytest.raises(DomainError, match="tail exponent must exceed 1"):
         EnergySequence([1.0], TailModel(1.0, 1.0))
-    with pytest.raises(TailDivergence):
+    with pytest.raises(DomainError, match="tail exponent must exceed 1"):
         EnergySequence([1.0], TailModel(1.0, 0.5))
 
 

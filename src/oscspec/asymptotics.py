@@ -152,16 +152,19 @@ def contraction_integral(epsilon: float, kernel: KernelParams) -> float:
 
     Integral over s in (0, inf) of s**(-epsilon) / (s**a + 2 cos theta +
     s**(-a)) with a the critical exponent, evaluated in the symmetrized form
-    over [1, inf) with integrand (s**(-eps) + s**(eps-2)) / (...).  Returns
-    math.inf when |epsilon - 1| >= a, where the integral diverges.
+    (s**(-eps) + s**(eps-2)) / (...) over [1, inf), in ln s up to s = 2.
+    Returns math.inf when |epsilon - 1| >= a, where the integral diverges.
     """
     a = critical_exponent(kernel)
     if abs(epsilon - 1.0) >= a:
         return math.inf
     two_cos = 2.0 * kernel.cos
+    half_cos = math.cos(0.5 * kernel.theta)
 
-    def integrand(s: float) -> float:
-        return (s ** (-epsilon) + s ** (epsilon - 2.0)) / (s ** a + two_cos + s ** (-a))
+    def head_integrand(u: float) -> float:
+        # the symmetrized integrand times s at s = e**u, its denominator as
+        # 4 (sinh(a u/2)**2 + cos(theta/2)**2), free of cancellation near pi
+        return math.cosh((1.0 - epsilon) * u) / (2.0 * (math.sinh(0.5 * a * u) ** 2 + half_cos**2))
 
     def tail_piece(power: float) -> float:
         # integral over [knot, inf) of s**-power / (s**a + 2cos + s**-a):
@@ -179,7 +182,12 @@ def contraction_integral(epsilon: float, kernel: KernelParams) -> float:
     # the two symmetrized terms decay like s**-(eps + a) and s**-(2 - eps + a);
     # both exponents exceed one inside the convergence strip
     knot = 2.0
-    head = _quad(integrand, 1.0, knot)
+    # the head peaks at u = 0 with width 2 cos(theta/2) / a, which closes as
+    # theta -> pi; cuts at that width times powers of four resolve the peak
+    # (4**32 times the width reaches ln 2 for every float theta below pi)
+    top = math.log(knot)
+    cuts = [0.0, *(w for w in 2.0 * half_cos / a * 4.0 ** np.arange(32) if w < top), top]
+    head = sum(_quad(head_integrand, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
     return head + tail_piece(epsilon) + tail_piece(2.0 - epsilon)
 
 

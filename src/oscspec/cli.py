@@ -44,17 +44,16 @@ EXIT_TOLERANCE = 4
 DEFAULTS = {
     "spectrum": {"levels": 10, "N": 500, "tol": 1e-10, "parity": "both",
                  "format": "csv", "max_steps": 400},
-    "iterate": {"parity": "odd", "N": 1000, "steps": 40, "tol": 1e-10, "eps": 1.0,
-                "perturb_eps": None, "perturb_size": 0.1, "seed_scale": 1.0,
-                "format": "csv"},
+    "iterate": {"parity": "odd", "N": 1000, "max_steps": 40, "tol": 1e-10, "eps": 1.0,
+                "perturb_eps": None, "perturb_size": None, "format": "csv"},
     "analyze": {"M": None, "theta": None, "format": "csv",
                 "eps": (0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 1.9),
                 "alpha": (1.1, 1.5, 2.0, 3.0, 8.0)},
     "verify": {"levels": 10, "N": 1000, "tol": 1e-10, "bound": 1e-3,
                "oracle_grid": 2048, "oracle_levels": 3, "oracle_tol": 1e-6,
                "format": "json", "max_steps": 400, "refine": False},
-    "bracket": {"parity": "even", "N": 2000, "A": 100.0, "Nparam": 6,
-                "slack": 1e-8, "format": "csv", "upper": False, "lower": False},
+    "bracket": {"parity": "even", "N": 2000, "slack": 1e-8, "format": "csv",
+                "upper": None, "lower": None},
 }
 
 # a handler's exit code, JSON document and CSV rows
@@ -116,7 +115,7 @@ def _file_options(parser: argparse.ArgumentParser, command: str, path: str) -> d
     """Options set by a flat key = value file, checked by the command's parser.
 
     '#' starts a comment.  ``key = value`` is parsed as ``--key=value`` and
-    ``key = true`` as the switch ``--key``; a switch set ``false`` stays off.
+    ``key = true`` as the bare flag ``--key``; a switch set ``false`` stays off.
     """
     tokens, switched_off = [command], [command]
     with open(path, encoding="utf-8") as fh:
@@ -191,21 +190,19 @@ def cmd_spectrum(opts: dict) -> _Result:
 
 def cmd_iterate(opts: dict) -> _Result:
     n = opts["N"]
+    perturb_eps, perturb_size = opts["perturb_eps"], opts["perturb_size"]
+    if perturb_eps is None and perturb_size is not None:
+        raise _UsageError("--perturb-size needs --perturb-eps")
     with _building_input():
         cfg = OperatorConfig(truncation=n)
-        stop = StopRule(max_steps=opts["steps"], target_residual=opts["tol"],
+        stop = StopRule(max_steps=opts["max_steps"], target_residual=opts["tol"],
                         rate_epsilon=opts["eps"])
         problem = oscillator.build_problem(opts["M"], oscillator.Parity(opts["parity"]))
         start = oscillator.seed_sequence(problem, n)
-
-        scale = opts["seed_scale"]
-        if scale != 1.0:
-            # values-only rescale: a compactly supported perturbation that leaves
-            # the asymptotic normalization (the tail) pinned
-            start = start.with_values(scale * start.values)
-        if opts["perturb_eps"] is not None:
+        if perturb_eps is not None:
+            # the stored values move, the tail normalization stays pinned
             k = np.arange(1, n + 1, dtype=float)
-            bump = opts["perturb_size"] * k ** (-opts["perturb_eps"])
+            bump = (0.1 if perturb_size is None else perturb_size) * k ** (-perturb_eps)
             start = start.with_values(start.values * np.exp(bump))
 
     trace = run_iteration(start, problem.offsets, problem.kernel, cfg, stop)
@@ -266,8 +263,8 @@ def cmd_analyze(opts: dict) -> _Result:
     for eps in opts["eps"]:
         integral = asymptotics.contraction_integral(eps, kernel)
         report = asymptotics.contraction_factor(eps, kernel)
-        gap = abs(integral - report.s_eps) if math.isfinite(integral) and math.isfinite(report.s_eps) else (
-            0.0 if math.isinf(integral) and math.isinf(report.s_eps) else math.inf)
+        # both diverge together, outside the strip |eps - 1| < alpha_star
+        gap = abs(integral - report.s_eps) if math.isfinite(integral) else 0.0
         contraction_rows.append({
             "kind": "contraction", "epsilon": eps, "s_integral": integral,
             "s_closed": report.s_eps, "gap": gap, "factor": report.factor,
@@ -345,21 +342,19 @@ def cmd_verify(opts: dict) -> _Result:
 
 
 def cmd_bracket(opts: dict) -> _Result:
-    if opts["upper"] == opts["lower"]:
+    if (opts["upper"] is None) == (opts["lower"] is None):
         raise _UsageError("bracket requires exactly one of --upper / --lower")
     n = opts["N"]
     slack = opts["slack"]
     with _building_input():
         problem = oscillator.build_problem(opts["M"], oscillator.Parity(opts["parity"]))
         cfg = OperatorConfig(truncation=n)
-        if opts["upper"]:
-            candidate = asymptotics.upper_bracket(opts["A"], n, problem.kernel)
-            kind = asymptotics.BracketKind.SUPER
-            params = {"A": opts["A"]}
+        if opts["upper"] is not None:
+            candidate = asymptotics.upper_bracket(opts["upper"], n, problem.kernel)
+            kind, params = asymptotics.BracketKind.SUPER, {"A": opts["upper"]}
         else:
-            candidate = asymptotics.lower_bracket(opts["Nparam"], n, problem.kernel)
-            kind = asymptotics.BracketKind.SUB
-            params = {"Nparam": opts["Nparam"]}
+            candidate = asymptotics.lower_bracket(opts["lower"], n, problem.kernel)
+            kind, params = asymptotics.BracketKind.SUB, {"Nparam": opts["lower"]}
 
     certificate = asymptotics.verify_bracket(candidate, problem.offsets, problem.kernel,
                                              cfg, slack=slack, kind=kind)
@@ -394,23 +389,20 @@ def build_parser() -> argparse.ArgumentParser:
     solve = argparse.ArgumentParser(add_help=False)
     solve.add_argument("--N", type=int, help="truncation length of stored sequences")
     solve.add_argument("--tol", type=_finite, help="stopping sup-log residual")
+    solve.add_argument("--max-steps", dest="max_steps", type=int, help="iteration cap")
 
     p = sub.add_parser("spectrum", parents=[shared, solve], help="compute merged oscillator levels")
     p.add_argument("--parity", choices=("even", "odd", "both"), help="parity class")
     p.add_argument("--levels", type=int, help="number of levels to emit")
-    p.add_argument("--max-steps", dest="max_steps", type=int, help="iteration cap")
 
     p = sub.add_parser("iterate", parents=[shared, solve],
                        help="run the fixed-point iteration and fit its rate")
     p.add_argument("--parity", choices=("even", "odd"), help="parity class")
-    p.add_argument("--steps", type=int, help="maximum iteration steps")
     p.add_argument("--eps", type=_finite, help="weight exponent for residuals and the rate fit")
     p.add_argument("--perturb-eps", dest="perturb_eps", type=_finite,
                    help="perturb the seed by perturb-size * k**(-perturb-eps) in log space")
     p.add_argument("--perturb-size", dest="perturb_size", type=_finite,
-                   help="amplitude of the seed perturbation")
-    p.add_argument("--seed-scale", dest="seed_scale", type=_finite,
-                   help="rescale stored seed values only (tail normalization stays pinned)")
+                   help="amplitude of the seed perturbation, default 0.1; needs --perturb-eps")
 
     p = sub.add_parser("analyze", parents=[shared], help="drift and contraction diagnostics")
     p.add_argument("--theta", type=_finite, help="kernel angle in (0, pi), alternative to --M")
@@ -423,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=_finite, help="relative deviation bound per level")
     p.add_argument("--refine", action="store_true", default=None,
                    help="also solve at doubled N and require per-level deviations not to grow")
-    p.add_argument("--max-steps", dest="max_steps", type=int)
     p.add_argument("--oracle-grid", dest="oracle_grid", type=int)
     p.add_argument("--oracle-levels", dest="oracle_levels", type=int)
     p.add_argument("--oracle-tol", dest="oracle_tol", type=_finite)
@@ -431,11 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bracket", parents=[shared], help="certify a sub- or super-solution")
     p.add_argument("--N", type=int, help="truncation length of stored sequences")
     p.add_argument("--parity", choices=("even", "odd"), help="parity class")
-    p.add_argument("--upper", action="store_true", default=None,
-                   help="shifted-power super-solution")
-    p.add_argument("--lower", action="store_true", default=None, help="staircase sub-solution")
-    p.add_argument("--A", type=_finite, help="shift of the super-solution")
-    p.add_argument("--Nparam", type=int, help="staircase parameter of the sub-solution")
+    p.add_argument("--upper", nargs="?", const=100.0, type=_finite, metavar="A",
+                   help="shifted-power super-solution (k + A)**a, A = 100 if omitted")
+    p.add_argument("--lower", nargs="?", const=6, type=int, metavar="NPARAM",
+                   help="staircase sub-solution, NPARAM = 6 if omitted")
     p.add_argument("--slack", type=_finite, help="certification slack in counting units")
 
     return parser

@@ -22,10 +22,10 @@ from .oscillator import growth_constant
 class OracleConfig:
     """Discretization parameters.
 
-    grid_points is the interior point count of the coarsest level; each
-    refinement level doubles it; the domain half-width comes from
-    suggest_halfwidth.  The tolerance bounds the disagreement between the two
-    finest Richardson extrapolants, per eigenvalue.
+    grid_points is the interior point count of the coarsest level; each of
+    the at least two refinement levels doubles it; the domain half-width comes
+    from suggest_halfwidth.  The tolerance bounds the disagreement between the
+    two finest Richardson extrapolants, per eigenvalue.
     """
 
     grid_points: int = 2048
@@ -35,8 +35,8 @@ class OracleConfig:
     def __post_init__(self):
         if self.grid_points < 64:
             raise ValueError("grid_points must be at least 64")
-        if self.refinement_levels < 1:
-            raise ValueError("refinement_levels must be at least 1")
+        if self.refinement_levels < 2:
+            raise ValueError("refinement_levels must be at least 2")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
 
@@ -116,14 +116,13 @@ def _richardson_eigenvalues(power: int, count: int, cfg: OracleConfig,
         runner_up = table[-1]
         table = (weight * table[1:] - table[:-1]) / (weight - 1.0)
     best = table[0]
-    if cfg.refinement_levels >= 2:
-        disagreement = np.abs(best - runner_up)
-        if disagreement.max() > cfg.tolerance:
-            worst = int(disagreement.argmax())
-            raise ResolutionError(
-                f"finest refinement levels disagree by {disagreement[worst]:.3e} "
-                f"at eigenvalue {worst} (tolerance {cfg.tolerance:.3e})"
-            )
+    disagreement = np.abs(best - runner_up)
+    if disagreement.max() > cfg.tolerance:
+        worst = int(disagreement.argmax())
+        raise ResolutionError(
+            f"finest refinement levels disagree by {disagreement[worst]:.3e} "
+            f"at eigenvalue {worst} (tolerance {cfg.tolerance:.3e})"
+        )
     return best
 
 

@@ -191,9 +191,10 @@ def angle_kernel(kernel: KernelParams, e_source, e_probe):
     (sin theta, e_source/e_probe + cos theta).  Decreasing in the ratio
     e_source/e_probe, tending to theta as the ratio vanishes and to 0 as it
     grows; a single-argument arctangent would jump when the second argument
-    changes sign for theta beyond pi/2.
+    changes sign for theta beyond pi/2.  An overflowed ratio gives the limit 0.
     """
-    ratio = np.asarray(e_source, dtype=float) / np.asarray(e_probe, dtype=float)
+    with np.errstate(over="ignore"):
+        ratio = np.asarray(e_source, dtype=float) / np.asarray(e_probe, dtype=float)
     return np.arctan2(kernel.sin, ratio + kernel.cos)
 
 
@@ -201,10 +202,11 @@ def derivative_kernel(kernel: KernelParams, e_a, e_b):
     """Symmetric pair kernel E E' / (E^2 + 2 cos theta E E' + E'^2).
 
     Evaluated as 1 / (r + 2 cos theta + 1/r) with r = e_a/e_b, which is
-    scale invariant and stays finite for extreme magnitude mismatches.
+    scale invariant; a ratio that overflows or underflows gives the limit 0.
     """
-    ratio = np.asarray(e_a, dtype=float) / np.asarray(e_b, dtype=float)
-    return 1.0 / (ratio + 2.0 * kernel.cos + 1.0 / ratio)
+    with np.errstate(over="ignore", divide="ignore"):
+        ratio = np.asarray(e_a, dtype=float) / np.asarray(e_b, dtype=float)
+        return 1.0 / (ratio + 2.0 * kernel.cos + 1.0 / ratio)
 
 
 @functools.lru_cache(maxsize=8)

@@ -146,6 +146,14 @@ class TestContraction:
                 closed = contraction_closed(eps, kp)
                 assert abs(contraction_integral(eps, kp) - closed) <= 1e-11 * closed
 
+    def test_integral_matches_closed_next_to_pi(self):
+        # the head's peak at s = 1 narrows like cos(theta/2) as theta -> pi
+        for gap in (3e-4, 1e-6):
+            kp = KernelParams(math.pi - gap)
+            for eps in (0.1, 0.5, 1.0, 1.5, 1.9):
+                closed = contraction_closed(eps, kp)
+                assert abs(contraction_integral(eps, kp) - closed) <= 1e-10 * closed
+
     def test_closed_symmetry_exact(self):
         kp = KernelParams(2 * math.pi / 3)
         for eps in (0.2, 0.45, 0.8, 1.3):

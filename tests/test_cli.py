@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, exit codes, config precedence."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -77,7 +78,7 @@ class TestSpectrum:
 
 class TestIterate:
     def test_perturbed_run_reports_rate(self, capsys):
-        code, out, _ = run(capsys, "iterate", "--M", "2", "--N", "120", "--steps", "25",
+        code, out, _ = run(capsys, "iterate", "--M", "2", "--N", "120", "--max-steps", "25",
                            "--perturb-eps", "1", "--format", "json")
         assert code == EXIT_OK
         doc = json.loads(out)
@@ -87,7 +88,7 @@ class TestIterate:
         assert len(doc["residual_sup"]) == doc["steps"]
 
     def test_csv_rows(self, capsys):
-        code, out, _ = run(capsys, "iterate", "--M", "2", "--N", "60", "--steps", "6",
+        code, out, _ = run(capsys, "iterate", "--M", "2", "--N", "60", "--max-steps", "6",
                            "--tol", "0")
         assert code == EXIT_OK
         header, rows = parse_csv(out)
@@ -95,8 +96,10 @@ class TestIterate:
         assert len(rows) == 6
 
     def test_seed_scale_converges_back(self, capsys):
-        code, out, _ = run(capsys, "iterate", "--M", "2", "--N", "60", "--steps", "200",
-                           "--seed-scale", "3", "--format", "json")
+        # a flat log-space bump of ln 3 triples the stored values, tail pinned
+        code, out, _ = run(capsys, "iterate", "--M", "2", "--N", "60", "--max-steps", "200",
+                           "--perturb-eps", "0", "--perturb-size", repr(math.log(3.0)),
+                           "--format", "json")
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["residual_sup"][-1] <= 1e-10
@@ -104,7 +107,7 @@ class TestIterate:
     def test_fitted_rate_matches_prediction(self, capsys):
         # full-size diagnostic run: the fitted rate sits near alpha - 1 = 1/3
         code, out, _ = run(capsys, "iterate", "--M", "2", "--perturb-eps", "1",
-                           "--steps", "30", "--format", "json")
+                           "--max-steps", "30", "--format", "json")
         assert code == EXIT_OK
         doc = json.loads(out)
         assert 0.28 <= doc["fitted_lambda"] <= 0.38
@@ -137,6 +140,14 @@ class TestAnalyze:
                           "epsilon", "s_integral", "s_closed", "factor"]
         kinds = {row["kind"] for row in rows}
         assert kinds == {"drift", "contraction"}
+
+    def test_angle_next_to_pi(self, capsys):
+        # pi - theta = 6.3e-5: the contraction head peaks within 3e-5 of s = 1,
+        # and an unresolved peak gave quadrature warnings and wrong integrals
+        code, out, _ = run(capsys, "analyze", "--M", "100000", "--format", "json")
+        assert code == EXIT_OK
+        for row in json.loads(out)["contraction"]:
+            assert abs(row["s_integral"] - row["s_closed"]) <= 1e-10 * row["s_closed"]
 
     def test_requires_angle_or_m(self, capsys):
         for argv in (("analyze",), ("analyze", "--M", "2", "--theta", "3.0")):
@@ -218,7 +229,7 @@ class TestVerify:
 
 class TestBracket:
     def test_upper_super(self, capsys):
-        code, out, _ = run(capsys, "bracket", "--M", "2", "--upper", "--A", "100",
+        code, out, _ = run(capsys, "bracket", "--M", "2", "--upper", "100",
                            "--N", "300", "--format", "json")
         assert code == EXIT_OK
         doc = json.loads(out)
@@ -226,7 +237,7 @@ class TestBracket:
         assert doc["verified"] is True
 
     def test_lower_sub(self, capsys):
-        code, out, _ = run(capsys, "bracket", "--M", "2", "--lower", "--Nparam", "6",
+        code, out, _ = run(capsys, "bracket", "--M", "2", "--lower", "6",
                            "--N", "300", "--format", "json")
         assert code == EXIT_OK
         doc = json.loads(out)
@@ -241,6 +252,21 @@ class TestBracket:
             assert header == ["kind", "verified", "max_violation", "slack", "M", "parity", "N",
                               param]
             assert len(rows) == 1
+
+    def test_side_carries_its_parameter(self, capsys):
+        # a bare side takes its default parameter, a given one reaches the row
+        for argv, key, value in ((("--upper",), "A", 100.0), (("--upper", "50"), "A", 50.0),
+                                 (("--upper=0.5",), "A", 0.5), (("--lower",), "Nparam", 6),
+                                 (("--lower", "7"), "Nparam", 7)):
+            code, out, _ = run(capsys, "bracket", "--M", "2", *argv, "--N", "300",
+                               "--format", "json")
+            assert code == EXIT_OK, argv
+            assert json.loads(out)[key] == value
+
+    def test_negative_shift_is_invalid_input(self, capsys):
+        code, out, err = run(capsys, "bracket", "--M", "2", "--upper", "-5", "--N", "300")
+        assert code == EXIT_USAGE
+        assert out == "" and "invalid input: A must be nonnegative" in err
 
     def test_requires_side(self, capsys):
         code, _, err = run(capsys, "bracket", "--M", "2", "--N", "300")
@@ -318,11 +344,16 @@ class TestConfigFile:
 
     def test_key_the_command_does_not_read_rejected(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(asymptotics, "verify_bracket", _must_not_solve)
+        monkeypatch.setattr(cli, "run_iteration", _must_not_solve)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("tol = 1e-3\n")
-        code, out, err = run(capsys, "bracket", "--M", "2", "--upper", "--config", str(cfg))
-        assert code == EXIT_USAGE
-        assert out == "" and "--tol" in err and "run.cfg" in err, err
+        for command, line, key in (("bracket", "tol = 1e-3", "--tol"),
+                                   ("bracket", "A = 100", "--A"),
+                                   ("iterate", "steps = 5", "--steps")):
+            cfg.write_text(line + "\n")
+            code, out, err = run(capsys, command, "--M", "2", "--config", str(cfg),
+                                 *(("--upper",) if command == "bracket" else ()))
+            assert code == EXIT_USAGE, line
+            assert out == "" and key in err and "run.cfg" in err, err
 
     def test_flag_replaces_file_list(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -339,6 +370,10 @@ class TestConfigFile:
         assert code == EXIT_OK
         assert (code, from_file) == run(capsys, *argv, "--upper")[:2]
         assert json.loads(from_file)["kind"] == "SUPER"
+        cfg.write_text("upper = 50\n")
+        code, from_file, _ = run(capsys, *argv, "--config", str(cfg))
+        assert (code, from_file) == run(capsys, *argv, "--upper", "50")[:2]
+        assert json.loads(from_file)["A"] == 50.0
 
     def test_output_keys_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -388,10 +423,18 @@ def _must_not_solve(*args, **kwargs):
     (("verify", "--parity", "both"), "--parity"),
     # a bound no deviation can meet
     (("verify", "--bound", "-1e-3"), "--bound"),
+    # a parameter of the other bracket side, and former spellings of iterate options
+    (("bracket", "--lower", "--A", "5"), "--A"),
+    (("bracket", "--upper", "--Nparam", "3"), "--Nparam"),
+    (("iterate", "--seed-scale", "3"), "--seed-scale"),
+    (("iterate", "--steps", "5"), "--steps"),
+    # an amplitude without the perturbation it scales
+    (("iterate", "--perturb-size", "0.5"), "--perturb-size"),
 ])
 def test_out_of_range_options_are_refused_before_any_solve(capsys, monkeypatch, argv, flag):
     for module, name in ((oracle, "hamiltonian_eigenvalues"), (oscillator, "compute_spectrum"),
-                         (oscillator, "solve_parity"), (asymptotics, "verify_bracket")):
+                         (oscillator, "solve_parity"), (asymptotics, "verify_bracket"),
+                         (cli, "run_iteration")):
         monkeypatch.setattr(module, name, _must_not_solve)
     code, out, err = run(capsys, argv[0], "--M", "2", *argv[1:])
     assert code == EXIT_USAGE
@@ -417,8 +460,17 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
     assert "usage error" in err
 
 
+def test_single_refinement_level_is_invalid_input(capsys, monkeypatch):
+    # one level would leave the oracle's self-check, and --oracle-tol, unused
+    monkeypatch.setattr(oracle, "hamiltonian_eigenvalues", _must_not_solve)
+    monkeypatch.setattr(oscillator, "compute_spectrum", _must_not_solve)
+    code, out, err = run(capsys, "verify", "--M", "2", "--oracle-levels", "1")
+    assert code == EXIT_USAGE
+    assert out == "" and "invalid input: refinement_levels must be at least 2" in err
+
+
 def test_invalid_stop_rule_is_a_usage_error(capsys):
-    for argv in (("iterate", "--M", "2", "--N", "60", "--steps", "0"),
+    for argv in (("iterate", "--M", "2", "--N", "60", "--max-steps", "0"),
                  ("spectrum", "--M", "2", "--levels", "4", "--N", "60", "--tol", "-1")):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
@@ -426,9 +478,9 @@ def test_invalid_stop_rule_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("iterate", "--M", "2", "--N", "20", "--seed-scale", "1e308"),
+    ("iterate", "--M", "2", "--N", "20", "--perturb-eps", "0", "--perturb-size", "710"),
     ("iterate", "--M", "2", "--N", "20", "--perturb-eps=-1000"),
-    ("bracket", "--M", "2", "--upper", "--A", "1e300", "--N", "20"),
+    ("bracket", "--M", "2", "--upper", "1e300", "--N", "20"),
 ])
 def test_overflow_while_building_input_is_invalid_input(capsys, argv):
     # the overflow gives inf, which the sequence built from it refuses, with no warning
@@ -451,7 +503,7 @@ def test_value_error_of_the_solve_is_not_invalid_input(capsys, monkeypatch):
 
 
 def test_negative_exponent_notation_is_a_value(capsys):
-    argv = ("iterate", "--M", "2", "--N", "60", "--steps", "5")
+    argv = ("iterate", "--M", "2", "--N", "60", "--max-steps", "5")
     code, spaced, _ = run(capsys, *argv, "--perturb-eps", "-1e-1")
     assert code == EXIT_OK
     assert spaced == run(capsys, *argv, "--perturb-eps=-1e-1")[1]

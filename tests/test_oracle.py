@@ -145,6 +145,6 @@ def test_oracle_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(grid_points=32)
     with pytest.raises(ValueError):
-        OracleConfig(refinement_levels=0)
+        OracleConfig(refinement_levels=1)
     with pytest.raises(ValueError):
         OracleConfig(tolerance=0.0)

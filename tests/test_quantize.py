@@ -71,6 +71,7 @@ class TestAngleKernel:
     def test_large_ratio_tends_to_zero(self):
         kp = KernelParams(math.pi / 2)
         assert float(angle_kernel(kp, 1e14, 1.0)) == pytest.approx(0.0, abs=1e-13)
+        assert float(angle_kernel(kp, 1e300, 1e-300)) == 0.0
 
 
 class TestDerivativeKernel:
@@ -85,6 +86,11 @@ class TestDerivativeKernel:
     def test_vanishes_for_extreme_ratio(self):
         kp = KernelParams(1.0)
         assert float(derivative_kernel(kp, 1e120, 1.0)) == pytest.approx(0.0, abs=1e-100)
+
+    def test_ratio_beyond_the_float_range(self):
+        kp = KernelParams(1.0)
+        assert float(derivative_kernel(kp, 1e-300, 1e300)) == 0.0
+        assert float(derivative_kernel(kp, 1e300, 1e-300)) == 0.0
 
     def test_symmetry_and_scale_invariance(self, rng):
         kp = KernelParams(2.2)
@@ -270,6 +276,17 @@ class TestApplyQuantization:
         shifted = OffsetSequence(constant=5.0)
         with pytest.raises(NoConvergence):
             apply_quantization(seq, shifted, problem.kernel, OperatorConfig(truncation=8))
+
+
+    def test_seed_scaled_beyond_the_float_range_fails_cleanly(self):
+        # probes near 1e-300 against tail nodes near 1 overflow the kernels'
+        # ratio; the limits are exact and the failure is NoConvergence, not a
+        # warning (the suite turns warnings into errors)
+        problem = self.problem()
+        seed = seed_sequence(problem, 50)
+        with pytest.raises(NoConvergence, match="no sign change bracketing level"):
+            apply_quantization(seed.with_values(seed.values * 1e-300), problem.offsets,
+                               problem.kernel, OperatorConfig(truncation=50))
 
 
 class TestCountingPanels:

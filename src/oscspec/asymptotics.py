@@ -4,7 +4,9 @@ Quadrature evaluation of the drift of power sequences (its closed form,
 drift_closed, lives in quantize, which applies it to tails), the critical
 growth exponent, the contraction integrals governing weighted perturbations,
 sub/super-solution brackets, and empirical rate measurement on iteration
-traces.
+traces.  Drift and contraction are one Mellin transform of the pair kernel,
+int_0^inf t**p dt / (t**2 + 2t cos theta + 1), read at p = 1/alpha and at
+p = (1 - eps)/a, so drift_integral calls contraction_integral's quadrature.
 """
 
 from __future__ import annotations
@@ -90,40 +92,20 @@ def drift_integral(alpha: float, kernel: KernelParams) -> float:
     """Per-application rescaling exponent integral for power growth alpha.
 
     (1/pi) times the integral over s in (0, inf) of the angle kernel branch
-    atan2(sin theta, s**alpha + cos theta).  Split at s = 1 with s -> 1/s on
-    the lower part, so both pieces decay and adaptive quadrature reaches
-    absolute accuracy well below 1e-11.  Defined only for alpha > 1 with
-    2 alpha finite, the decay exponent of the upper remainder.
+    atan2(sin theta, s**alpha + cos theta), for finite alpha > 1.  With
+    atan2(sin theta, r + cos theta) = int_r^inf sin theta dt / (t**2 +
+    2t cos theta + 1) and the order of integration swapped, it is
+    (sin theta / pi) int_0^inf t**(1/alpha) dt / (t**2 + 2t cos theta + 1):
+    the same Mellin transform of the pair kernel as the contraction integral,
+    which t = s**a turns into (1/a) int_0^inf t**((1 - eps)/a) dt / (...).
+    So, with a the critical exponent, the drift is a sin(theta)/pi times the
+    contraction integral at eps = 1 - a/alpha, inside its strip |eps - 1| < a
+    exactly when alpha > 1.
     """
-    if alpha <= 1.0:
-        raise DomainError(f"drift integral diverges for alpha <= 1, got {alpha}")
-    if not math.isfinite(2.0 * alpha):
-        raise DomainError(f"drift integral needs a finite 2 * alpha, got alpha = {alpha}")
-    sin_t, cos_t = kernel.sin, kernel.cos
-
-    def upper(s: float) -> float:
-        return math.atan2(sin_t, s ** alpha + cos_t)
-
-    def lower(s: float) -> float:
-        return math.atan2(sin_t, s ** (-alpha) + cos_t) / (s * s)
-
-    def upper_remainder(s: float) -> float:
-        # angle kernel minus its leading sin(theta) s**-alpha term, in a form
-        # free of cancellation; decays like s**(-2 alpha)
-        p = s ** alpha
-        x = sin_t / (p + cos_t)
-        return (math.atan(x) - x) - sin_t * cos_t / (p * (p + cos_t))
-
-    # the integrands turn over within O(1/alpha) of s = 1; a knot there keeps
-    # the adaptive rule efficient for large exponents.  Beyond the knot the
-    # leading power integrates in closed form, which stays exact even as
-    # alpha -> 1 where the tail is nearly divergent.
-    knot = 1.0 + 4.0 / alpha
-    lead = sin_t * knot ** (1.0 - alpha) / (alpha - 1.0)
-    hi = (_quad(upper, 1.0, knot) + lead
-          + _power_tail_quad(upper_remainder, knot, 2.0 * alpha))
-    lo = _quad(lower, 1.0, knot) + _power_tail_quad(lower, knot, 2.0)
-    return (hi + lo) / math.pi
+    if not 1.0 < alpha < math.inf:
+        raise DomainError(f"drift integral needs a finite alpha > 1, got {alpha}")
+    a = critical_exponent(kernel)
+    return a * kernel.sin / math.pi * contraction_integral(1.0 - a / alpha, kernel)
 
 
 def critical_exponent(kernel: KernelParams) -> float:

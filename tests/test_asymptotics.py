@@ -51,8 +51,9 @@ class TestDrift:
 
     def test_domain(self):
         kp = KernelParams(1.0)
-        with pytest.raises(DomainError):
-            drift_integral(1.0, kp)
+        for alpha in (1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                drift_integral(alpha, kp)
         with pytest.raises(DomainError):
             drift_closed(0.7, kp)
 
@@ -80,14 +81,22 @@ class TestDrift:
         assert worst <= 1e-9
 
     def test_integral_matches_closed_at_large_exponent(self):
-        # the knot at 1 + 4/alpha and the substituted tail keep the quadrature
-        # accurate where the integrand turns over within O(1/alpha) of s = 1;
-        # quad's own infinite range overflows here
+        # the atan2 integrand turns over within O(1/alpha) of s = 1; read as
+        # the contraction integral at eps = 1 - a/alpha it stays smooth, and
+        # at 1e308, where 2 alpha overflows, eps rounds to 1 and gives theta/pi
         for theta in THETA_GRID:
             kp = KernelParams(theta)
-            for alpha in (1e3, 1e4):
+            for alpha in (1e3, 1e4, 3e4, 1e5, 1e6, 1e308):
                 closed = drift_closed(alpha, kp)
-                assert abs(drift_integral(alpha, kp) - closed) <= 1e-12 * closed
+                assert abs(drift_integral(alpha, kp) - closed) <= 1e-13 * closed
+
+    def test_integral_matches_closed_next_to_pi(self):
+        # the pair kernel peaks at t = 1 with width cos(theta/2) as theta -> pi
+        for gap in (1e-6, 1e-8, 1e-10):
+            kp = KernelParams(math.pi - gap)
+            for alpha in ALPHA_GRID:
+                closed = drift_closed(alpha, kp)
+                assert abs(drift_integral(alpha, kp) - closed) <= 1e-13 * closed
 
 
 class TestCriticalExponent:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oscspec import DomainError, asymptotics, cli, oracle, oscillator, quantize
+from oscspec import asymptotics, cli, oracle, oscillator, quantize
 from oscspec.cli import EXIT_CONVERGENCE, EXIT_OK, EXIT_ORACLE, EXIT_TOLERANCE, EXIT_USAGE, main
 from conftest import parse_csv
 
@@ -142,12 +142,17 @@ class TestAnalyze:
         assert kinds == {"drift", "contraction"}
 
     def test_angle_next_to_pi(self, capsys):
-        # pi - theta = 6.3e-5: the contraction head peaks within 3e-5 of s = 1,
-        # and an unresolved peak gave quadrature warnings and wrong integrals
-        code, out, _ = run(capsys, "analyze", "--M", "100000", "--format", "json")
-        assert code == EXIT_OK
-        for row in json.loads(out)["contraction"]:
-            assert abs(row["s_integral"] - row["s_closed"]) <= 1e-10 * row["s_closed"]
+        # pi - theta = 6.3e-5 and 3.1e-8: the pair kernel peaks within
+        # cos(theta/2) of s = 1, and an unresolved peak gave quadrature
+        # warnings and wrong integrals
+        for M in ("100000", "200000000"):
+            code, out, _ = run(capsys, "analyze", "--M", M, "--format", "json")
+            assert code == EXIT_OK
+            doc = json.loads(out)
+            for row in doc["contraction"]:
+                assert abs(row["s_integral"] - row["s_closed"]) <= 1e-10 * row["s_closed"]
+            for row in doc["drift"]:
+                assert row["gap"] <= 1e-13 * row["closed"]
 
     def test_requires_angle_or_m(self, capsys):
         for argv in (("analyze",), ("analyze", "--M", "2", "--theta", "3.0")):
@@ -159,19 +164,18 @@ class TestAnalyze:
         assert code == EXIT_USAGE
 
     def test_rejects_alpha_outside_the_drift_domain(self, capsys):
-        # inf would divide by zero in the drift integral and nan print nan rows
+        # the drift integral diverges at alpha <= 1; the parser refuses inf and nan
         for alpha in ("1", "0.5", "inf", "nan"):
             code, out, err = run(capsys, "analyze", "--M", "2", "--alpha", alpha)
             assert code == EXIT_USAGE, alpha
             assert out == "" and "--alpha" in err
 
-    def test_rejects_alpha_whose_double_overflows(self, capsys):
-        # 2 * 1e308 is inf: the drift's tail quadrature printed nan rows
-        with pytest.raises(DomainError):
-            asymptotics.drift_integral(1e308, quantize.KernelParams(1.0))
-        code, out, err = run(capsys, "analyze", "--M", "2", "--alpha", "1e308")
-        assert code == EXIT_USAGE
-        assert out == "" and "--alpha" in err
+    def test_alpha_whose_double_overflows_matches_closed(self, capsys):
+        # 2 * 1e308 is inf, which the drift integral never forms
+        code, out, _ = run(capsys, "analyze", "--M", "2", "--alpha", "1e308", "--format", "json")
+        assert code == EXIT_OK
+        (row,) = json.loads(out)["drift"]
+        assert row["gap"] <= 1e-12 * row["closed"]
 
 
 class TestVerify:
@@ -430,6 +434,10 @@ def _must_not_solve(*args, **kwargs):
     (("iterate", "--steps", "5"), "--steps"),
     # an amplitude without the perturbation it scales
     (("iterate", "--perturb-size", "0.5"), "--perturb-size"),
+    # weights outside the convergence strip 0 <= eps < 1 + alpha* = 7/3
+    (("iterate", "--eps", "200"), "--eps"),
+    (("iterate", "--eps", "2.34"), "--eps"),
+    (("iterate", "--eps", "-0.5"), "--eps"),
 ])
 def test_out_of_range_options_are_refused_before_any_solve(capsys, monkeypatch, argv, flag):
     for module, name in ((oracle, "hamiltonian_eigenvalues"), (oscillator, "compute_spectrum"),

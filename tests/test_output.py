@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from oscspec.cli import _cell, _render
 from conftest import parse_cell, parse_csv
 
@@ -68,3 +70,9 @@ def test_json_spells_infinities():
     loaded = json.loads(_render("json", doc, []))
     assert loaded["s"] == "inf"
     assert loaded["nested"]["list"] == ["-inf", [1.0, "inf"]]
+
+
+def test_json_refuses_nan():
+    # NaN is not JSON: a document holding one is a fault, never output
+    with pytest.raises(ValueError):
+        _render("json", {"x": math.nan}, [])

@@ -4,10 +4,10 @@ oscillator spectra.
 The package computes the spectrum of -d^2/dq^2 + q**(2M) as the fixed point
 of the exact quantization operator, together with its asymptotic diagnostics
 (drift, contraction constants, convergence rates) and an independent
-finite-difference eigensolver used as ground truth.  The dense counting sum
-is quantize.counting_function, the closed-form drift is quantize.drift_closed,
-and the weighted sup-norm of the convergence diagnostics is
-sequences.weighted_norm.
+finite-difference eigensolver used as ground truth.  The counting sum is
+quantize.counting_function, over per-panel Chebyshev moments of the
+sequence; the closed-form drift is quantize.drift_closed, and the weighted
+sup-norm of the convergence diagnostics is sequences.weighted_norm.
 """
 
 from .asymptotics import (

@@ -165,8 +165,7 @@ def cmd_spectrum(opts: dict) -> _Result:
     else:
         if levels > n:
             raise _UsageError(f"--levels {levels} exceeds --N {n}")
-        with _building_input():
-            problem = oscillator.build_problem(M, oscillator.Parity(parity))
+        problem = oscillator.build_problem(M, oscillator.Parity(parity))
         fixed, trace = oscillator.solve_parity(problem, cfg, stop)
         energies = fixed.values
         residuals = {parity: trace.residual_sup[-1]}
@@ -490,8 +489,13 @@ def main(argv: list[str] | None = None) -> int:
         opts.update(_given(args))
         if opts.get("M") is None and args.command != "analyze":
             raise _UsageError("--M is required")
-        if opts.get("M") is not None and opts["M"] < 2:
-            raise _UsageError("--M must be at least 2")
+        if opts.get("M") is not None:
+            if opts["M"] < 2:
+                raise _UsageError("--M must be at least 2")
+            # before any command solves: the kernel angle (M - 1) pi / (M + 1)
+            # of a huge M rounds to pi, which the problem refuses
+            with _building_input():
+                oscillator.build_problem(opts["M"], oscillator.Parity.EVEN)
         out = None if args.out == "-" else args.out
         created = out is not None and not os.path.exists(out)
         if out is not None:

@@ -10,10 +10,11 @@ Q is an admissible offset sequence.  Because the left side depends on Y only
 through Y_j and is strictly increasing in it, each component has a unique root
 and the components solve independently.
 
-This module provides the two pair kernels, the dense counting function and
-its logarithmic derivative, the closed-form drift of power sequences, the
-implicit solve, the row-stochastic derivative matrix of the operator in log
-coordinates, and the iteration driver.
+This module provides the two pair kernels, the counting function and its
+logarithmic derivative over per-panel Chebyshev moments of the sequence, the
+closed-form drift of power sequences, the implicit solve, the row-stochastic
+derivative matrix of the operator in log coordinates, and the iteration
+driver.
 """
 
 from __future__ import annotations
@@ -273,56 +274,34 @@ def _kernel_sum(sources: np.ndarray, weights: np.ndarray, probes: np.ndarray,
     return out * scale
 
 
-def counting_function(X: EnergySequence, probes, kernel: KernelParams,
-                      cfg: OperatorConfig, slope: bool = False) -> np.ndarray:
-    """Dense counting function of the full sequence X at every probe energy.
-
-    Returns (1/pi) sum_k w_k angle_kernel(X_k, y) for each probe y or, with
-    slope set, its derivative in ln y, (sin theta / pi) sum_k w_k
-    derivative_kernel(X_k, y), which is strictly positive.  The weights w_k
-    are one on the stored entries and the tail quadrature weights on the tail
-    nodes.  The sum is blocked over the probes, so besides its output it holds
-    O(N * block) memory, a block being max(1, _BLOCK_ENTRIES // (N + 64))
-    probes.
-    """
-    return _kernel_sum(*_extended(X, cfg), np.asarray(probes, dtype=float), kernel, slope)
-
-
-class _CountingPanels:
-    """Piecewise Chebyshev interpolant of s -> phi(X, e**s) on [lo, hi].
+class _PanelGrid:
+    """Equal panels of width at most 2 (pi - theta) / 3 on [lo, hi], in s = ln y.
 
     Each term of the counting sum, arg(e**(ln X_k - s) + e**(i theta)), is
-    analytic in the strip |Im s| < pi - theta, so panels of width at most
-    2 (pi - theta) / 3 sit in a Bernstein ellipse of parameter 3 + sqrt(10)
-    and degree _CHEB_DEGREE reaches the rounding floor of the dense sum.  The
-    counting sum is evaluated once, at the Chebyshev points of every panel.
+    analytic in |Im s| < pi - theta and, whatever s is, in the same strip as
+    a function of ln X_k; each panel therefore sits in a Bernstein ellipse of
+    parameter 3 + sqrt(10), in which degree _CHEB_DEGREE reaches the rounding
+    floor of the dense sum.  ``nodes`` holds the energies at the Chebyshev
+    points, one row per panel.
 
-    The same strip holds for each term as a function of ln X_k, whatever s
-    is, so the stored levels are interpolated on the same panels (the
-    far-field step of the black-box FMM, Fong & Darve, J. Comput. Phys. 228,
-    2009, with no near field).  A panel holding more than _CHEB_DEGREE + 1
-    stored levels hands the kernel sum its own Chebyshev points instead,
-    weighted by the moments m_a = sum_k l_a(t_k) of the Lagrange basis l_a at
-    the levels' local coordinates t_k; any other panel keeps its levels at
-    weight one, and the tail nodes stay direct.  The sum therefore sees at
-    most N + 64 sources, and one build costs O(N * 25) for the moments plus
-    O((panels * 25) * (panels * 25 + 64)) kernel evaluations.  The stored
-    levels must lie in [lo, hi], in any order.
+    ``sources`` interpolates the stored levels on the panels (the far-field
+    step of the black-box FMM, Fong & Darve, J. Comput. Phys. 228, 2009, with
+    no near field).  A panel holding more than _CHEB_DEGREE + 1 stored levels
+    hands the kernel sum its own Chebyshev points instead, weighted by the
+    moments m_a = sum_k l_a(t_k) of the Lagrange basis l_a at the levels'
+    local coordinates t_k; any other panel keeps its levels at weight one,
+    and the tail nodes stay direct.  The sum therefore sees at most N + 64
+    sources, at O(N * 25) cost for the moments.  The stored levels must lie
+    in [lo, hi], in any order.
     """
 
-    def __init__(self, X: EnergySequence, kernel: KernelParams, cfg: OperatorConfig,
-                 lo: float, hi: float):
+    def __init__(self, kernel: KernelParams, lo: float, hi: float):
         count = max(1, math.ceil((hi - lo) / (2.0 * (math.pi - kernel.theta) / 3.0)))
         self.lo, self.hi = lo, hi
         self.width = (hi - lo) / count
         self.centers = lo + self.width * (np.arange(count) + 0.5)
         self.edges = lo + self.width * np.arange(count + 1)
-        # energies at the Chebyshev points, one row per panel
         self.nodes = np.exp(self.centers[:, None] + 0.5 * self.width * _CHEB_NODES)
-        phi = _kernel_sum(*self.sources(X, cfg), self.nodes.ravel(), kernel).reshape(count, -1)
-        # (degree + 1, value/slope, panel)
-        self.coef = np.stack([_CHEB_FROM_VALUES @ phi.T,
-                              (2.0 / self.width) * (_CHEB_SLOPE_FROM_VALUES @ phi.T)], axis=1)
 
     def sources(self, X: EnergySequence, cfg: OperatorConfig) -> tuple[np.ndarray, np.ndarray]:
         """Sources and weights of the compressed counting sum: the stored
@@ -346,6 +325,49 @@ class _CountingPanels:
         direct = X.values[~in_packed]
         return (np.concatenate([direct, self.nodes[packed].ravel(), tail_values]),
                 np.concatenate([np.ones(direct.size), moments.ravel(), tail_weights]))
+
+
+def counting_function(X: EnergySequence, probes, kernel: KernelParams,
+                      cfg: OperatorConfig, slope: bool = False) -> np.ndarray:
+    """Counting function of the full sequence X at every probe energy.
+
+    Returns (1/pi) sum_k w_k angle_kernel(X_k, y) for each probe y or, with
+    slope set, its derivative in ln y, (sin theta / pi) sum_k w_k
+    derivative_kernel(X_k, y), which is strictly positive.  The weights w_k
+    are one on the stored entries and the tail quadrature weights on the tail
+    nodes.  The stored levels are compressed on the panels of _PanelGrid over
+    [min ln X - ln 8, max ln X + ln 8], the sources apply_quantization sums
+    over, and every probe is evaluated directly against them, with no
+    interpolation on the probe side: a probe costs O(S) with S <= N + 64
+    sources (164 to 378 for the bracket candidates at N = 2000, M = 2, 3, 5).
+    Against the dense sum over all N + 64 sources it is off by at most
+    1.2e-15 * max phi (slope: 6e-16 * max slope), at the stored levels and
+    above them, so a certificate moves by ~2e-12 against its 1e-8 slack.
+    The sum is blocked over the probes, so besides its output it holds
+    O(S * block) memory, a block being max(1, _BLOCK_ENTRIES // S) probes.
+    """
+    x_log = np.log(X.values)
+    grid = _PanelGrid(kernel, x_log.min() - _LOG8, x_log.max() + _LOG8)
+    return _kernel_sum(*grid.sources(X, cfg), np.asarray(probes, dtype=float), kernel, slope)
+
+
+class _CountingPanels(_PanelGrid):
+    """Piecewise Chebyshev interpolant of s -> phi(X, e**s) on [lo, hi].
+
+    The counting sum over the compressed sources of the grid is evaluated
+    once, at the Chebyshev points of every panel, so one build costs
+    O(N * 25) for the moments plus O((panels * 25) * (panels * 25 + 64))
+    kernel evaluations.
+    """
+
+    def __init__(self, X: EnergySequence, kernel: KernelParams, cfg: OperatorConfig,
+                 lo: float, hi: float):
+        super().__init__(kernel, lo, hi)
+        phi = _kernel_sum(*self.sources(X, cfg), self.nodes.ravel(), kernel)
+        phi = phi.reshape(self.centers.size, -1)
+        # (degree + 1, value/slope, panel)
+        self.coef = np.stack([_CHEB_FROM_VALUES @ phi.T,
+                              (2.0 / self.width) * (_CHEB_SLOPE_FROM_VALUES @ phi.T)], axis=1)
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         """Rows phi and d phi / d s at every s in [lo, hi], from one Clenshaw sweep."""
@@ -373,8 +395,9 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
     of several O(N**2) passes, with O(N) memory besides the blocked sum.  All
     root finding then runs on that piecewise interpolant and its Chebyshev
     derivative, which agree with the dense sum to its rounding floor
-    (measured ~1e-15 * max phi).  Certificates and derivative_matrix keep the
-    exact dense sum.
+    (measured ~1e-15 * max phi).  counting_function, and with it the bracket
+    certificates, sums over the same compressed sources without the
+    interpolant; derivative_matrix alone keeps the dense kernel loop.
 
     The range starts at [min X / 8, 8 max X] and widens by a factor 8 at an
     end, rebuilding the panels, until the interpolant there lies below min Q

@@ -1,5 +1,5 @@
-"""Shared fixtures: cached parity solves reused across test modules, and the
-parser of the CLI's CSV output."""
+"""Shared fixtures: cached parity solves reused across test modules, the
+exact dense counting sum, and the parser of the CLI's CSV output."""
 
 import csv
 import functools
@@ -8,7 +8,7 @@ import io
 import numpy as np
 import pytest
 
-from oscspec import OperatorConfig, Parity, StopRule, build_problem, solve_parity
+from oscspec import OperatorConfig, Parity, StopRule, build_problem, quantize, solve_parity
 
 
 @functools.lru_cache(maxsize=32)
@@ -35,6 +35,14 @@ def m2_odd_300():
 @pytest.fixture(scope="session")
 def m2_even_500():
     return solved_parity(2, "even", 500)
+
+
+def dense_counting(X, probes, kernel, cfg, slope=False):
+    """Counting function (or, with slope set, its log-derivative) summed over
+    all N stored levels and the 64 tail nodes: the exact reference against
+    which the compressed sums of counting_function and the panels are measured."""
+    return quantize._kernel_sum(*quantize._extended(X, cfg), np.asarray(probes, dtype=float),
+                                kernel, slope)
 
 
 @pytest.fixture

@@ -498,6 +498,21 @@ def test_overflow_while_building_input_is_invalid_input(capsys, argv):
     assert "invalid input: all entries must be finite and strictly positive" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--M", "100000000000000000"),
+    ("spectrum", "--M", "100000000000000000", "--N", "20", "--levels", "2"),
+    ("verify", "--M", "100000000000000000", "--N", "20", "--levels", "2"),
+], ids=["analyze", "spectrum-both", "verify"])
+def test_angle_rounded_to_pi_is_invalid_input(capsys, monkeypatch, argv):
+    # theta = (M - 1) pi / (M + 1) rounds to pi at M = 1e17; nothing is solved
+    for module, name in ((asymptotics, "drift_integral"), (oracle, "hamiltonian_eigenvalues"),
+                         (oscillator, "compute_spectrum")):
+        monkeypatch.setattr(module, name, _must_not_solve)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == "" and "invalid input: theta must lie strictly between 0 and pi" in err
+
+
 def test_value_error_of_the_solve_is_not_invalid_input(capsys, monkeypatch):
     # only building the inputs maps a ValueError to "invalid input"; one
     # raised by the solve is a fault of the program and propagates

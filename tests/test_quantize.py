@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oscspec import (
+    BracketKind,
     DerivativeMatrix,
     DomainError,
     EnergySequence,
@@ -23,7 +24,10 @@ from oscspec import (
     derivative_matrix,
     hamiltonian_eigenvalues,
     iterate,
+    lower_bracket,
     parity_split,
+    upper_bracket,
+    verify_bracket,
     weighted_norm,
     Parity,
     OracleConfig,
@@ -32,7 +36,7 @@ from oscspec import (
 from oscspec import quantize
 from oscspec.quantize import (ROOT_TOL, _LOG8, _anderson_point, _CountingPanels, angle_kernel,
                               derivative_kernel)
-from conftest import random_growth_sequence
+from conftest import dense_counting, random_growth_sequence, solved_parity
 from test_acceptance import THETA_GRID
 
 # tail with a huge exponent pushes every extrapolated entry so high that the
@@ -206,7 +210,7 @@ class TestApplyQuantization:
                         _ReplacedOffsets(-0.3, {1: 0.05})):
             out = apply_quantization(seq, offsets, problem.kernel, self.CFG)
             levels = [0, 5, 23, 47]
-            phi = counting_function(seq, out.values[levels], problem.kernel, self.CFG)
+            phi = dense_counting(seq, out.values[levels], problem.kernel, self.CFG)
             assert np.max(np.abs(phi - offsets.values(48)[levels])) <= 2 * ROOT_TOL
 
     def test_roots_on_panel_edges(self, rng):
@@ -226,7 +230,7 @@ class TestApplyQuantization:
         for j, value in enumerate(phi_edges[1:-1]):
             offsets = _ReplacedOffsets(problem.offsets.constant, {j + 1: value})
             out = apply_quantization(seq, offsets, problem.kernel, self.CFG)
-            phi = counting_function(seq, out.values[j:j + 1], problem.kernel, self.CFG)[0]
+            phi = dense_counting(seq, out.values[j:j + 1], problem.kernel, self.CFG)[0]
             assert abs(phi - value) <= 2 * ROOT_TOL, j
 
     def test_dilatation_equivariance(self, rng):
@@ -301,8 +305,8 @@ class TestCountingPanels:
             panels = _CountingPanels(seq, kp, cfg, x_log.min() - _LOG8, x_log.max() + _LOG8)
             s = np.concatenate([[panels.lo, panels.hi], rng.uniform(panels.lo, panels.hi, 400)])
             phi, slope = panels(s)
-            dense = counting_function(seq, np.exp(s), kp, cfg)
-            dense_slope = counting_function(seq, np.exp(s), kp, cfg, slope=True)
+            dense = dense_counting(seq, np.exp(s), kp, cfg)
+            dense_slope = dense_counting(seq, np.exp(s), kp, cfg, slope=True)
             assert np.max(np.abs(phi - dense)) <= 1e-14 * np.max(np.abs(dense)), theta
             assert np.max(np.abs(slope - dense_slope)) <= 1e-10 * np.max(dense_slope), theta
 
@@ -313,8 +317,8 @@ class TestCountingPanels:
                 problem = build_problem(M, parity)
                 seq = seed_sequence(problem, 2000)
                 out = apply_quantization(seq, problem.offsets, problem.kernel, cfg)
-                phi = counting_function(seq, out.values, problem.kernel, cfg)
-                slope = counting_function(seq, out.values, problem.kernel, cfg, slope=True)
+                phi = dense_counting(seq, out.values, problem.kernel, cfg)
+                slope = dense_counting(seq, out.values, problem.kernel, cfg, slope=True)
                 log_error = np.abs(phi - problem.offsets.values(2000)) / slope
                 assert np.max(log_error) <= 1e-11, (M, parity)
 
@@ -378,7 +382,7 @@ class TestCompressedSources:
                 assert not np.isin(seq.values.max(), stored), theta
             probes = panels.nodes.ravel()
             compressed = quantize._kernel_sum(sources, weights, probes, kp)
-            dense = counting_function(seq, probes, kp, cfg)
+            dense = dense_counting(seq, probes, kp, cfg)
             assert np.max(np.abs(compressed - dense)) <= 1e-14 * np.max(np.abs(dense)), theta
 
     @pytest.mark.parametrize("n", [48, 250, 2000])
@@ -403,6 +407,65 @@ class TestCompressedSources:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+
+class TestCompressedCounting:
+    """counting_function sums over the compressed sources of _PanelGrid; the
+    dense sum over all N + 64 sources is the exact reference."""
+
+    # stored levels, then probes above max X, where the tail nodes dominate
+    TAIL_FACTORS = np.array([1.0001, 1.5, 3.0, 10.0, 100.0, 1e4])
+
+    @staticmethod
+    def cases(M):
+        problem = build_problem(M, Parity.EVEN)
+        kernel = problem.kernel
+        return kernel, [
+            ("upper 100", upper_bracket(100.0, 2000, kernel)),
+            ("lower 6", lower_bracket(6, 2000, kernel)),
+            ("lower 15", lower_bracket(15, 500, kernel)),
+            ("seed", seed_sequence(problem, 2000)),
+            ("fixed point", solved_parity(M, "even", 2000)[2]),
+        ]
+
+    @pytest.mark.parametrize("M", [2, 3, 5])
+    def test_matches_dense_sum(self, M, monkeypatch):
+        sizes = []
+        kernel_sum = quantize._kernel_sum
+
+        def counted(sources, *args):
+            sizes.append(sources.size)
+            return kernel_sum(sources, *args)
+
+        monkeypatch.setattr(quantize, "_kernel_sum", counted)
+        kernel, cases = self.cases(M)
+        for name, X in cases:
+            cfg = OperatorConfig(truncation=len(X))
+            for probes in (X.values, X.values.max() * self.TAIL_FACTORS):
+                for slope in (False, True):
+                    sizes.clear()
+                    got = counting_function(X, probes, kernel, cfg, slope=slope)
+                    # one sum, over at most N + 64 sources; at N = 2000 a fifth of them
+                    assert len(sizes) == 1 and sizes[0] <= len(X) + 64, (name, sizes)
+                    assert len(X) < 2000 or 5 * sizes[0] <= len(X) + 64, (name, sizes)
+                    exact = dense_counting(X, probes, kernel, cfg, slope=slope)
+                    error = np.max(np.abs(got - exact))
+                    assert error <= 2e-15 * np.max(np.abs(exact)), (name, slope, error)
+
+    @pytest.mark.parametrize("M", [2, 3, 5])
+    def test_certificates_keep_their_verdicts(self, M):
+        kernel, cases = self.cases(M)
+        for name, X in cases:
+            cfg = OperatorConfig(truncation=len(X))
+            phi = dense_counting(X, X.values, kernel, cfg)
+            for parity in Parity:
+                offsets = build_problem(M, parity).offsets
+                diffs = phi - offsets.values(len(X))
+                for kind, violation in ((BracketKind.SUPER, -diffs.min()),
+                                        (BracketKind.SUB, diffs.max())):
+                    cert = verify_bracket(X, offsets, kernel, cfg, kind=kind)
+                    assert cert.verified == (violation <= 1e-8), (name, parity, kind)
+                    assert abs(cert.max_violation - violation) <= 2e-15 * np.max(phi)
 
 
 class TestDerivativeMatrix:
@@ -481,7 +544,7 @@ class TestDerivativeMatrix:
             tracemalloc.stop()
         assert peak <= 66 * 2**20
         # rows at both ends of every block against the dense normalization
-        z = counting_function(seq, out.values, problem.kernel, cfg, slope=True)
+        z = dense_counting(seq, out.values, problem.kernel, cfg, slope=True)
         z *= math.pi / problem.kernel.sin
         for i in (0, 507, 508, 1015, 1016, 1999):
             row = derivative_kernel(problem.kernel, seq.values, out.values[i]) / z[i]

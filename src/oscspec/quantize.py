@@ -281,8 +281,9 @@ class _PanelGrid:
     analytic in |Im s| < pi - theta and, whatever s is, in the same strip as
     a function of ln X_k; each panel therefore sits in a Bernstein ellipse of
     parameter 3 + sqrt(10), in which degree _CHEB_DEGREE reaches the rounding
-    floor of the dense sum.  ``nodes`` holds the energies at the Chebyshev
-    points, one row per panel.
+    floor of the dense sum.  The grid itself holds no per-panel array: the
+    number of panels grows with (M + 1) times the log-range of the levels and
+    is not bounded by N.
 
     ``sources`` interpolates the stored levels on the panels (the far-field
     step of the black-box FMM, Fong & Darve, J. Comput. Phys. 228, 2009, with
@@ -291,39 +292,47 @@ class _PanelGrid:
     moments m_a = sum_k l_a(t_k) of the Lagrange basis l_a at the levels'
     local coordinates t_k; any other panel keeps its levels at weight one,
     and the tail nodes stay direct.  The sum therefore sees at most N + 64
-    sources, at O(N * 25) cost for the moments.  The stored levels must lie
-    in [lo, hi], in any order.
+    sources, and the moments cost O(N * 25) time and memory, since only
+    occupied panels are indexed.  The stored levels must lie in [lo, hi], in
+    any order.
     """
 
     def __init__(self, kernel: KernelParams, lo: float, hi: float):
-        count = max(1, math.ceil((hi - lo) / (2.0 * (math.pi - kernel.theta) / 3.0)))
+        self.count = max(1, math.ceil((hi - lo) / (2.0 * (math.pi - kernel.theta) / 3.0)))
         self.lo, self.hi = lo, hi
-        self.width = (hi - lo) / count
-        self.centers = lo + self.width * (np.arange(count) + 0.5)
-        self.edges = lo + self.width * np.arange(count + 1)
-        self.nodes = np.exp(self.centers[:, None] + 0.5 * self.width * _CHEB_NODES)
+        self.width = (hi - lo) / self.count
+
+    def centers_of(self, panels: np.ndarray) -> np.ndarray:
+        """Midpoints, in s, of the panels with the given indices."""
+        return self.lo + self.width * (panels + 0.5)
+
+    def nodes_of(self, panels: np.ndarray) -> np.ndarray:
+        """Energies at the Chebyshev points of the given panels, one row each."""
+        return np.exp(self.centers_of(panels)[:, None] + 0.5 * self.width * _CHEB_NODES)
 
     def sources(self, X: EnergySequence, cfg: OperatorConfig) -> tuple[np.ndarray, np.ndarray]:
         """Sources and weights of the compressed counting sum: the stored
         levels outside compressed panels at weight one, the Chebyshev points of
         compressed panels at their moments, then the tail nodes."""
-        count = self.centers.size
         x_log = np.log(X.values)
-        panel = np.clip(((x_log - self.lo) / self.width).astype(int), 0, count - 1)
-        packed = np.bincount(panel, minlength=count) > _CHEB_DEGREE + 1
-        in_packed = packed[panel]
-        panel = panel[in_packed]
-        t = (x_log[in_packed] - self.centers[panel]) * (2.0 / self.width)
-        # row m: the sum of T_m(t_k) over the levels of each panel
-        sums = np.empty((_CHEB_DEGREE + 1, count))
+        panel = np.clip(((x_log - self.lo) / self.width).astype(int), 0, self.count - 1)
+        occupied, slot, size = np.unique(panel, return_inverse=True, return_counts=True)
+        packed = size > _CHEB_DEGREE + 1
+        in_packed = packed[slot]
+        # each level of a compressed panel, by the rank of its panel among them
+        rank = (np.cumsum(packed) - 1)[slot[in_packed]]
+        packed_panels = occupied[packed]
+        t = (x_log[in_packed] - self.centers_of(packed_panels)[rank]) * (2.0 / self.width)
+        # column m: the sum of T_m(t_k) over the levels of each compressed panel
+        sums = np.empty((packed_panels.size, _CHEB_DEGREE + 1))
         t_prev, t_cur = np.ones_like(t), t
-        for row in sums:
-            row[:] = np.bincount(panel, weights=t_prev, minlength=count)
+        for column in sums.T:
+            column[:] = np.bincount(rank, weights=t_prev, minlength=packed_panels.size)
             t_prev, t_cur = t_cur, 2.0 * t * t_cur - t_prev
-        moments = sums[:, packed].T @ _CHEB_FROM_VALUES
+        moments = sums @ _CHEB_FROM_VALUES
         tail_values, tail_weights = _tail_rule(len(X), X.tail, cfg.tail_quadrature_points)
         direct = X.values[~in_packed]
-        return (np.concatenate([direct, self.nodes[packed].ravel(), tail_values]),
+        return (np.concatenate([direct, self.nodes_of(packed_panels).ravel(), tail_values]),
                 np.concatenate([np.ones(direct.size), moments.ravel(), tail_weights]))
 
 
@@ -339,7 +348,9 @@ def counting_function(X: EnergySequence, probes, kernel: KernelParams,
     [min ln X - ln 8, max ln X + ln 8], the sources apply_quantization sums
     over, and every probe is evaluated directly against them, with no
     interpolation on the probe side: a probe costs O(S) with S <= N + 64
-    sources (164 to 378 for the bracket candidates at N = 2000, M = 2, 3, 5).
+    sources (164 to 378 for the bracket candidates at N = 2000, M = 2, 3, 5),
+    on top of O(N log N + N * 25) for the compression, whatever the number
+    of panels.
     Against the dense sum over all N + 64 sources it is off by at most
     1.2e-15 * max phi (slope: 6e-16 * max slope), at the stored levels and
     above them, so a certificate moves by ~2e-12 against its 1e-8 slack.
@@ -363,6 +374,10 @@ class _CountingPanels(_PanelGrid):
     def __init__(self, X: EnergySequence, kernel: KernelParams, cfg: OperatorConfig,
                  lo: float, hi: float):
         super().__init__(kernel, lo, hi)
+        panels = np.arange(self.count)
+        self.centers = self.centers_of(panels)
+        self.edges = lo + self.width * np.arange(self.count + 1)
+        self.nodes = self.nodes_of(panels)
         phi = _kernel_sum(*self.sources(X, cfg), self.nodes.ravel(), kernel)
         phi = phi.reshape(self.centers.size, -1)
         # (degree + 1, value/slope, panel)

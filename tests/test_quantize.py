@@ -467,6 +467,27 @@ class TestCompressedCounting:
                     assert cert.verified == (violation <= 1e-8), (name, parity, kind)
                     assert abs(cert.max_violation - violation) <= 2e-15 * np.max(phi)
 
+    def test_large_M_in_bounded_memory(self):
+        # panels number ~(M + 1) times the log-range of X, 2.4e7 here; only the
+        # occupied ones are indexed, so memory follows N, not M: the blocked
+        # sum holds four arrays of _BLOCK_ENTRIES values, the moments O(N * 25)
+        problem = build_problem(10**7, Parity.EVEN)
+        kernel, cfg = problem.kernel, OperatorConfig(truncation=2000)
+        for X, kind in ((upper_bracket(100.0, 2000, kernel), BracketKind.SUPER),
+                        (lower_bracket(6, 2000, kernel), BracketKind.SUB)):
+            tracemalloc.start()
+            try:
+                cert = verify_bracket(X, problem.offsets, kernel, cfg, kind=kind)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * 8 * quantize._BLOCK_ENTRIES + 2 * 2**20, kind
+            phi = dense_counting(X, X.values, kernel, cfg)
+            diffs = phi - problem.offsets.values(len(X))
+            violation = -diffs.min() if kind is BracketKind.SUPER else diffs.max()
+            assert cert.verified and violation <= 1e-8, kind
+            assert abs(cert.max_violation - violation) <= 2e-15 * np.max(phi), kind
+
 
 class TestDerivativeMatrix:
     CFG = OperatorConfig(truncation=40)

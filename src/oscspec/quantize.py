@@ -282,8 +282,8 @@ class _PanelGrid:
     a function of ln X_k; each panel therefore sits in a Bernstein ellipse of
     parameter 3 + sqrt(10), in which degree _CHEB_DEGREE reaches the rounding
     floor of the dense sum.  The grid itself holds no per-panel array: the
-    number of panels grows with (M + 1) times the log-range of the levels and
-    is not bounded by N.
+    number of panels grows like the log-range of the levels over pi - theta
+    (so like M + 1 for the oscillator) and is not bounded by N.
 
     ``sources`` interpolates the stored levels on the panels (the far-field
     step of the black-box FMM, Fong & Darve, J. Comput. Phys. 228, 2009, with

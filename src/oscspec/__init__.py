@@ -6,8 +6,9 @@ of the exact quantization operator, together with its asymptotic diagnostics
 (drift, contraction constants, convergence rates) and an independent
 finite-difference eigensolver used as ground truth.  The counting sum is
 quantize.counting_function, over per-panel Chebyshev moments of the
-sequence; the closed-form drift is quantize.drift_closed, and the weighted
-sup-norm of the convergence diagnostics is sequences.weighted_norm.
+sequence, and the panels of quantize.apply_quantization sample it; the
+closed-form drift is quantize.drift_closed, and the weighted sup-norm of the
+convergence diagnostics is sequences.weighted_norm.
 """
 
 from .asymptotics import (

@@ -119,25 +119,29 @@ def _file_options(parser: argparse.ArgumentParser, command: str, path: str) -> d
     ``key = true`` as the bare flag ``--key``; a switch set ``false`` stays off.
     """
     tokens, switched_off = [command], [command]
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise _UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("_", "-")
-            value = value.strip()
-            # the output path, the file itself and --help belong on the command line
-            if key in ("out", "config", "help"):
-                raise _UsageError(f"{path}:{lineno}: {key} cannot be set in a config file")
-            if value == "true":
-                tokens.append(f"--{key}")
-            elif value == "false":
-                switched_off.append(f"--{key}")
-            else:
-                tokens.append(f"--{key}={value}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise _UsageError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("_", "-")
+        value = value.strip()
+        # the output path, the file itself and --help belong on the command line
+        if key in ("out", "config", "help"):
+            raise _UsageError(f"{path}:{lineno}: {key} cannot be set in a config file")
+        if value == "true":
+            tokens.append(f"--{key}")
+        elif value == "false":
+            switched_off.append(f"--{key}")
+        else:
+            tokens.append(f"--{key}={value}")
     try:
         parser.parse_args(switched_off)  # each must name a switch
         return _given(parser.parse_args(tokens))

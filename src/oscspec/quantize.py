@@ -10,11 +10,11 @@ Q is an admissible offset sequence.  Because the left side depends on Y only
 through Y_j and is strictly increasing in it, each component has a unique root
 and the components solve independently.
 
-This module provides the two pair kernels, the counting function and its
-logarithmic derivative over per-panel Chebyshev moments of the sequence, the
-closed-form drift of power sequences, the implicit solve, the row-stochastic
-derivative matrix of the operator in log coordinates, and the iteration
-driver.
+This module provides the two pair kernels, the counting function over
+per-panel Chebyshev moments of the sequence, the closed-form drift of power
+sequences, the implicit solve on panels that sample the counting function,
+the row-stochastic derivative matrix of the operator in log coordinates, and
+the iteration driver.
 """
 
 from __future__ import annotations
@@ -259,127 +259,113 @@ def _kernel_blocks(pair, kernel: KernelParams, sources: np.ndarray, probes: np.n
 
 
 def _kernel_sum(sources: np.ndarray, weights: np.ndarray, probes: np.ndarray,
-                kernel: KernelParams, slope: bool = False) -> np.ndarray:
+                kernel: KernelParams) -> np.ndarray:
     """(1/pi) sum_k w_k angle_kernel(s_k, y) over sources s_k with weights w_k
-    at every probe y or, with slope set, its derivative in ln y, (sin theta /
-    pi) sum_k w_k derivative_kernel(s_k, y), blocked by _kernel_blocks.
-    """
-    if slope:
-        pair, scale = derivative_kernel, kernel.sin / math.pi
-    else:
-        pair, scale = angle_kernel, 1.0 / math.pi
+    at every probe y, blocked by _kernel_blocks."""
     out = np.empty(probes.size)
-    for block, values in _kernel_blocks(pair, kernel, sources, probes):
+    for block, values in _kernel_blocks(angle_kernel, kernel, sources, probes):
         out[block] = values @ weights
-    return out * scale
+    return out * (1.0 / math.pi)
 
 
-class _PanelGrid:
-    """Equal panels of width at most 2 (pi - theta) / 3 on [lo, hi], in s = ln y.
+def _panel_grid(kernel: KernelParams, lo: float, hi: float) -> tuple[int, float]:
+    """Number and width of the equal panels of width at most 2 (pi - theta) / 3
+    on [lo, hi], in s = ln y.
 
     Each term of the counting sum, arg(e**(ln X_k - s) + e**(i theta)), is
     analytic in |Im s| < pi - theta and, whatever s is, in the same strip as
     a function of ln X_k; each panel therefore sits in a Bernstein ellipse of
     parameter 3 + sqrt(10), in which degree _CHEB_DEGREE reaches the rounding
-    floor of the dense sum.  The grid itself holds no per-panel array: the
-    number of panels grows like the log-range of the levels over pi - theta
-    (so like M + 1 for the oscillator) and is not bounded by N.
-
-    ``sources`` interpolates the stored levels on the panels (the far-field
-    step of the black-box FMM, Fong & Darve, J. Comput. Phys. 228, 2009, with
-    no near field).  A panel holding more than _CHEB_DEGREE + 1 stored levels
-    hands the kernel sum its own Chebyshev points instead, weighted by the
-    moments m_a = sum_k l_a(t_k) of the Lagrange basis l_a at the levels'
-    local coordinates t_k; any other panel keeps its levels at weight one,
-    and the tail nodes stay direct.  The sum therefore sees at most N + 64
-    sources, and the moments cost O(N * 25) time and memory, since only
-    occupied panels are indexed.  The stored levels must lie in [lo, hi], in
-    any order.
+    floor of the dense sum.  The number of panels grows like the log-range
+    over pi - theta (so like M + 1 for the oscillator) and is not bounded by N.
     """
+    count = max(1, math.ceil((hi - lo) / (2.0 * (math.pi - kernel.theta) / 3.0)))
+    return count, (hi - lo) / count
 
-    def __init__(self, kernel: KernelParams, lo: float, hi: float):
-        self.count = max(1, math.ceil((hi - lo) / (2.0 * (math.pi - kernel.theta) / 3.0)))
-        self.lo, self.hi = lo, hi
-        self.width = (hi - lo) / self.count
 
-    def centers_of(self, panels: np.ndarray) -> np.ndarray:
-        """Midpoints, in s, of the panels with the given indices."""
-        return self.lo + self.width * (panels + 0.5)
+def _compressed_sources(X: EnergySequence, kernel: KernelParams,
+                        cfg: OperatorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Sources and weights of the compressed counting sum of X.
 
-    def nodes_of(self, panels: np.ndarray) -> np.ndarray:
-        """Energies at the Chebyshev points of the given panels, one row each."""
-        return np.exp(self.centers_of(panels)[:, None] + 0.5 * self.width * _CHEB_NODES)
-
-    def sources(self, X: EnergySequence, cfg: OperatorConfig) -> tuple[np.ndarray, np.ndarray]:
-        """Sources and weights of the compressed counting sum: the stored
-        levels outside compressed panels at weight one, the Chebyshev points of
-        compressed panels at their moments, then the tail nodes."""
-        x_log = np.log(X.values)
-        panel = np.clip(((x_log - self.lo) / self.width).astype(int), 0, self.count - 1)
-        occupied, slot, size = np.unique(panel, return_inverse=True, return_counts=True)
-        packed = size > _CHEB_DEGREE + 1
-        in_packed = packed[slot]
-        # each level of a compressed panel, by the rank of its panel among them
-        rank = (np.cumsum(packed) - 1)[slot[in_packed]]
-        packed_panels = occupied[packed]
-        t = (x_log[in_packed] - self.centers_of(packed_panels)[rank]) * (2.0 / self.width)
-        # column m: the sum of T_m(t_k) over the levels of each compressed panel
-        sums = np.empty((packed_panels.size, _CHEB_DEGREE + 1))
-        t_prev, t_cur = np.ones_like(t), t
-        for column in sums.T:
-            column[:] = np.bincount(rank, weights=t_prev, minlength=packed_panels.size)
-            t_prev, t_cur = t_cur, 2.0 * t * t_cur - t_prev
-        moments = sums @ _CHEB_FROM_VALUES
-        tail_values, tail_weights = _tail_rule(len(X), X.tail, cfg.tail_quadrature_points)
-        direct = X.values[~in_packed]
-        return (np.concatenate([direct, self.nodes_of(packed_panels).ravel(), tail_values]),
-                np.concatenate([np.ones(direct.size), moments.ravel(), tail_weights]))
+    The stored levels are interpolated on the panels of _panel_grid over
+    [min ln X - ln 8, max ln X + ln 8] (the far-field step of the black-box
+    FMM, Fong & Darve, J. Comput. Phys. 228, 2009, with no near field).  A
+    panel holding more than _CHEB_DEGREE + 1 stored levels hands the kernel
+    sum its own Chebyshev points instead, weighted by the moments
+    m_a = sum_k l_a(t_k) of the Lagrange basis l_a at the levels' local
+    coordinates t_k; any other panel keeps its levels at weight one, and the
+    tail nodes stay direct.  The sum therefore sees at most N + 64 sources,
+    and the moments cost O(N * 25) time and memory, since only occupied
+    panels are indexed.  Returns the direct levels, the Chebyshev points of
+    compressed panels, then the tail nodes, each with its weight.
+    """
+    x_log = np.log(X.values)
+    lo, hi = x_log.min() - _LOG8, x_log.max() + _LOG8
+    count, width = _panel_grid(kernel, lo, hi)
+    panel = np.clip(((x_log - lo) / width).astype(int), 0, count - 1)
+    occupied, slot, size = np.unique(panel, return_inverse=True, return_counts=True)
+    packed = size > _CHEB_DEGREE + 1
+    in_packed = packed[slot]
+    # each level of a compressed panel, by the rank of its panel among them
+    rank = (np.cumsum(packed) - 1)[slot[in_packed]]
+    centers = lo + width * (occupied[packed] + 0.5)
+    t = (x_log[in_packed] - centers[rank]) * (2.0 / width)
+    # column m: the sum of T_m(t_k) over the levels of each compressed panel
+    sums = np.empty((centers.size, _CHEB_DEGREE + 1))
+    t_prev, t_cur = np.ones_like(t), t
+    for column in sums.T:
+        column[:] = np.bincount(rank, weights=t_prev, minlength=centers.size)
+        t_prev, t_cur = t_cur, 2.0 * t * t_cur - t_prev
+    moments = sums @ _CHEB_FROM_VALUES
+    nodes = np.exp(centers[:, None] + 0.5 * width * _CHEB_NODES)
+    tail_values, tail_weights = _tail_rule(len(X), X.tail, cfg.tail_quadrature_points)
+    direct = X.values[~in_packed]
+    return (np.concatenate([direct, nodes.ravel(), tail_values]),
+            np.concatenate([np.ones(direct.size), moments.ravel(), tail_weights]))
 
 
 def counting_function(X: EnergySequence, probes, kernel: KernelParams,
-                      cfg: OperatorConfig, slope: bool = False) -> np.ndarray:
+                      cfg: OperatorConfig) -> np.ndarray:
     """Counting function of the full sequence X at every probe energy.
 
-    Returns (1/pi) sum_k w_k angle_kernel(X_k, y) for each probe y or, with
-    slope set, its derivative in ln y, (sin theta / pi) sum_k w_k
-    derivative_kernel(X_k, y), which is strictly positive.  The weights w_k
-    are one on the stored entries and the tail quadrature weights on the tail
-    nodes.  The stored levels are compressed on the panels of _PanelGrid over
-    [min ln X - ln 8, max ln X + ln 8], the sources apply_quantization sums
-    over, and every probe is evaluated directly against them, with no
-    interpolation on the probe side: a probe costs O(S) with S <= N + 64
-    sources (164 to 378 for the bracket candidates at N = 2000, M = 2, 3, 5),
-    on top of O(N log N + N * 25) for the compression, whatever the number
-    of panels.
+    Returns (1/pi) sum_k w_k angle_kernel(X_k, y) for each probe y.  The
+    weights w_k are one on the stored entries and the tail quadrature weights
+    on the tail nodes.  The stored levels enter through the sources of
+    _compressed_sources, and every probe is evaluated directly against them,
+    with no interpolation on the probe side: a probe costs O(S) with
+    S <= N + 64 sources (164 to 378 for the bracket candidates at N = 2000,
+    M = 2, 3, 5), on top of O(N log N + N * 25) for the compression, whatever
+    the number of panels.  The panels of apply_quantization sample it at
+    their Chebyshev points.
     Against the dense sum over all N + 64 sources it is off by at most
-    1.2e-15 * max phi (slope: 6e-16 * max slope), at the stored levels and
-    above them, so a certificate moves by ~2e-12 against its 1e-8 slack.
+    1.2e-15 * max phi, at the stored levels and above them, so a certificate
+    moves by ~2e-12 against its 1e-8 slack.
     The sum is blocked over the probes, so besides its output it holds
     O(S * block) memory, a block being max(1, _BLOCK_ENTRIES // S) probes.
     """
-    x_log = np.log(X.values)
-    grid = _PanelGrid(kernel, x_log.min() - _LOG8, x_log.max() + _LOG8)
-    return _kernel_sum(*grid.sources(X, cfg), np.asarray(probes, dtype=float), kernel, slope)
+    return _kernel_sum(*_compressed_sources(X, kernel, cfg), np.asarray(probes, dtype=float),
+                       kernel)
 
 
-class _CountingPanels(_PanelGrid):
-    """Piecewise Chebyshev interpolant of s -> phi(X, e**s) on [lo, hi].
+class _CountingPanels:
+    """Piecewise Chebyshev interpolant of s -> phi(X, e**s) on the panels of
+    _panel_grid over [lo, hi].
 
-    The counting sum over the compressed sources of the grid is evaluated
-    once, at the Chebyshev points of every panel, so one build costs
-    O(N * 25) for the moments plus O((panels * 25) * (panels * 25 + 64))
-    kernel evaluations.
+    counting_function is evaluated once, at the Chebyshev points of every
+    panel, so one build costs O(N * 25) for the moments plus
+    O((panels * 25) * (panels * 25 + 64)) kernel evaluations.  Whatever
+    [lo, hi] is, the sources are those compressed on the unwidened range;
+    counting_function evaluates the nodes beyond it directly.
     """
 
     def __init__(self, X: EnergySequence, kernel: KernelParams, cfg: OperatorConfig,
                  lo: float, hi: float):
-        super().__init__(kernel, lo, hi)
-        panels = np.arange(self.count)
-        self.centers = self.centers_of(panels)
-        self.edges = lo + self.width * np.arange(self.count + 1)
-        self.nodes = self.nodes_of(panels)
-        phi = _kernel_sum(*self.sources(X, cfg), self.nodes.ravel(), kernel)
-        phi = phi.reshape(self.centers.size, -1)
+        count, self.width = _panel_grid(kernel, lo, hi)
+        self.lo = lo
+        self.edges = lo + self.width * np.arange(count + 1)
+        self.centers = lo + self.width * (np.arange(count) + 0.5)
+        nodes = np.exp(self.centers[:, None] + 0.5 * self.width * _CHEB_NODES)
+        phi = counting_function(X, nodes.ravel(), kernel, cfg).reshape(count, -1)
         # (degree + 1, value/slope, panel)
         self.coef = np.stack([_CHEB_FROM_VALUES @ phi.T,
                               (2.0 / self.width) * (_CHEB_SLOPE_FROM_VALUES @ phi.T)], axis=1)
@@ -400,19 +386,18 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
     """Apply the operator: solve the counting equation at every stored level.
 
     Every component inverts one increasing function, the counting function
-    s -> phi(X, e**s).  It is evaluated once, by the blocked kernel sum, at
-    the Chebyshev points of panels covering one range of y = ln Y shared by
-    all levels; the panel width is 2 (pi - theta) / 3, set by the strip of
-    analyticity of the kernel, at degree 24.  Each panel holding more than 25
-    stored levels enters that sum through its 25 Chebyshev moments instead
-    of its levels (see _CountingPanels), so the kernel sum costs
+    s -> phi(X, e**s).  counting_function evaluates it once, at the Chebyshev
+    points of panels covering one range of y = ln Y shared by all levels; the
+    panel width is 2 (pi - theta) / 3, set by the strip of analyticity of the
+    kernel, at degree 24.  Each panel holding more than 25 stored levels
+    enters that sum through its 25 Chebyshev moments instead of its levels
+    (see _compressed_sources), so the kernel sum costs
     O(N * 25 + (panels * 25) * (panels * 25 + 64)) per application instead
     of several O(N**2) passes, with O(N) memory besides the blocked sum.  All
     root finding then runs on that piecewise interpolant and its Chebyshev
     derivative, which agree with the dense sum to its rounding floor
-    (measured ~1e-15 * max phi).  counting_function, and with it the bracket
-    certificates, sums over the same compressed sources without the
-    interpolant; derivative_matrix alone keeps the dense kernel loop.
+    (measured ~1e-15 * max phi); derivative_matrix alone keeps the dense
+    kernel loop.
 
     The range starts at [min X / 8, 8 max X] and widens by a factor 8 at an
     end, rebuilding the panels, until the interpolant there lies below min Q

@@ -4,6 +4,7 @@ exact dense counting sum, and the parser of the CLI's CSV output."""
 import csv
 import functools
 import io
+import math
 
 import numpy as np
 import pytest
@@ -38,11 +39,19 @@ def m2_even_500():
 
 
 def dense_counting(X, probes, kernel, cfg, slope=False):
-    """Counting function (or, with slope set, its log-derivative) summed over
-    all N stored levels and the 64 tail nodes: the exact reference against
-    which the compressed sums of counting_function and the panels are measured."""
-    return quantize._kernel_sum(*quantize._extended(X, cfg), np.asarray(probes, dtype=float),
-                                kernel, slope)
+    """Counting function (or, with slope set, its log-derivative
+    (sin theta / pi) sum_k w_k derivative_kernel(X_k, y)) summed over all N
+    stored levels and the 64 tail nodes: the exact reference against which
+    the compressed sums of counting_function and the panels are measured."""
+    sources, weights = quantize._extended(X, cfg)
+    probes = np.asarray(probes, dtype=float)
+    if not slope:
+        return quantize._kernel_sum(sources, weights, probes, kernel)
+    out = np.empty(probes.size)
+    for block, values in quantize._kernel_blocks(quantize.derivative_kernel, kernel,
+                                                 sources, probes):
+        out[block] = values @ weights
+    return out * (kernel.sin / math.pi)
 
 
 @pytest.fixture

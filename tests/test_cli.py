@@ -316,6 +316,13 @@ class TestConfigFile:
         code, _, err = run(capsys, "spectrum", "--M", "2", "--config", str(cfg))
         assert code == EXIT_USAGE
 
+    def test_non_utf8_file_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("N = 70  # Größe\n".encode("latin-1"))
+        code, _, err = run(capsys, "spectrum", "--M", "2", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "usage error" in err and "run.cfg" in err and "UTF-8" in err
+
     def test_unknown_format_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("format = xml\n")

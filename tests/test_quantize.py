@@ -144,7 +144,7 @@ class TestCountingDerivative:
     def test_single_entry(self):
         kp = KernelParams(math.pi / 2)
         seq = EnergySequence([5.0], FAR_TAIL)
-        got = counting_function(seq, [5.0], kp, OperatorConfig(truncation=1), slope=True)[0]
+        got = dense_counting(seq, [5.0], kp, OperatorConfig(truncation=1), slope=True)[0]
         assert got == pytest.approx(0.5 / math.pi, abs=1e-8)
 
     def test_finite_difference(self, rng):
@@ -153,7 +153,7 @@ class TestCountingDerivative:
         cfg = OperatorConfig(truncation=60)
         probe = 40.0
         h = 1e-5
-        exact = counting_function(seq, [probe], kp, cfg, slope=True)[0]
+        exact = dense_counting(seq, [probe], kp, cfg, slope=True)[0]
         up, down = counting_function(seq, [probe * math.exp(h), probe * math.exp(-h)], kp, cfg)
         fd = (up - down) / (2 * h)
         assert fd == pytest.approx(exact, abs=5e-9)
@@ -163,8 +163,8 @@ class TestCountingDerivative:
         for _ in range(10):
             seq = random_growth_sequence(rng, 20)
             probe = math.exp(rng.uniform(-2, 6))
-            assert counting_function(seq, [probe], kp, OperatorConfig(truncation=20),
-                                     slope=True)[0] > 0
+            assert dense_counting(seq, [probe], kp, OperatorConfig(truncation=20),
+                                  slope=True)[0] > 0
 
 
 class _ReplacedOffsets:
@@ -212,6 +212,23 @@ class TestApplyQuantization:
             levels = [0, 5, 23, 47]
             phi = dense_counting(seq, out.values[levels], problem.kernel, self.CFG)
             assert np.max(np.abs(phi - offsets.values(48)[levels])) <= 2 * ROOT_TOL
+
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_widened_range_with_compressed_sources(self, M):
+        # at N = 2000 the top panels compress; a widened build still sums over
+        # the sources compressed on [min X / 8, 8 max X] and probes beyond it
+        # directly: the first offsets widen the top, the last the bottom three times
+        problem = build_problem(M, Parity.EVEN)
+        seq = seed_sequence(problem, 2000)
+        cfg = OperatorConfig(truncation=2000)
+        constant = problem.offsets.constant
+        for offsets in (OffsetSequence(constant=1e4), _ReplacedOffsets(constant, {1: 0.05}),
+                        _ReplacedOffsets(constant, {1: 1e-3})):
+            out = apply_quantization(seq, offsets, problem.kernel, cfg)
+            levels = [0, 5, 500, 1999]
+            q = offsets.values(2000)
+            phi = dense_counting(seq, out.values[levels], problem.kernel, cfg)
+            assert np.max(np.abs(phi - q[levels])) <= 2 * ROOT_TOL + 4e-15 * np.max(np.abs(q))
 
     def test_roots_on_panel_edges(self, rng):
         # a root exactly on a panel edge sits at the end of its bracket; a wrong
@@ -303,7 +320,8 @@ class TestCountingPanels:
             cfg = OperatorConfig(truncation=1000)
             x_log = np.log(seq.values)
             panels = _CountingPanels(seq, kp, cfg, x_log.min() - _LOG8, x_log.max() + _LOG8)
-            s = np.concatenate([[panels.lo, panels.hi], rng.uniform(panels.lo, panels.hi, 400)])
+            lo, hi = panels.edges[0], panels.edges[-1]
+            s = np.concatenate([[lo, hi], rng.uniform(lo, hi, 400)])
             phi, slope = panels(s)
             dense = dense_counting(seq, np.exp(s), kp, cfg)
             dense_slope = dense_counting(seq, np.exp(s), kp, cfg, slope=True)
@@ -366,7 +384,7 @@ class TestCompressedSources:
         cfg = OperatorConfig(truncation=n)
         x_log = np.log(seq.values)
         panels = _CountingPanels(seq, kp, cfg, x_log.min() - _LOG8, x_log.max() + _LOG8)
-        return seq, kp, cfg, panels, *panels.sources(seq, cfg)
+        return seq, kp, cfg, panels, *quantize._compressed_sources(seq, kp, cfg)
 
     # 48 levels: every panel stays direct; 250: mixed; 2000: the top panels compress
     @pytest.mark.parametrize("n", [48, 250, 2000])
@@ -380,7 +398,8 @@ class TestCompressedSources:
                 assert stored.size < n and np.isin(seq.values, stored).any(), theta
             else:
                 assert not np.isin(seq.values.max(), stored), theta
-            probes = panels.nodes.ravel()
+            probes = np.exp(panels.centers[:, None]
+                            + 0.5 * panels.width * quantize._CHEB_NODES).ravel()
             compressed = quantize._kernel_sum(sources, weights, probes, kp)
             dense = dense_counting(seq, probes, kp, cfg)
             assert np.max(np.abs(compressed - dense)) <= 1e-14 * np.max(np.abs(dense)), theta
@@ -410,7 +429,7 @@ class TestCompressedSources:
 
 
 class TestCompressedCounting:
-    """counting_function sums over the compressed sources of _PanelGrid; the
+    """counting_function sums over the sources of _compressed_sources; the
     dense sum over all N + 64 sources is the exact reference."""
 
     # stored levels, then probes above max X, where the tail nodes dominate
@@ -442,15 +461,14 @@ class TestCompressedCounting:
         for name, X in cases:
             cfg = OperatorConfig(truncation=len(X))
             for probes in (X.values, X.values.max() * self.TAIL_FACTORS):
-                for slope in (False, True):
-                    sizes.clear()
-                    got = counting_function(X, probes, kernel, cfg, slope=slope)
-                    # one sum, over at most N + 64 sources; at N = 2000 a fifth of them
-                    assert len(sizes) == 1 and sizes[0] <= len(X) + 64, (name, sizes)
-                    assert len(X) < 2000 or 5 * sizes[0] <= len(X) + 64, (name, sizes)
-                    exact = dense_counting(X, probes, kernel, cfg, slope=slope)
-                    error = np.max(np.abs(got - exact))
-                    assert error <= 2e-15 * np.max(np.abs(exact)), (name, slope, error)
+                sizes.clear()
+                got = counting_function(X, probes, kernel, cfg)
+                # one sum, over at most N + 64 sources; at N = 2000 a fifth of them
+                assert len(sizes) == 1 and sizes[0] <= len(X) + 64, (name, sizes)
+                assert len(X) < 2000 or 5 * sizes[0] <= len(X) + 64, (name, sizes)
+                exact = dense_counting(X, probes, kernel, cfg)
+                error = np.max(np.abs(got - exact))
+                assert error <= 2e-15 * np.max(np.abs(exact)), (name, error)
 
     @pytest.mark.parametrize("M", [2, 3, 5])
     def test_certificates_keep_their_verdicts(self, M):

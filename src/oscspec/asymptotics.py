@@ -1,12 +1,13 @@
 """Asymptotic diagnostics of the quantization operator.
 
-Quadrature evaluation of the drift of power sequences (its closed form,
+Numerical evaluation of the drift of power sequences (its closed form,
 drift_closed, lives in quantize, which applies it to tails), the critical
 growth exponent, the contraction integrals governing weighted perturbations,
 sub/super-solution brackets, and empirical rate measurement on iteration
 traces.  Drift and contraction are one Mellin transform of the pair kernel,
 int_0^inf t**p dt / (t**2 + 2t cos theta + 1), read at p = 1/alpha and at
-p = (1 - eps)/a, so drift_integral calls contraction_integral's quadrature.
+p = (1 - eps)/a, so drift_integral calls contraction_integral: a quadrature
+over s in [1, 2] plus the exact Chebyshev-U series of the tail beyond.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=400)
 _RATE_FLOOR = 100 * ROOT_TOL
 # absolute tolerance of critical_exponent_from_drift's root
 _DRIFT_XTOL = 1e-12
+# terms of contraction_integral's tail series beyond s = 2
+_TAIL_TERMS = 80
 
 
 def _quad(f, a: float, b: float) -> float:
@@ -43,23 +46,6 @@ def _quad(f, a: float, b: float) -> float:
     from scipy.integrate import quad
 
     return quad(f, a, b, **_QUAD_OPTS)[0]
-
-
-def _power_tail_quad(f, cut: float, decay: float) -> float:
-    """Integral of f over [cut, inf) for integrands decaying like s**(-decay).
-
-    The substitution u = (cut/s)**(decay - 1) maps the range onto (0, 1] and
-    turns the power tail into a bounded integrand.  Callers must keep decay
-    safely above one; integrands with a nearly divergent leading power should
-    subtract it analytically first.
-    """
-    scale = 1.0 / (decay - 1.0)
-
-    def transformed(u: float) -> float:
-        s = cut * u ** (-scale)
-        return f(s) * cut * scale * u ** (-decay * scale)
-
-    return _quad(transformed, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -133,44 +119,43 @@ def contraction_integral(epsilon: float, kernel: KernelParams) -> float:
     """Weighted contraction integral at the critical exponent.
 
     Integral over s in (0, inf) of s**(-epsilon) / (s**a + 2 cos theta +
-    s**(-a)) with a the critical exponent, evaluated in the symmetrized form
-    (s**(-eps) + s**(eps-2)) / (...) over [1, inf), in ln s up to s = 2.
-    Returns math.inf when |epsilon - 1| >= a, where the integral diverges.
+    s**(-a)) with a the critical exponent.  Symmetrized onto [1, inf) and read
+    in u = ln s, it is the integral of cosh(b u) / (cosh(a u) + cos theta)
+    over u > 0, with b = 1 - eps.  The head u < ln 2 is a quadrature; the tail
+    is the exact series of the Chebyshev-U expansion
+    1 / (cosh(a u) + cos theta) = 2 sum_{n>=1} U_{n-1}(-cos theta) e**(-n a u),
+    integrated term by term.  Returns math.inf when |epsilon - 1| >= a, where
+    the integral diverges.
     """
     a = critical_exponent(kernel)
     if abs(epsilon - 1.0) >= a:
         return math.inf
-    two_cos = 2.0 * kernel.cos
+    b = 1.0 - epsilon
     half_cos = math.cos(0.5 * kernel.theta)
 
     def head_integrand(u: float) -> float:
-        # the symmetrized integrand times s at s = e**u, its denominator as
-        # 4 (sinh(a u/2)**2 + cos(theta/2)**2), free of cancellation near pi
-        return math.cosh((1.0 - epsilon) * u) / (2.0 * (math.sinh(0.5 * a * u) ** 2 + half_cos**2))
+        # its denominator as 2 (sinh(a u/2)**2 + cos(theta/2)**2), free of
+        # cancellation near pi
+        return math.cosh(b * u) / (2.0 * (math.sinh(0.5 * a * u) ** 2 + half_cos**2))
 
-    def tail_piece(power: float) -> float:
-        # integral over [knot, inf) of s**-power / (s**a + 2cos + s**-a):
-        # closed-form leading s**-(power + a) plus a remainder decaying like
-        # s**-(power + 2a), which keeps the substitution exponent tame even
-        # next to the divergence edge of the strip
-        def remainder(s: float) -> float:
-            p = s ** a
-            den = p + two_cos + 1.0 / p
-            return -s ** (-power) * (two_cos + 1.0 / p) / (den * p)
-
-        lead = knot ** (1.0 - power - a) / (power + a - 1.0)
-        return lead + _power_tail_quad(remainder, knot, power + 2.0 * a)
-
-    # the two symmetrized terms decay like s**-(eps + a) and s**-(2 - eps + a);
-    # both exponents exceed one inside the convergence strip
-    knot = 2.0
     # the head peaks at u = 0 with width 2 cos(theta/2) / a, which closes as
     # theta -> pi; cuts at that width times powers of four resolve the peak
     # (4**32 times the width reaches ln 2 for every float theta below pi)
-    top = math.log(knot)
+    top = math.log(2.0)
     cuts = [0.0, *(w for w in 2.0 * half_cos / a * 4.0 ** np.arange(32) if w < top), top]
     head = sum(_quad(head_integrand, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
-    return head + tail_piece(epsilon) + tail_piece(2.0 - epsilon)
+
+    # U_{n-1}(x) by its three-term recurrence, accurate to rounding at small
+    # theta where sin(n (pi - theta)) / sin(theta) is not; with a > 1 the
+    # terms fall like n 2**(-(n - 1) a), below rounding by n = _TAIL_TERMS
+    x = -kernel.cos
+    cheb_u = np.empty(_TAIL_TERMS)
+    cheb_u[0], cheb_u[1] = 1.0, 2.0 * x
+    for k in range(2, _TAIL_TERMS):
+        cheb_u[k] = 2.0 * x * cheb_u[k - 1] - cheb_u[k - 2]
+    na = a * np.arange(1, _TAIL_TERMS + 1)
+    tail = cheb_u @ (2.0 ** (b - na) / (na - b) + 2.0 ** (-b - na) / (na + b))
+    return head + float(tail)
 
 
 def contraction_closed(epsilon: float, kernel: KernelParams) -> float:
@@ -203,8 +188,9 @@ def spectral_rate_estimate(D: DerivativeMatrix, epsilon: float, steps: int) -> f
     Applies the stored block `steps` times and fits the slope of the log of
     the epsilon-weighted sup norms over the last half of the steps.
     """
-    if steps < 2:
-        raise InsufficientData("at least two steps are needed to fit a rate")
+    if steps < 3:
+        # the fit window, the last half of the steps, needs two points
+        raise InsufficientData("at least three steps are needed to fit a rate")
     v = np.arange(1, D.entries.shape[0] + 1, dtype=float) ** (-epsilon)
     norms = np.empty(steps)
     for i in range(steps):

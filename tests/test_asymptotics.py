@@ -146,14 +146,29 @@ class TestContraction:
         assert worst <= 1e-9
 
     def test_integral_matches_closed_next_to_the_strip_edge(self):
-        # the closed-form leading power beyond the knot keeps the substituted
-        # remainder tame as |eps - 1| approaches the strip half-width a
+        # the tail's first series term 2**(b - a) / (a - b), b = 1 - eps, holds
+        # the divergence in closed form as |eps - 1| approaches the half-width a
         for theta in THETA_GRID:
             kp = KernelParams(theta)
             a = critical_exponent(kp)
             for eps in (1.0 + 0.99 * a, 1.0 - 0.99 * a, 1.0 + 0.999 * a, 1.0 - 0.999 * a):
                 closed = contraction_closed(eps, kp)
                 assert abs(contraction_integral(eps, kp) - closed) <= 1e-11 * closed
+
+    def test_integral_matches_closed_at_small_angle(self):
+        # as theta -> 0 the tail series alternates with U_{n-1}(-cos theta)
+        # -> (-1)**(n-1) n; with U as sin(n (pi - theta)) / sin(theta) the
+        # integral is 2.4e-10 off at theta = 1e-6
+        for theta in (1e-6, 1e-4, 1e-2):
+            kp = KernelParams(theta)
+            a = critical_exponent(kp)
+            for eps in (*EPS_GRID, 1.0 + 0.99 * a, 1.0 - 0.99 * a, 1.0 + 0.999 * a,
+                        1.0 - 0.999 * a):
+                closed = contraction_closed(eps, kp)
+                assert abs(contraction_integral(eps, kp) - closed) <= 1e-12 * closed
+            for alpha in ALPHA_GRID:
+                closed = drift_closed(alpha, kp)
+                assert abs(drift_integral(alpha, kp) - closed) <= 1e-12 * closed
 
     def test_integral_matches_closed_next_to_pi(self):
         # the head's peak at s = 1 narrows like cos(theta/2) as theta -> pi
@@ -205,8 +220,9 @@ class TestSpectralRateEstimate:
 
     def test_needs_steps(self):
         D = DerivativeMatrix(np.array([[1.0]]), np.zeros(1))
-        with pytest.raises(InsufficientData):
-            spectral_rate_estimate(D, 1.0, 1)
+        for steps in (1, 2):
+            with pytest.raises(InsufficientData, match="three steps"):
+                spectral_rate_estimate(D, 1.0, steps)
 
     def test_weight_dependence_minimal_at_one(self, m2_odd_300):
         # over short windows the weighted decay reflects the predicted

@@ -6,8 +6,8 @@ growth exponent, the contraction integrals governing weighted perturbations,
 sub/super-solution brackets, and empirical rate measurement on iteration
 traces.  Drift and contraction are one Mellin transform of the pair kernel,
 int_0^inf t**p dt / (t**2 + 2t cos theta + 1), read at p = 1/alpha and at
-p = (1 - eps)/a, so drift_integral calls contraction_integral: a quadrature
-over s in [1, 2] plus the exact Chebyshev-U series of the tail beyond.
+p = (1 - eps)/a, so drift_integral calls contraction_integral: a fixed
+Gauss-Legendre sum over s in [1, 2] and the exact Chebyshev-U series beyond.
 """
 
 from __future__ import annotations
@@ -26,26 +26,17 @@ from .quantize import (
     KernelParams,
     OffsetSequence,
     OperatorConfig,
+    _gauss_nodes,
     counting_function,
 )
 from .sequences import EnergySequence, TailModel, weighted_norm
 
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-13, limit=400)
 # empirical_rate drops errors at or below this floor as noise
 _RATE_FLOOR = 100 * ROOT_TOL
 # absolute tolerance of critical_exponent_from_drift's root
 _DRIFT_XTOL = 1e-12
 # terms of contraction_integral's tail series beyond s = 2
 _TAIL_TERMS = 80
-
-
-def _quad(f, a: float, b: float) -> float:
-    """Adaptive quadrature of f over [a, b] with _QUAD_OPTS."""
-    # imported on first use: no solve path integrates, and importing
-    # scipy.integrate costs every process ~0.3 s
-    from scipy.integrate import quad
-
-    return quad(f, a, b, **_QUAD_OPTS)[0]
 
 
 @dataclass(frozen=True)
@@ -105,7 +96,7 @@ def critical_exponent_from_drift(kernel: KernelParams) -> float:
     Verification mode for the closed form: the drift decreases strictly in
     alpha from +inf to theta/pi, so the root is unique.
     """
-    # imported on first use, like scipy.integrate in _quad
+    # imported on first use: importing scipy.optimize costs every process ~0.3 s
     from scipy.optimize import brentq
 
     try:
@@ -121,8 +112,9 @@ def contraction_integral(epsilon: float, kernel: KernelParams) -> float:
     Integral over s in (0, inf) of s**(-epsilon) / (s**a + 2 cos theta +
     s**(-a)) with a the critical exponent.  Symmetrized onto [1, inf) and read
     in u = ln s, it is the integral of cosh(b u) / (cosh(a u) + cos theta)
-    over u > 0, with b = 1 - eps.  The head u < ln 2 is a quadrature; the tail
-    is the exact series of the Chebyshev-U expansion
+    over u > 0, with b = 1 - eps.  The head u < ln 2 is a fixed Gauss-Legendre
+    sum over cuts that resolve its peak; the tail is the exact series of the
+    Chebyshev-U expansion
     1 / (cosh(a u) + cos theta) = 2 sum_{n>=1} U_{n-1}(-cos theta) e**(-n a u),
     integrated term by term.  Returns math.inf when |epsilon - 1| >= a, where
     the integral diverges.
@@ -133,17 +125,20 @@ def contraction_integral(epsilon: float, kernel: KernelParams) -> float:
     b = 1.0 - epsilon
     half_cos = math.cos(0.5 * kernel.theta)
 
-    def head_integrand(u: float) -> float:
-        # its denominator as 2 (sinh(a u/2)**2 + cos(theta/2)**2), free of
-        # cancellation near pi
-        return math.cosh(b * u) / (2.0 * (math.sinh(0.5 * a * u) ** 2 + half_cos**2))
-
     # the head peaks at u = 0 with width 2 cos(theta/2) / a, which closes as
     # theta -> pi; cuts at that width times powers of four resolve the peak
     # (4**32 times the width reaches ln 2 for every float theta below pi)
     top = math.log(2.0)
-    cuts = [0.0, *(w for w in 2.0 * half_cos / a * 4.0 ** np.arange(32) if w < top), top]
-    head = sum(_quad(head_integrand, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
+    widths = 2.0 * half_cos / a * 4.0 ** np.arange(32)
+    cuts = np.concatenate([[0.0], widths[widths < top], [top]])
+    # quantize's 64-point tail rule on every cut: the integrand is analytic
+    # around each cut, so a fixed rule converges geometrically
+    nodes, weights = _gauss_nodes(64)
+    lengths = np.diff(cuts)[:, None]
+    u, w = cuts[:-1, None] + lengths * nodes, lengths * weights
+    # its denominator as 2 (sinh(a u/2)**2 + cos(theta/2)**2), free of
+    # cancellation near pi
+    head = np.sum(w * np.cosh(b * u) / (2.0 * (np.sinh(0.5 * a * u) ** 2 + half_cos**2)))
 
     # U_{n-1}(x) by its three-term recurrence, accurate to rounding at small
     # theta where sin(n (pi - theta)) / sin(theta) is not; with a > 1 the
@@ -155,7 +150,7 @@ def contraction_integral(epsilon: float, kernel: KernelParams) -> float:
         cheb_u[k] = 2.0 * x * cheb_u[k - 1] - cheb_u[k - 2]
     na = a * np.arange(1, _TAIL_TERMS + 1)
     tail = cheb_u @ (2.0 ** (b - na) / (na - b) + 2.0 ** (-b - na) / (na + b))
-    return head + float(tail)
+    return float(head + tail)
 
 
 def contraction_closed(epsilon: float, kernel: KernelParams) -> float:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -483,7 +484,10 @@ def drift_closed(alpha: float, kernel: KernelParams) -> float:
     -alpha-th power, and it equals one at alpha = 1 + theta/pi."""
     if alpha <= 1.0:
         raise DomainError(f"drift is defined for alpha > 1, got {alpha}")
-    return math.sin(kernel.theta / alpha) / math.sin(math.pi / alpha)
+    t, p = kernel.theta / alpha, math.pi / alpha
+    if t < sys.float_info.min:  # t has lost digits to underflow, but sin(t) = t there
+        return kernel.theta / math.pi * (p / math.sin(p))
+    return math.sin(t) / math.sin(p)
 
 
 def derivative_matrix(X: EnergySequence, Y: EnergySequence, kernel: KernelParams,

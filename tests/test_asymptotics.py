@@ -89,6 +89,13 @@ class TestDrift:
             for alpha in (1e3, 1e4, 3e4, 1e5, 1e6, 1e308):
                 closed = drift_closed(alpha, kp)
                 assert abs(drift_integral(alpha, kp) - closed) <= 1e-13 * closed
+        # small theta makes theta/alpha subnormal, or zero, in the closed form
+        for theta in (1e-9, 1e-6):
+            kp = KernelParams(theta)
+            closed = drift_closed(1e308, kp)
+            assert abs(drift_integral(1e308, kp) - closed) <= 1e-13 * closed
+        tiny = 1e-300
+        assert drift_closed(1e30, KernelParams(tiny)) == pytest.approx(tiny / math.pi, rel=1e-15)
 
     def test_integral_matches_closed_next_to_pi(self):
         # the pair kernel peaks at t = 1 with width cos(theta/2) as theta -> pi

@@ -95,6 +95,16 @@ class TestIterate:
         assert header == ["step", "residual_sup", "residual_weighted"]
         assert len(rows) == 6
 
+    def test_too_few_steps_leave_rate_unfitted(self, capsys):
+        # empirical_rate needs four iterates; two steps give none to fit
+        code, out, _ = run(capsys, "iterate", "--M", "2", "--N", "60", "--max-steps", "2",
+                           "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["fitted_lambda"] is None
+        code, _, err = run(capsys, "iterate", "--M", "2", "--N", "60", "--max-steps", "2")
+        assert code == EXIT_OK
+        assert err == ""
+
     def test_seed_scale_converges_back(self, capsys):
         # a flat log-space bump of ln 3 triples the stored values, tail pinned
         code, out, _ = run(capsys, "iterate", "--M", "2", "--N", "60", "--max-steps", "200",
@@ -282,7 +292,9 @@ class TestBracket:
 class TestConfigFile:
     def test_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("N = 70\nlevels = 3  # trailing comment\nformat = json\n")
+        # comment-only, blank and whitespace-only lines are skipped
+        cfg.write_text("# run settings\nN = 70\n\n   \nlevels = 3  # trailing comment\n"
+                       "format = json\n")
         code, out, _ = run(capsys, "spectrum", "--M", "2", "--config", str(cfg))
         assert code == EXIT_OK
         doc = json.loads(out)
@@ -577,16 +589,22 @@ def test_module_runs_as_a_process():
 
 
 def test_import_leaves_integration_and_special_functions_unloaded():
-    # no solve path integrates, finds a scalar root or needs scipy.special,
-    # and loading them costs every process ~0.3 s
+    # no solve path finds a scalar root or needs scipy.special, the
+    # verification integrals of analyze are fixed Gauss-Legendre sums and
+    # series, and loading these subpackages costs every process ~0.3 s
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    probe = ("import sys, oscspec; "
-             "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special') "
-             "if m in sys.modules))")
+    loaded = ("sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special') "
+              "if m in sys.modules)")
+    probe = ("import contextlib, io, sys, oscspec; "
+             f"print({loaded}); "
+             "from oscspec import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()): "
+             "code = cli.main(['analyze', '--M', '2'])\n"
+             f"print(code, {loaded})")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines() == ["[]", "0 []"]
 
 
 def test_convergence_failure_exit_code(capsys):

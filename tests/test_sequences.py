@@ -55,6 +55,8 @@ def test_positivity_required():
         EnergySequence([1.0, 0.0], TAIL)
     with pytest.raises(ValueError):
         EnergySequence([1.0, -2.0], TAIL)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        EnergySequence([[1.0, 2.0]], TailModel(1.0, 1.5))
     with pytest.raises(ValueError):
         EnergySequence([], TAIL)
 

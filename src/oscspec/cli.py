@@ -15,7 +15,9 @@ takes precedence over built-in defaults.  The argparse parser declares every
 option once: it parses config-file lines as flag tokens too, and rejects bad
 values from either source as usage errors.  Only main writes the artifact,
 floats in 17 significant digits (CSV) or shortest repr (JSON) so each
-round-trips exactly; iterate also reports fitted_lambda on stderr under CSV.
+round-trips exactly; no command forms an infinite value (analyze refuses an
+eps where the contraction integral diverges), so JSON holds finite numbers
+only.  iterate also reports fitted_lambda on stderr under CSV.
 """
 
 from __future__ import annotations
@@ -260,6 +262,9 @@ def cmd_analyze(opts: dict) -> _Result:
 
     if not all(alpha > 1.0 for alpha in opts["alpha"]):
         raise _UsageError("--alpha must exceed 1, where the drift integral converges")
+    if not all(abs(eps - 1.0) < alpha_star for eps in opts["eps"]):
+        raise _UsageError(f"--eps must lie in the convergence strip "
+                          f"|eps - 1| < alpha* = {alpha_star!r}")
 
     drift_rows = []
     for alpha in opts["alpha"]:
@@ -271,11 +276,10 @@ def cmd_analyze(opts: dict) -> _Result:
     for eps in opts["eps"]:
         integral = asymptotics.contraction_integral(eps, kernel)
         report = asymptotics.contraction_factor(eps, kernel)
-        # both diverge together, outside the strip |eps - 1| < alpha_star
-        gap = abs(integral - report.s_eps) if math.isfinite(integral) else 0.0
         contraction_rows.append({
             "kind": "contraction", "epsilon": eps, "s_integral": integral,
-            "s_closed": report.s_eps, "gap": gap, "factor": report.factor,
+            "s_closed": report.s_eps, "gap": abs(integral - report.s_eps),
+            "factor": report.factor,
         })
 
     document = {
@@ -447,22 +451,12 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _json_ready(value):
-    """Each infinite float spelled "inf" or "-inf": JSON has no number for it."""
-    if isinstance(value, dict):
-        return {k: _json_ready(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(v) for v in value]
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return value
-
-
 def _render(fmt: str, document: dict, rows: list[dict]) -> str:
-    """The document as JSON, or the rows as CSV under the ordered union of their
-    keys, a key a row lacks left empty."""
+    """The document as JSON of finite numbers (a nan or inf in it is a fault of
+    the program and raises ValueError), or the rows as CSV under the ordered
+    union of their keys, a key a row lacks left empty."""
     if fmt == "json":
-        return json.dumps(_json_ready(document), indent=2, allow_nan=False) + "\n"
+        return json.dumps(document, indent=2, allow_nan=False) + "\n"
     columns = list(dict.fromkeys(key for row in rows for key in row))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

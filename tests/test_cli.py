@@ -12,6 +12,7 @@ import pytest
 
 from oscspec import asymptotics, cli, oracle, oscillator, quantize
 from oscspec.cli import EXIT_CONVERGENCE, EXIT_OK, EXIT_ORACLE, EXIT_TOLERANCE, EXIT_USAGE, main
+from oscspec.errors import DomainError
 from conftest import parse_csv
 
 
@@ -179,6 +180,20 @@ class TestAnalyze:
             code, out, err = run(capsys, "analyze", "--M", "2", "--alpha", alpha)
             assert code == EXIT_USAGE, alpha
             assert out == "" and "--alpha" in err
+
+    def test_rejects_eps_outside_the_strip(self, capsys, tmp_path, monkeypatch):
+        # the contraction integral diverges at |eps - 1| >= alpha* = 1 + theta/pi,
+        # from a flag or a config file, and no integral is evaluated
+        monkeypatch.setattr(asymptotics, "contraction_integral", _must_not_solve)
+        monkeypatch.setattr(asymptotics, "drift_integral", _must_not_solve)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eps = 3\n")
+        out_path = tmp_path / "table.csv"
+        for argv in (("--theta", "1.5707963", "--eps", "2.5"), ("--M", "2", "--config", str(cfg))):
+            code, out, err = run(capsys, "analyze", *argv, "--out", str(out_path))
+            assert code == EXIT_USAGE, argv
+            assert out == "" and "--eps" in err and "usage error" in err, err
+            assert not out_path.exists()
 
     def test_alpha_whose_double_overflows_matches_closed(self, capsys):
         # 2 * 1e308 is inf, which the drift integral never forms
@@ -457,10 +472,15 @@ def _must_not_solve(*args, **kwargs):
     (("iterate", "--eps", "200"), "--eps"),
     (("iterate", "--eps", "2.34"), "--eps"),
     (("iterate", "--eps", "-0.5"), "--eps"),
+    # weights where the contraction integral diverges, |eps - 1| >= alpha* = 4/3
+    (("analyze", "--eps", "2.34"), "--eps"),
+    (("analyze", "--eps", "-0.34"), "--eps"),
+    (("analyze", "--eps", "0.5", "--eps", "2.4"), "--eps"),
 ])
 def test_out_of_range_options_are_refused_before_any_solve(capsys, monkeypatch, argv, flag):
     for module, name in ((oracle, "hamiltonian_eigenvalues"), (oscillator, "compute_spectrum"),
                          (oscillator, "solve_parity"), (asymptotics, "verify_bracket"),
+                         (asymptotics, "contraction_integral"), (asymptotics, "drift_integral"),
                          (cli, "run_iteration")):
         monkeypatch.setattr(module, name, _must_not_solve)
     code, out, err = run(capsys, argv[0], "--M", "2", *argv[1:])
@@ -542,6 +562,17 @@ def test_value_error_of_the_solve_is_not_invalid_input(capsys, monkeypatch):
     with pytest.raises(ValueError, match="internal check failed"):
         main(["spectrum", "--M", "2", "--levels", "4", "--N", "60"])
     assert "invalid input" not in capsys.readouterr().err
+
+
+def test_library_error_of_the_solve_is_exit_1(capsys, monkeypatch):
+    # an OscspecError other than NoConvergence and ResolutionError
+    def refuse(*args, **kwargs):
+        raise DomainError("refused by the library")
+
+    monkeypatch.setattr(oscillator, "compute_spectrum", refuse)
+    code, out, err = run(capsys, "spectrum", "--M", "2")
+    assert code == EXIT_CONVERGENCE
+    assert out == "" and err.startswith("error: refused by the library")
 
 
 def test_negative_exponent_notation_is_a_value(capsys):

@@ -65,13 +65,6 @@ def test_json_roundtrip_floats():
     assert loaded["nested"]["x"] == 2.0 / 3.0
 
 
-def test_json_spells_infinities():
-    doc = {"s": math.inf, "nested": {"list": [-math.inf, (1.0, math.inf)]}}
-    loaded = json.loads(_render("json", doc, []))
-    assert loaded["s"] == "inf"
-    assert loaded["nested"]["list"] == ["-inf", [1.0, "inf"]]
-
-
 def test_json_refuses_nan():
     # NaN is not JSON: a document holding one is a fault, never output
     with pytest.raises(ValueError):

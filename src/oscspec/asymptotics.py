@@ -158,7 +158,8 @@ def contraction_closed(epsilon: float, kernel: KernelParams) -> float:
 
     (pi / (a sin theta)) * sin((1-eps) theta / a) / sin((1-eps) pi / a) for
     0 < |eps - 1| < a, with limit theta / (a sin theta) at eps = 1 and
-    math.inf beyond the convergence strip.
+    math.inf beyond the convergence strip.  Its denominator is exact to rounding
+    up to the strip edges; its numerator loses digits there as theta nears pi.
     """
     a = critical_exponent(kernel)
     gap = 1.0 - epsilon
@@ -166,7 +167,11 @@ def contraction_closed(epsilon: float, kernel: KernelParams) -> float:
         return math.inf
     if gap == 0.0:
         return kernel.theta / (a * kernel.sin)
-    return (math.pi / (a * kernel.sin)) * math.sin(gap * kernel.theta / a) / math.sin(gap * math.pi / a)
+    # next to the edges gap pi / a rounds near +-pi, where the sine loses the
+    # digits that the reflected a - |gap|, exact by Sterbenz's lemma, keeps
+    denominator = (math.copysign(math.sin((a - abs(gap)) * math.pi / a), gap)
+                   if 2.0 * abs(gap) > a else math.sin(gap * math.pi / a))
+    return (math.pi / (a * kernel.sin)) * math.sin(gap * kernel.theta / a) / denominator
 
 
 def contraction_factor(epsilon: float, kernel: KernelParams) -> ContractionReport:

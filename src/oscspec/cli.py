@@ -15,9 +15,8 @@ takes precedence over built-in defaults.  The argparse parser declares every
 option once: it parses config-file lines as flag tokens too, and rejects bad
 values from either source as usage errors.  Only main writes the artifact,
 floats in 17 significant digits (CSV) or shortest repr (JSON) so each
-round-trips exactly; no command forms an infinite value (analyze refuses an
-eps where the contraction integral diverges), so JSON holds finite numbers
-only.  iterate also reports fitted_lambda on stderr under CSV.
+round-trips exactly, and JSON holds only finite numbers; iterate also reports
+fitted_lambda on stderr under CSV.
 """
 
 from __future__ import annotations

@@ -177,6 +177,21 @@ class TestContraction:
                 closed = drift_closed(alpha, kp)
                 assert abs(drift_integral(alpha, kp) - closed) <= 1e-12 * closed
 
+    def test_closed_is_exact_next_to_the_strip_edge(self):
+        # sin(gap pi / a) of a rounded argument next to +-pi put the closed
+        # form 4e-8 off at theta = 1e-9, eps = 0, and 1e-13 off at 0.999 of
+        # the edge; the integral is accurate to rounding in both places
+        for theta in (1e-9, 1e-6, 1e-4):
+            kp = KernelParams(theta)
+            closed = contraction_closed(0.0, kp)
+            assert abs(contraction_integral(0.0, kp) - closed) <= 2e-15 * closed
+        for theta in (*THETA_GRID, 1e-2):
+            kp = KernelParams(theta)
+            a = critical_exponent(kp)
+            for eps in (1.0 + 0.99 * a, 1.0 - 0.99 * a, 1.0 + 0.999 * a, 1.0 - 0.999 * a):
+                closed = contraction_closed(eps, kp)
+                assert abs(contraction_integral(eps, kp) - closed) <= 2e-15 * closed
+
     def test_integral_matches_closed_next_to_pi(self):
         # the head's peak at s = 1 narrows like cos(theta/2) as theta -> pi
         for gap in (3e-4, 1e-6):

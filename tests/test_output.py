@@ -66,6 +66,7 @@ def test_json_roundtrip_floats():
 
 
 def test_json_refuses_nan():
-    # NaN is not JSON: a document holding one is a fault, never output
-    with pytest.raises(ValueError):
-        _render("json", {"x": math.nan}, [])
+    # NaN and infinities are not JSON: a document holding one is a fault, never output
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            _render("json", {"x": value}, [])

@@ -21,12 +21,13 @@ import numpy as np
 from .errors import DomainError, InsufficientData
 from .quantize import (
     ROOT_TOL,
+    TAIL_NODES,
+    TAIL_WEIGHTS,
     DerivativeMatrix,
     IterationTrace,
     KernelParams,
     OffsetSequence,
     OperatorConfig,
-    _gauss_nodes,
     counting_function,
 )
 from .sequences import EnergySequence, TailModel, weighted_norm
@@ -37,6 +38,7 @@ _RATE_FLOOR = 100 * ROOT_TOL
 _DRIFT_XTOL = 1e-12
 # terms of contraction_integral's tail series beyond s = 2
 _TAIL_TERMS = 80
+_PI_LOW = 1.2246467991473532e-16  # pi - math.pi, rounded
 
 
 @dataclass(frozen=True)
@@ -131,11 +133,10 @@ def contraction_integral(epsilon: float, kernel: KernelParams) -> float:
     top = math.log(2.0)
     widths = 2.0 * half_cos / a * 4.0 ** np.arange(32)
     cuts = np.concatenate([[0.0], widths[widths < top], [top]])
-    # quantize's 64-point tail rule on every cut: the integrand is analytic
+    # the tail rule of quantize on every cut: the integrand is analytic
     # around each cut, so a fixed rule converges geometrically
-    nodes, weights = _gauss_nodes(64)
     lengths = np.diff(cuts)[:, None]
-    u, w = cuts[:-1, None] + lengths * nodes, lengths * weights
+    u, w = cuts[:-1, None] + lengths * TAIL_NODES, lengths * TAIL_WEIGHTS
     # its denominator as 2 (sinh(a u/2)**2 + cos(theta/2)**2), free of
     # cancellation near pi
     head = np.sum(w * np.cosh(b * u) / (2.0 * (np.sinh(0.5 * a * u) ** 2 + half_cos**2)))
@@ -158,8 +159,7 @@ def contraction_closed(epsilon: float, kernel: KernelParams) -> float:
 
     (pi / (a sin theta)) * sin((1-eps) theta / a) / sin((1-eps) pi / a) for
     0 < |eps - 1| < a, with limit theta / (a sin theta) at eps = 1 and
-    math.inf beyond the convergence strip.  Its denominator is exact to rounding
-    up to the strip edges; its numerator loses digits there as theta nears pi.
+    math.inf beyond the convergence strip, exact to rounding up to its edges.
     """
     a = critical_exponent(kernel)
     gap = 1.0 - epsilon
@@ -167,11 +167,17 @@ def contraction_closed(epsilon: float, kernel: KernelParams) -> float:
         return math.inf
     if gap == 0.0:
         return kernel.theta / (a * kernel.sin)
-    # next to the edges gap pi / a rounds near +-pi, where the sine loses the
-    # digits that the reflected a - |gap|, exact by Sterbenz's lemma, keeps
+    # next to the edges gap pi / a rounds near +-pi, as gap theta / a does when
+    # theta nears pi too; the sines keep their digits at the reflected arguments,
+    # in which a - |gap| and pi - theta are exact by Sterbenz's lemma
     denominator = (math.copysign(math.sin((a - abs(gap)) * math.pi / a), gap)
                    if 2.0 * abs(gap) > a else math.sin(gap * math.pi / a))
-    return (math.pi / (a * kernel.sin)) * math.sin(gap * kernel.theta / a) / denominator
+    if 2.0 * abs(gap) * kernel.theta > a * math.pi:
+        reflected = (a - abs(gap)) * math.pi + abs(gap) * (math.pi - kernel.theta + _PI_LOW)
+        numerator = math.copysign(math.sin(reflected / a), gap)
+    else:
+        numerator = math.sin(gap * kernel.theta / a)
+    return (math.pi / (a * kernel.sin)) * numerator / denominator
 
 
 def contraction_factor(epsilon: float, kernel: KernelParams) -> ContractionReport:
@@ -247,9 +253,9 @@ def verify_bracket(X: EnergySequence, Q: OffsetSequence, kernel: KernelParams,
     counting_function, which sums over the per-panel Chebyshev moments of X:
     it is within 2.3e-12 of the dense sum (measured on the candidates of
     upper_bracket and lower_bracket at N = 500 and 2000, M = 2, 3, 5), far
-    inside the default slack of 1e-8.
+    inside the default slack of 1e-8.  cfg is not read.
     """
-    diffs = counting_function(X, X.values, kernel, cfg) - Q.values(len(X))
+    diffs = counting_function(X, X.values, kernel) - Q.values(len(X))
     violation = float(-diffs.min()) if kind is BracketKind.SUPER else float(diffs.max())
     return BracketCertificate(verified=violation <= slack, max_violation=violation)
 

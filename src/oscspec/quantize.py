@@ -19,7 +19,6 @@ the iteration driver.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from collections import deque
@@ -110,6 +109,11 @@ class OperatorConfig:
     def __post_init__(self):
         if self.truncation < 1:
             raise ValueError("truncation must be at least 1")
+
+
+# the tail quadrature, OperatorConfig's Gauss-Legendre rule mapped onto [0, 1]
+TAIL_NODES, TAIL_WEIGHTS = np.polynomial.legendre.leggauss(OperatorConfig.tail_quadrature_points)
+TAIL_NODES, TAIL_WEIGHTS = 0.5 * (TAIL_NODES + 1.0), 0.5 * TAIL_WEIGHTS
 
 
 @dataclass(frozen=True)
@@ -211,34 +215,27 @@ def derivative_kernel(kernel: KernelParams, e_a, e_b):
         return 1.0 / (ratio + 2.0 * kernel.cos + 1.0 / ratio)
 
 
-@functools.lru_cache(maxsize=8)
-def _gauss_nodes(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    u, w = np.polynomial.legendre.leggauss(npts)
-    return 0.5 * (u + 1.0), 0.5 * w
-
-
-def _tail_rule(n: int, tail: TailModel, npts: int) -> tuple[np.ndarray, np.ndarray]:
+def _tail_rule(n: int, tail: TailModel) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature surrogate for sums over tail indices k > n.
 
     The sum is approximated by the integral of the tail integrand over
     [n + 1/2, inf), mapped onto (0, 1] by s = (n + 1/2) u**(-1/(a-1)).  The
     substitution absorbs the power decay, so the transformed integrand is
-    bounded and smooth and a fixed Gauss-Legendre rule suffices.
+    bounded and smooth and the fixed rule TAIL_NODES, TAIL_WEIGHTS suffices.
 
     Returns extrapolated sequence values at the nodes and the combined
     quadrature-times-Jacobian weights.  EnergySequence refuses exponents <= 1.
     """
     a = tail.exponent
-    u, w = _gauss_nodes(npts)
     s0 = n + 0.5
-    s = s0 * u ** (-1.0 / (a - 1.0))
-    jac = s0 / (a - 1.0) * u ** (-a / (a - 1.0))
-    return tail.value(s), w * jac
+    s = s0 * TAIL_NODES ** (-1.0 / (a - 1.0))
+    jac = s0 / (a - 1.0) * TAIL_NODES ** (-a / (a - 1.0))
+    return tail.value(s), TAIL_WEIGHTS * jac
 
 
-def _extended(X: EnergySequence, cfg: OperatorConfig) -> tuple[np.ndarray, np.ndarray]:
+def _extended(X: EnergySequence) -> tuple[np.ndarray, np.ndarray]:
     """Stored entries plus tail nodes, with unit weights on the prefix."""
-    tail_values, tail_weights = _tail_rule(len(X), X.tail, cfg.tail_quadrature_points)
+    tail_values, tail_weights = _tail_rule(len(X), X.tail)
     return (
         np.concatenate([X.values, tail_values]),
         np.concatenate([np.ones(len(X)), tail_weights]),
@@ -284,8 +281,7 @@ def _panel_grid(kernel: KernelParams, lo: float, hi: float) -> tuple[int, float]
     return count, (hi - lo) / count
 
 
-def _compressed_sources(X: EnergySequence, kernel: KernelParams,
-                        cfg: OperatorConfig) -> tuple[np.ndarray, np.ndarray]:
+def _compressed_sources(X: EnergySequence, kernel: KernelParams) -> tuple[np.ndarray, np.ndarray]:
     """Sources and weights of the compressed counting sum of X.
 
     The stored levels are interpolated on the panels of _panel_grid over
@@ -319,14 +315,13 @@ def _compressed_sources(X: EnergySequence, kernel: KernelParams,
         t_prev, t_cur = t_cur, 2.0 * t * t_cur - t_prev
     moments = sums @ _CHEB_FROM_VALUES
     nodes = np.exp(centers[:, None] + 0.5 * width * _CHEB_NODES)
-    tail_values, tail_weights = _tail_rule(len(X), X.tail, cfg.tail_quadrature_points)
+    tail_values, tail_weights = _tail_rule(len(X), X.tail)
     direct = X.values[~in_packed]
     return (np.concatenate([direct, nodes.ravel(), tail_values]),
             np.concatenate([np.ones(direct.size), moments.ravel(), tail_weights]))
 
 
-def counting_function(X: EnergySequence, probes, kernel: KernelParams,
-                      cfg: OperatorConfig) -> np.ndarray:
+def counting_function(X: EnergySequence, probes, kernel: KernelParams) -> np.ndarray:
     """Counting function of the full sequence X at every probe energy.
 
     Returns (1/pi) sum_k w_k angle_kernel(X_k, y) for each probe y.  The
@@ -344,8 +339,7 @@ def counting_function(X: EnergySequence, probes, kernel: KernelParams,
     The sum is blocked over the probes, so besides its output it holds
     O(S * block) memory, a block being max(1, _BLOCK_ENTRIES // S) probes.
     """
-    return _kernel_sum(*_compressed_sources(X, kernel, cfg), np.asarray(probes, dtype=float),
-                       kernel)
+    return _kernel_sum(*_compressed_sources(X, kernel), np.asarray(probes, dtype=float), kernel)
 
 
 class _CountingPanels:
@@ -359,14 +353,13 @@ class _CountingPanels:
     counting_function evaluates the nodes beyond it directly.
     """
 
-    def __init__(self, X: EnergySequence, kernel: KernelParams, cfg: OperatorConfig,
-                 lo: float, hi: float):
+    def __init__(self, X: EnergySequence, kernel: KernelParams, lo: float, hi: float):
         count, self.width = _panel_grid(kernel, lo, hi)
         self.lo = lo
         self.edges = lo + self.width * np.arange(count + 1)
         self.centers = lo + self.width * (np.arange(count) + 0.5)
         nodes = np.exp(self.centers[:, None] + 0.5 * self.width * _CHEB_NODES)
-        phi = counting_function(X, nodes.ravel(), kernel, cfg).reshape(count, -1)
+        phi = counting_function(X, nodes.ravel(), kernel).reshape(count, -1)
         # (degree + 1, value/slope, panel)
         self.coef = np.stack([_CHEB_FROM_VALUES @ phi.T,
                               (2.0 / self.width) * (_CHEB_SLOPE_FROM_VALUES @ phi.T)], axis=1)
@@ -418,8 +411,8 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
     the factor is one at the critical exponent, so the tail of an iteration
     started on a critically normalized seed is pinned.
 
-    Raises NoConvergence if widening runs out or MAX_ROOT_ITERS is
-    exhausted.
+    Raises NoConvergence if widening runs out or MAX_ROOT_ITERS is exhausted.
+    cfg is not read: the tail rule, TAIL_NODES and TAIL_WEIGHTS, is fixed.
     """
     values = X.values
     n = len(values)
@@ -430,7 +423,7 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
     # widen until the range brackets every level: phi is increasing in y, so
     # phi(lo) < min Q and phi(hi) > max Q put each root between two panel edges
     while True:
-        panels = _CountingPanels(X, kernel, cfg, lo, hi)
+        panels = _CountingPanels(X, kernel, lo, hi)
         phi_edges = panels(panels.edges)[0]
         widen_lo, widen_hi = phi_edges[0] >= q.min(), phi_edges[-1] <= q.max()
         if not widen_lo and not widen_hi:
@@ -482,8 +475,8 @@ def drift_closed(alpha: float, kernel: KernelParams) -> float:
     """Closed form sin(theta/alpha) / sin(pi/alpha) of the drift: one
     application rescales a power sequence of exponent alpha by its
     -alpha-th power, and it equals one at alpha = 1 + theta/pi."""
-    if alpha <= 1.0:
-        raise DomainError(f"drift is defined for alpha > 1, got {alpha}")
+    if not 1.0 < alpha < math.inf:
+        raise DomainError(f"drift is defined for a finite alpha > 1, got {alpha}")
     t, p = kernel.theta / alpha, math.pi / alpha
     if t < sys.float_info.min:  # t has lost digits to underflow, but sin(t) = t there
         return kernel.theta / math.pi * (p / math.sin(p))
@@ -498,10 +491,10 @@ def derivative_matrix(X: EnergySequence, Y: EnergySequence, kernel: KernelParams
     full-sequence sum including the tail of X; row_defect[i] is the tail share
     of Z_i.  The caller is responsible for Y = apply_quantization(X); this is
     not re-verified.  Rows are filled in the blocks of _kernel_blocks, so
-    besides the result only O(N * block) memory is held.
+    besides the result only O(N * block) memory is held.  cfg is not read.
     """
     n = len(X)
-    xe, we = _extended(X, cfg)
+    xe, we = _extended(X)
     entries = np.empty((len(Y), n))
     row_defect = np.empty(len(Y))
     for rows, p in _kernel_blocks(derivative_kernel, kernel, xe, Y.values):

@@ -38,12 +38,12 @@ def m2_even_500():
     return solved_parity(2, "even", 500)
 
 
-def dense_counting(X, probes, kernel, cfg, slope=False):
+def dense_counting(X, probes, kernel, slope=False):
     """Counting function (or, with slope set, its log-derivative
     (sin theta / pi) sum_k w_k derivative_kernel(X_k, y)) summed over all N
     stored levels and the 64 tail nodes: the exact reference against which
     the compressed sums of counting_function and the panels are measured."""
-    sources, weights = quantize._extended(X, cfg)
+    sources, weights = quantize._extended(X)
     probes = np.asarray(probes, dtype=float)
     if not slope:
         return quantize._kernel_sum(sources, weights, probes, kernel)

@@ -57,6 +57,13 @@ class TestDrift:
         with pytest.raises(DomainError):
             drift_closed(0.7, kp)
 
+    def test_closed_refuses_non_finite_exponents(self):
+        # as drift_integral does
+        kp = KernelParams(1.0)
+        for alpha in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                drift_closed(alpha, kp)
+
     def test_closed_unit_at_critical(self):
         for theta in THETA_GRID:
             kp = KernelParams(theta)
@@ -180,12 +187,13 @@ class TestContraction:
     def test_closed_is_exact_next_to_the_strip_edge(self):
         # sin(gap pi / a) of a rounded argument next to +-pi put the closed
         # form 4e-8 off at theta = 1e-9, eps = 0, and 1e-13 off at 0.999 of
-        # the edge; the integral is accurate to rounding in both places
+        # the edge, as sin(gap theta / a) did 7.5e-14 off next to theta = pi;
+        # the integral is accurate to rounding in all these places
         for theta in (1e-9, 1e-6, 1e-4):
             kp = KernelParams(theta)
             closed = contraction_closed(0.0, kp)
             assert abs(contraction_integral(0.0, kp) - closed) <= 2e-15 * closed
-        for theta in (*THETA_GRID, 1e-2):
+        for theta in (*THETA_GRID, 1e-2, *(math.pi - d for d in (1e-2, 1e-4, 1e-6, 1e-10))):
             kp = KernelParams(theta)
             a = critical_exponent(kp)
             for eps in (1.0 + 0.99 * a, 1.0 - 0.99 * a, 1.0 + 0.999 * a, 1.0 - 0.999 * a):

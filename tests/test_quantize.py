@@ -112,16 +112,15 @@ class TestCountingFunction:
         kp = KernelParams(math.pi / 3)
         t, probe = 0.7, 3.0
         seq = EnergySequence(np.full(8, t * probe), FAR_TAIL)
-        got = counting_function(seq, [probe], kp, OperatorConfig(truncation=8))[0]
+        got = counting_function(seq, [probe], kp)[0]
         expected = 8.0 / math.pi * float(angle_kernel(kp, t * probe, probe))
         assert got == pytest.approx(expected, rel=1e-14)
 
     def test_strictly_increasing_in_probe(self, rng):
         kp = KernelParams(1.9)
         seq = random_growth_sequence(rng, 40)
-        cfg = OperatorConfig(truncation=40)
         probes = np.sort(np.exp(rng.uniform(-1, 6, size=25)))
-        vals = counting_function(seq, probes, kp, cfg)
+        vals = counting_function(seq, probes, kp)
         assert np.all(np.diff(vals) > 0)
 
     def test_matches_offsets_at_oracle_spectrum(self):
@@ -133,8 +132,7 @@ class TestCountingFunction:
         even, _ = parity_split(merged)
         amp = 2.0**problem.alpha * problem.nu
         seq = EnergySequence(even, TailModel(amp, problem.alpha))
-        cfg = OperatorConfig(truncation=len(even))
-        residuals = np.abs(counting_function(seq, seq.values[:5], problem.kernel, cfg)
+        residuals = np.abs(counting_function(seq, seq.values[:5], problem.kernel)
                            - problem.offsets.values(5))
         assert residuals[0] <= 1e-3
         assert max(residuals) <= 0.02
@@ -144,17 +142,16 @@ class TestCountingDerivative:
     def test_single_entry(self):
         kp = KernelParams(math.pi / 2)
         seq = EnergySequence([5.0], FAR_TAIL)
-        got = dense_counting(seq, [5.0], kp, OperatorConfig(truncation=1), slope=True)[0]
+        got = dense_counting(seq, [5.0], kp, slope=True)[0]
         assert got == pytest.approx(0.5 / math.pi, abs=1e-8)
 
     def test_finite_difference(self, rng):
         kp = KernelParams(2.6)
         seq = random_growth_sequence(rng, 60)
-        cfg = OperatorConfig(truncation=60)
         probe = 40.0
         h = 1e-5
-        exact = dense_counting(seq, [probe], kp, cfg, slope=True)[0]
-        up, down = counting_function(seq, [probe * math.exp(h), probe * math.exp(-h)], kp, cfg)
+        exact = dense_counting(seq, [probe], kp, slope=True)[0]
+        up, down = counting_function(seq, [probe * math.exp(h), probe * math.exp(-h)], kp)
         fd = (up - down) / (2 * h)
         assert fd == pytest.approx(exact, abs=5e-9)
 
@@ -163,8 +160,21 @@ class TestCountingDerivative:
         for _ in range(10):
             seq = random_growth_sequence(rng, 20)
             probe = math.exp(rng.uniform(-2, 6))
-            assert dense_counting(seq, [probe], kp, OperatorConfig(truncation=20),
-                                  slope=True)[0] > 0
+            assert dense_counting(seq, [probe], kp, slope=True)[0] > 0
+
+
+class TestTailRule:
+    def test_power_tail_sum_is_exact(self):
+        # for a pure power tail the substitution makes 1/X times the Jacobian
+        # constant, so the rule sums 1/X exactly up to rounding
+        for a in (1.05, 4.0 / 3.0, 1.5, 1.6, 1.99, 2.0):
+            for n in (1, 250, 2000, 10**5):
+                for amp in (1.0, 7.3):
+                    values, weights = quantize._tail_rule(n, TailModel(amp, a))
+                    assert values.size == weights.size == OperatorConfig.tail_quadrature_points
+                    expected = (n + 0.5) ** (1.0 - a) / (amp * (a - 1.0))
+                    got = np.sum(weights / values)
+                    assert abs(got - expected) <= 1e-14 * expected, (a, n, amp)
 
 
 class _ReplacedOffsets:
@@ -210,7 +220,7 @@ class TestApplyQuantization:
                         _ReplacedOffsets(-0.3, {1: 0.05})):
             out = apply_quantization(seq, offsets, problem.kernel, self.CFG)
             levels = [0, 5, 23, 47]
-            phi = dense_counting(seq, out.values[levels], problem.kernel, self.CFG)
+            phi = dense_counting(seq, out.values[levels], problem.kernel)
             assert np.max(np.abs(phi - offsets.values(48)[levels])) <= 2 * ROOT_TOL
 
     @pytest.mark.parametrize("M", [2, 3])
@@ -227,7 +237,7 @@ class TestApplyQuantization:
             out = apply_quantization(seq, offsets, problem.kernel, cfg)
             levels = [0, 5, 500, 1999]
             q = offsets.values(2000)
-            phi = dense_counting(seq, out.values[levels], problem.kernel, cfg)
+            phi = dense_counting(seq, out.values[levels], problem.kernel)
             assert np.max(np.abs(phi - q[levels])) <= 2 * ROOT_TOL + 4e-15 * np.max(np.abs(q))
 
     def test_roots_on_panel_edges(self, rng):
@@ -237,8 +247,7 @@ class TestApplyQuantization:
         problem = self.problem()
         seq = random_growth_sequence(rng, 48)
         x_log = np.log(seq.values)
-        panels = _CountingPanels(seq, problem.kernel, self.CFG,
-                                 x_log.min() - _LOG8, x_log.max() + _LOG8)
+        panels = _CountingPanels(seq, problem.kernel, x_log.min() - _LOG8, x_log.max() + _LOG8)
         phi_edges = panels(panels.edges)[0]
         q = problem.offsets.values(48)
         # the operator builds these same panels: they already bracket every level
@@ -247,7 +256,7 @@ class TestApplyQuantization:
         for j, value in enumerate(phi_edges[1:-1]):
             offsets = _ReplacedOffsets(problem.offsets.constant, {j + 1: value})
             out = apply_quantization(seq, offsets, problem.kernel, self.CFG)
-            phi = dense_counting(seq, out.values[j:j + 1], problem.kernel, self.CFG)[0]
+            phi = dense_counting(seq, out.values[j:j + 1], problem.kernel)[0]
             assert abs(phi - value) <= 2 * ROOT_TOL, j
 
     def test_dilatation_equivariance(self, rng):
@@ -317,14 +326,13 @@ class TestCountingPanels:
         for theta in thetas:
             kp = KernelParams(theta)
             seq = random_growth_sequence(rng, 1000, alpha=1.0 + theta / math.pi)
-            cfg = OperatorConfig(truncation=1000)
             x_log = np.log(seq.values)
-            panels = _CountingPanels(seq, kp, cfg, x_log.min() - _LOG8, x_log.max() + _LOG8)
+            panels = _CountingPanels(seq, kp, x_log.min() - _LOG8, x_log.max() + _LOG8)
             lo, hi = panels.edges[0], panels.edges[-1]
             s = np.concatenate([[lo, hi], rng.uniform(lo, hi, 400)])
             phi, slope = panels(s)
-            dense = dense_counting(seq, np.exp(s), kp, cfg)
-            dense_slope = dense_counting(seq, np.exp(s), kp, cfg, slope=True)
+            dense = dense_counting(seq, np.exp(s), kp)
+            dense_slope = dense_counting(seq, np.exp(s), kp, slope=True)
             assert np.max(np.abs(phi - dense)) <= 1e-14 * np.max(np.abs(dense)), theta
             assert np.max(np.abs(slope - dense_slope)) <= 1e-10 * np.max(dense_slope), theta
 
@@ -335,8 +343,8 @@ class TestCountingPanels:
                 problem = build_problem(M, parity)
                 seq = seed_sequence(problem, 2000)
                 out = apply_quantization(seq, problem.offsets, problem.kernel, cfg)
-                phi = dense_counting(seq, out.values, problem.kernel, cfg)
-                slope = dense_counting(seq, out.values, problem.kernel, cfg, slope=True)
+                phi = dense_counting(seq, out.values, problem.kernel)
+                slope = dense_counting(seq, out.values, problem.kernel, slope=True)
                 log_error = np.abs(phi - problem.offsets.values(2000)) / slope
                 assert np.max(log_error) <= 1e-11, (M, parity)
 
@@ -381,17 +389,16 @@ class TestCompressedSources:
     def build(rng, n, theta):
         kp = KernelParams(theta)
         seq = random_growth_sequence(rng, n, alpha=1.0 + theta / math.pi)
-        cfg = OperatorConfig(truncation=n)
         x_log = np.log(seq.values)
-        panels = _CountingPanels(seq, kp, cfg, x_log.min() - _LOG8, x_log.max() + _LOG8)
-        return seq, kp, cfg, panels, *quantize._compressed_sources(seq, kp, cfg)
+        panels = _CountingPanels(seq, kp, x_log.min() - _LOG8, x_log.max() + _LOG8)
+        return seq, kp, panels, *quantize._compressed_sources(seq, kp)
 
     # 48 levels: every panel stays direct; 250: mixed; 2000: the top panels compress
     @pytest.mark.parametrize("n", [48, 250, 2000])
     def test_panel_values_match_dense_sum(self, rng, n):
         for theta in self.THETAS:
-            seq, kp, cfg, panels, sources, weights = self.build(rng, n, theta)
-            stored = sources[:-cfg.tail_quadrature_points]
+            seq, kp, panels, sources, weights = self.build(rng, n, theta)
+            stored = sources[:-quantize.TAIL_NODES.size]
             if n == 48:
                 assert np.array_equal(stored, seq.values), theta
             elif n == 250:
@@ -401,7 +408,7 @@ class TestCompressedSources:
             probes = np.exp(panels.centers[:, None]
                             + 0.5 * panels.width * quantize._CHEB_NODES).ravel()
             compressed = quantize._kernel_sum(sources, weights, probes, kp)
-            dense = dense_counting(seq, probes, kp, cfg)
+            dense = dense_counting(seq, probes, kp)
             assert np.max(np.abs(compressed - dense)) <= 1e-14 * np.max(np.abs(dense)), theta
 
     @pytest.mark.parametrize("n", [48, 250, 2000])
@@ -409,8 +416,8 @@ class TestCompressedSources:
         # the Lagrange basis is a partition of unity, so the moments of a
         # panel add up to the number of levels they replace
         for theta in self.THETAS:
-            _, _, cfg, _, sources, weights = self.build(rng, n, theta)
-            stored = weights[:-cfg.tail_quadrature_points]
+            *_, sources, weights = self.build(rng, n, theta)
+            stored = weights[:-quantize.TAIL_NODES.size]
             assert stored.size <= n, theta
             assert abs(stored.sum() - n) <= 64 * np.finfo(float).eps * n, theta
 
@@ -459,14 +466,13 @@ class TestCompressedCounting:
         monkeypatch.setattr(quantize, "_kernel_sum", counted)
         kernel, cases = self.cases(M)
         for name, X in cases:
-            cfg = OperatorConfig(truncation=len(X))
             for probes in (X.values, X.values.max() * self.TAIL_FACTORS):
                 sizes.clear()
-                got = counting_function(X, probes, kernel, cfg)
+                got = counting_function(X, probes, kernel)
                 # one sum, over at most N + 64 sources; at N = 2000 a fifth of them
                 assert len(sizes) == 1 and sizes[0] <= len(X) + 64, (name, sizes)
                 assert len(X) < 2000 or 5 * sizes[0] <= len(X) + 64, (name, sizes)
-                exact = dense_counting(X, probes, kernel, cfg)
+                exact = dense_counting(X, probes, kernel)
                 error = np.max(np.abs(got - exact))
                 assert error <= 2e-15 * np.max(np.abs(exact)), (name, error)
 
@@ -475,7 +481,7 @@ class TestCompressedCounting:
         kernel, cases = self.cases(M)
         for name, X in cases:
             cfg = OperatorConfig(truncation=len(X))
-            phi = dense_counting(X, X.values, kernel, cfg)
+            phi = dense_counting(X, X.values, kernel)
             for parity in Parity:
                 offsets = build_problem(M, parity).offsets
                 diffs = phi - offsets.values(len(X))
@@ -500,7 +506,7 @@ class TestCompressedCounting:
             finally:
                 tracemalloc.stop()
             assert peak <= 4 * 8 * quantize._BLOCK_ENTRIES + 2 * 2**20, kind
-            phi = dense_counting(X, X.values, kernel, cfg)
+            phi = dense_counting(X, X.values, kernel)
             diffs = phi - problem.offsets.values(len(X))
             violation = -diffs.min() if kind is BracketKind.SUPER else diffs.max()
             assert cert.verified and violation <= 1e-8, kind
@@ -583,7 +589,7 @@ class TestDerivativeMatrix:
             tracemalloc.stop()
         assert peak <= 66 * 2**20
         # rows at both ends of every block against the dense normalization
-        z = dense_counting(seq, out.values, problem.kernel, cfg, slope=True)
+        z = dense_counting(seq, out.values, problem.kernel, slope=True)
         z *= math.pi / problem.kernel.sin
         for i in (0, 507, 508, 1015, 1016, 1999):
             row = derivative_kernel(problem.kernel, seq.values, out.values[i]) / z[i]

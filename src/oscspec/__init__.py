@@ -7,8 +7,8 @@ of the exact quantization operator, together with its asymptotic diagnostics
 finite-difference eigensolver used as ground truth.  The counting sum is
 quantize.counting_function, over per-panel Chebyshev moments of the
 sequence, and the panels of quantize.apply_quantization sample it; the
-closed-form drift is quantize.drift_closed, and the weighted sup-norm of the
-convergence diagnostics is sequences.weighted_norm.
+closed-form drift is asymptotics.drift_closed, beside its integral, and the
+weighted sup-norm of the convergence diagnostics is sequences.weighted_norm.
 """
 
 from .asymptotics import (
@@ -20,6 +20,7 @@ from .asymptotics import (
     contraction_integral,
     critical_exponent,
     critical_exponent_from_drift,
+    drift_closed,
     drift_integral,
     empirical_rate,
     lower_bracket,
@@ -60,7 +61,6 @@ from .quantize import (
     apply_quantization,
     counting_function,
     derivative_matrix,
-    drift_closed,
     iterate,
 )
 from .sequences import (

@@ -1,19 +1,20 @@
 """Asymptotic diagnostics of the quantization operator.
 
-Numerical evaluation of the drift of power sequences (its closed form,
-drift_closed, lives in quantize, which applies it to tails), the critical
-growth exponent, the contraction integrals governing weighted perturbations,
+The drift of power sequences and its closed form, the critical growth
+exponent, the contraction integrals governing weighted perturbations,
 sub/super-solution brackets, and empirical rate measurement on iteration
 traces.  Drift and contraction are one Mellin transform of the pair kernel,
 int_0^inf t**p dt / (t**2 + 2t cos theta + 1), read at p = 1/alpha and at
 p = (1 - eps)/a, so drift_integral calls contraction_integral: a fixed
 Gauss-Legendre sum over s in [1, 2] and the exact Chebyshev-U series beyond.
+Both closed forms read their sines through one reflection, _sin_fraction.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,17 @@ def drift_integral(alpha: float, kernel: KernelParams) -> float:
         raise DomainError(f"drift integral needs a finite alpha > 1, got {alpha}")
     a = critical_exponent(kernel)
     return a * kernel.sin / math.pi * contraction_integral(1.0 - a / alpha, kernel)
+
+
+def drift_closed(alpha: float, kernel: KernelParams) -> float:
+    """Closed form sin(theta/alpha) / sin(pi/alpha) of the drift, exact to
+    rounding for finite alpha > 1: one application rescales a power sequence
+    of exponent alpha by its -alpha-th power; one at alpha = 1 + theta/pi."""
+    if not 1.0 < alpha < math.inf:
+        raise DomainError(f"drift is defined for a finite alpha > 1, got {alpha}")
+    if kernel.theta / alpha < sys.float_info.min:  # underflow, but sin(t) = t there
+        return kernel.theta / math.pi * (math.pi / alpha / math.sin(math.pi / alpha))
+    return _sin_fraction(1.0, alpha, kernel) / _sin_fraction(1.0, alpha)
 
 
 def critical_exponent(kernel: KernelParams) -> float:
@@ -167,17 +179,19 @@ def contraction_closed(epsilon: float, kernel: KernelParams) -> float:
         return math.inf
     if gap == 0.0:
         return kernel.theta / (a * kernel.sin)
-    # next to the edges gap pi / a rounds near +-pi, as gap theta / a does when
-    # theta nears pi too; the sines keep their digits at the reflected arguments,
-    # in which a - |gap| and pi - theta are exact by Sterbenz's lemma
-    denominator = (math.copysign(math.sin((a - abs(gap)) * math.pi / a), gap)
-                   if 2.0 * abs(gap) > a else math.sin(gap * math.pi / a))
-    if 2.0 * abs(gap) * kernel.theta > a * math.pi:
-        reflected = (a - abs(gap)) * math.pi + abs(gap) * (math.pi - kernel.theta + _PI_LOW)
-        numerator = math.copysign(math.sin(reflected / a), gap)
-    else:
-        numerator = math.sin(gap * kernel.theta / a)
-    return (math.pi / (a * kernel.sin)) * numerator / denominator
+    return (math.pi / (a * kernel.sin)) * _sin_fraction(gap, a, kernel) / _sin_fraction(gap, a)
+
+
+def _sin_fraction(x: float, y: float, kernel: KernelParams | None = None) -> float:
+    """sin(x angle / y) for 0 < |x| < y, angle theta or, with no kernel, pi.
+    Past pi/2, where the argument rounds near pi, it is read as the reflected
+    ((y - |x|) pi + |x| (pi - angle)) / y, in which y - |x| and pi - theta
+    are exact by Sterbenz's lemma and pi - theta carries pi's low part."""
+    angle, deficit = (math.pi, 0.0) if kernel is None else (
+        kernel.theta, math.pi - kernel.theta + _PI_LOW)
+    if 2.0 * abs(x) * angle <= y * math.pi:
+        return math.sin(x * angle / y)
+    return math.copysign(math.sin(((y - abs(x)) * math.pi + abs(x) * deficit) / y), x)
 
 
 def contraction_factor(epsilon: float, kernel: KernelParams) -> ContractionReport:

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import asymptotics, oracle, oscillator
 from .errors import InsufficientData, NoConvergence, OscspecError, ResolutionError
-from .quantize import KernelParams, OperatorConfig, StopRule, drift_closed, iterate as run_iteration
+from .quantize import KernelParams, OperatorConfig, StopRule, iterate as run_iteration
 
 EXIT_OK = 0
 EXIT_CONVERGENCE = 1
@@ -268,7 +268,7 @@ def cmd_analyze(opts: dict) -> _Result:
     drift_rows = []
     for alpha in opts["alpha"]:
         integral = asymptotics.drift_integral(alpha, kernel)
-        closed = drift_closed(alpha, kernel)
+        closed = asymptotics.drift_closed(alpha, kernel)
         drift_rows.append({"kind": "drift", "alpha": alpha, "integral": integral,
                            "closed": closed, "gap": abs(integral - closed)})
     contraction_rows = []

@@ -11,16 +11,16 @@ through Y_j and is strictly increasing in it, each component has a unique root
 and the components solve independently.
 
 This module provides the two pair kernels, the counting function over
-per-panel Chebyshev moments of the sequence, the closed-form drift of power
-sequences, the implicit solve on panels that sample the counting function,
-the row-stochastic derivative matrix of the operator in log coordinates, and
-the iteration driver.
+per-panel Chebyshev moments of the sequence, the implicit solve on panels
+that sample the counting function, the row-stochastic derivative matrix of
+the operator in log coordinates, and the iteration driver.  The truncated
+operator keeps its input's tail model: the tail normalization is a boundary
+condition, as in the paper's spaces of properly normalized sequences.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from collections import deque
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -405,11 +405,11 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
     by more than any fixed tolerance.  A bracket that bisection collapses to
     r_j also closes its level, so every loop ends.
 
-    The output keeps the input tail exponent and shift.  Its amplitude is the
-    input amplitude times the closed-form drift factor D(a)**(-a), the
-    asymptotic per-application rescaling of power sequences of exponent a;
-    the factor is one at the critical exponent, so the tail of an iteration
-    started on a critically normalized seed is pinned.
+    The output keeps the input's tail model bit for bit: the normalization
+    of the tail is a boundary condition of the truncated operator.  At the
+    critical exponent the full operator maps a power tail to itself, so this
+    is its own tail on critically normalized sequences; off it, only the
+    stored levels carry the per-application rescaling.
 
     Raises NoConvergence if widening runs out or MAX_ROOT_ITERS is exhausted.
     cfg is not read: the tail rule, TAIL_NODES and TAIL_WEIGHTS, is fixed.
@@ -465,22 +465,7 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
             f"{level.size} level(s) unresolved after {MAX_ROOT_ITERS} iterations, "
             f"first at level {int(level[0]) + 1}"
         )
-
-    a = X.tail.exponent
-    factor = drift_closed(a, kernel) ** (-a)
-    return EnergySequence(np.exp(roots), TailModel(X.tail.amplitude * factor, a, X.tail.shift))
-
-
-def drift_closed(alpha: float, kernel: KernelParams) -> float:
-    """Closed form sin(theta/alpha) / sin(pi/alpha) of the drift: one
-    application rescales a power sequence of exponent alpha by its
-    -alpha-th power, and it equals one at alpha = 1 + theta/pi."""
-    if not 1.0 < alpha < math.inf:
-        raise DomainError(f"drift is defined for a finite alpha > 1, got {alpha}")
-    t, p = kernel.theta / alpha, math.pi / alpha
-    if t < sys.float_info.min:  # t has lost digits to underflow, but sin(t) = t there
-        return kernel.theta / math.pi * (p / math.sin(p))
-    return math.sin(t) / math.sin(p)
+    return X.with_values(np.exp(roots))
 
 
 def derivative_matrix(X: EnergySequence, Y: EnergySequence, kernel: KernelParams,
@@ -519,8 +504,8 @@ def iterate(X0: EnergySequence, Q: OffsetSequence, kernel: KernelParams,
     Numer. Anal. 49, 2011): with g_k = ln T(X_k) and f_k = g_k - x_k, the
     next point is x_{k+1} = g_k - dG gamma, where gamma solves
     dF gamma ~= f_k in least squares over the differences of the last m + 1
-    pairs (f, g).  Only the stored entries are mixed; each mixed point takes
-    the image's tail model, so the tail evolves as under Picard.  A mixed
+    pairs (f, g).  Only the stored entries are mixed; the operator keeps the
+    tail model of X0, so every iterate and mixed point carries it.  A mixed
     point that is not finite or not strictly increasing is replaced by the
     Picard step T(X_k), and the history restarts from that pair.  Either way
     the final iterate is the image T(X_K) whose residual ended the run.
@@ -563,7 +548,7 @@ def _anderson_point(pairs: deque, f: np.ndarray, g: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.exp(g - dG @ gamma)
     if np.all(np.isfinite(values)) and values[0] > 0 and np.all(np.diff(values) > 0):
-        return EnergySequence(values, image.tail)
+        return image.with_values(values)
     pairs.clear()
     pairs.append((f, g))
     return image

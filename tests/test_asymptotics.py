@@ -79,6 +79,19 @@ class TestDrift:
         vals = [drift_closed(a, kp) for a in grid]
         assert np.all(np.diff(vals) < 0)
 
+    @pytest.mark.parametrize("theta, alpha, exact", [
+        # 60-digit values of sin(theta/alpha) / sin(pi/alpha) at the float inputs
+        (math.pi / 3, 1.000000000001, 275639943159.54168735),
+        (math.pi / 3, 1.000000001, 275664425.01131700016),
+        (math.pi / 3, 1.000001, 275664.55673165733737),
+        (3.141592653489793, 1.000000001, 1.0318310276000941669),
+        (3.141492653589793, 1.0001, 1.318309870185595261),
+    ])
+    def test_closed_exact_next_to_one_and_pi(self, theta, alpha, exact):
+        # pi/alpha, and theta/alpha next to pi, round near pi, where the sine
+        # has lost its digits unless it is read at the reflected argument
+        assert abs(drift_closed(alpha, KernelParams(theta)) - exact) <= 4e-16 * exact
+
     def test_integral_matches_closed_on_grid(self):
         worst = 0.0
         for theta in THETA_GRID:

@@ -195,6 +195,14 @@ class TestAnalyze:
             assert out == "" and "--eps" in err and "usage error" in err, err
             assert not out_path.exists()
 
+    def test_closed_drift_next_to_one(self, capsys):
+        # the 60-digit value of sin(pi/3 / alpha) / sin(pi/alpha) at 1 + 1e-9
+        code, out, _ = run(capsys, "analyze", "--M", "2", "--alpha", "1.000000001",
+                           "--format", "json")
+        assert code == EXIT_OK
+        (row,) = json.loads(out)["drift"]
+        assert abs(row["closed"] - 275664425.01131700016) <= 4e-16 * 275664425.01131700016
+
     def test_alpha_whose_double_overflows_matches_closed(self, capsys):
         # 2 * 1e308 is inf, which the drift integral never forms
         code, out, _ = run(capsys, "analyze", "--M", "2", "--alpha", "1e308", "--format", "json")

@@ -23,6 +23,7 @@ from oscspec import (
 )
 from oscspec.oscillator import ANDERSON_HISTORY
 from oscspec.quantize import ROOT_TOL
+from conftest import solved_parity
 
 
 class TestGrowthConstant:
@@ -211,6 +212,13 @@ class TestAcceleratedSolve:
         assert fixed is trace.iterates[-1]
         image = apply_quantization(trace.iterates[-2], problem.offsets, problem.kernel, cfg)
         assert np.array_equal(image.values, fixed.values)
+
+    @pytest.mark.parametrize("M", [2, 3])
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_fixed_point_keeps_the_seed_tail(self, M, parity):
+        # every mixed point and image carries the seed's tail model unchanged
+        problem, _, fixed, _ = solved_parity(M, parity, 1500)
+        assert fixed.tail == seed_sequence(problem, 1500).tail
 
     def test_scaled_seed_converges_to_same_fixed_point(self, m2_even_300):
         problem, cfg, fixed, _ = m2_even_300

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError, ResolutionError
 from .oscillator import growth_constant
@@ -57,6 +56,9 @@ def suggest_halfwidth(M: int, count: int) -> float:
 
 
 def _lowest(diagonal: np.ndarray, off: np.ndarray, count: int) -> np.ndarray:
+    # imported on first use: importing scipy.linalg costs every process ~0.3 s
+    from scipy.linalg import eigh_tridiagonal
+
     return eigh_tridiagonal(diagonal, off, eigvals_only=True, select="i",
                             select_range=(0, count - 1))
 

@@ -646,6 +646,59 @@ def test_import_leaves_integration_and_special_functions_unloaded():
     assert done.stdout.splitlines() == ["[]", "0 []"]
 
 
+NUMPY_ONLY_ARGVS = (
+    ["spectrum", "--M", "2", "--N", "60"],
+    ["iterate", "--M", "2", "--N", "60"],
+    ["analyze", "--M", "2"],
+    ["bracket", "--M", "2", "--N", "200", "--upper", "100"],
+)
+
+
+def run_probe(probe: str) -> list[str]:
+    """Stdout lines of a fresh interpreter running `probe` on this tree."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_only_the_oracle_loads_scipy():
+    # the solver, analyze and bracket are numpy code; scipy.linalg serves the
+    # oracle's tridiagonal eigensolver alone and is imported on its first call
+    loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+    probe = ("import contextlib, io, sys, oscspec\n"
+             f"print({loaded})\n"
+             "from oscspec import cli, oracle\n"
+             f"for argv in {list(NUMPY_ONLY_ARGVS)!r}:\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        code = cli.main(argv)\n"
+             f"    print(code, {loaded})\n"
+             # a coarse grid whose two levels agree to 4e-4, the default 1e-6 refuses it
+             "cfg = oracle.OracleConfig(grid_points=512, refinement_levels=2, tolerance=1e-2)\n"
+             "oracle.hamiltonian_eigenvalues(2, 4, cfg)\n"
+             "print('scipy.linalg' in sys.modules)")
+    assert run_probe(probe) == ["[]"] + ["0 []"] * len(NUMPY_ONLY_ARGVS) + ["True"]
+
+
+def test_solver_commands_need_only_numpy():
+    # sys.modules["scipy"] = None makes every scipy import raise ImportError
+    argvs = [["spectrum", "--M", "2", "--N", "60", "--format", "json"], *NUMPY_ONLY_ARGVS[1:]]
+    run_all = ("import contextlib, io, json\n"
+               "from oscspec import cli\n"
+               "runs = []\n"
+               f"for argv in {argvs!r}:\n"
+               "    out = io.StringIO()\n"
+               "    with contextlib.redirect_stdout(out):\n"
+               "        code = cli.main(argv)\n"
+               "    runs.append([code, out.getvalue()])\n"
+               "print(json.dumps(runs))")
+    blocked = json.loads(run_probe("import sys\nsys.modules['scipy'] = None\n" + run_all)[0])
+    normal = json.loads(run_probe(run_all)[0])
+    assert [code for code, _ in blocked] == [EXIT_OK] * len(argvs)
+    assert blocked == normal
+
+
 def test_convergence_failure_exit_code(capsys):
     code, _, err = run(capsys, "spectrum", "--M", "2", "--levels", "4", "--N", "60",
                        "--max-steps", "1")

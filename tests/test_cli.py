@@ -670,7 +670,7 @@ def test_only_the_oracle_loads_scipy():
     probe = ("import contextlib, io, sys, oscspec\n"
              f"print({loaded})\n"
              "from oscspec import cli, oracle\n"
-             f"for argv in {list(NUMPY_ONLY_ARGVS)!r}:\n"
+             f"for argv in {NUMPY_ONLY_ARGVS!r}:\n"
              "    with contextlib.redirect_stdout(io.StringIO()):\n"
              "        code = cli.main(argv)\n"
              f"    print(code, {loaded})\n"

@@ -138,6 +138,37 @@ class TestCountingFunction:
         assert max(residuals) <= 0.02
 
 
+class TestKernelSum:
+    # 1000 entries make blocks of 7 probes and a ragged last block
+    @pytest.mark.parametrize("entries", [1000, quantize._BLOCK_ENTRIES])
+    def test_bit_identical_to_blocked_angle_kernel(self, rng, monkeypatch, entries):
+        monkeypatch.setattr(quantize, "_BLOCK_ENTRIES", entries)
+        kp = KernelParams(2.2)
+        # ratios from 1e-300 to beyond the float range, where the kernel is 0
+        sources = np.exp(rng.uniform(-5.0, 700.0, size=140))
+        weights = rng.uniform(0.5, 2.0, size=140)
+        probes = np.exp(rng.uniform(-700.0, 5.0, size=45))
+        step = max(1, entries // sources.size)
+        expected = np.concatenate([angle_kernel(kp, sources, probes[start:start + step, None])
+                                   @ weights for start in range(0, probes.size, step)])
+        with np.errstate(over="raise"):
+            got = quantize._kernel_sum(sources, weights, probes, kp)
+        assert np.array_equal(got, expected * (1.0 / math.pi))
+
+    def test_holds_one_block(self, rng):
+        # each block is evaluated in place in one buffer, not in a fresh
+        # temporary per operation of angle_kernel
+        sources = np.exp(rng.uniform(0.0, 20.0, size=1000))
+        probes = np.exp(rng.uniform(0.0, 20.0, size=3000))
+        tracemalloc.start()
+        try:
+            quantize._kernel_sum(sources, np.ones(sources.size), probes, KernelParams(1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * quantize._BLOCK_ENTRIES + 2**20
+
+
 class TestCountingDerivative:
     def test_single_entry(self):
         kp = KernelParams(math.pi / 2)
@@ -523,7 +554,7 @@ class TestCompressedCounting:
     def test_large_M_in_bounded_memory(self):
         # panels number ~(M + 1) times the log-range of X, 2.4e7 here; only the
         # occupied ones are indexed, so memory follows N, not M: the blocked
-        # sum holds four arrays of _BLOCK_ENTRIES values, the moments O(N * 25)
+        # sum holds one array of _BLOCK_ENTRIES values, the moments O(N * 25)
         problem = build_problem(10**7, Parity.EVEN)
         kernel, cfg = problem.kernel, OperatorConfig(truncation=2000)
         for X, kind in ((upper_bracket(100.0, 2000, kernel), BracketKind.SUPER),
@@ -534,7 +565,7 @@ class TestCompressedCounting:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 4 * 8 * quantize._BLOCK_ENTRIES + 2 * 2**20, kind
+            assert peak <= 8 * quantize._BLOCK_ENTRIES + 2**20, kind
             phi = dense_counting(X, X.values, kernel)
             diffs = phi - problem.offsets.values(len(X))
             violation = -diffs.min() if kind is BracketKind.SUPER else diffs.max()

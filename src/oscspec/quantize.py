@@ -259,9 +259,10 @@ def _kernel_blocks(pair, kernel: KernelParams, sources: np.ndarray, probes: np.n
 def _kernel_sum(sources: np.ndarray, weights: np.ndarray, probes: np.ndarray,
                 kernel: KernelParams) -> np.ndarray:
     """(1/pi) sum_k w_k angle_kernel(s_k, y) over sources s_k with weights w_k
-    at every probe y, in the probe blocks of _kernel_blocks, each evaluated in
-    place by angle_kernel's operations in one buffer: a temporary per operation
-    faulted in afresh on every call (16,700 minor faults per two N = 1500 solves)."""
+    at every probe y, over the probe blocks _kernel_blocks would take, each
+    evaluated in place by angle_kernel's operations in one buffer: freed
+    temporaries go back to the OS and fault in afresh on the next call
+    (~330 pages a call at N = 1500)."""
     out = np.empty(probes.size)
     step = max(1, _BLOCK_ENTRIES // sources.size)
     buffer = np.empty((min(step, probes.size), sources.size))

@@ -138,7 +138,7 @@ class DerivativeMatrix:
             raise ValueError("entries must be a square matrix")
         if defect.shape != (entries.shape[0],):
             raise ValueError("row_defect length must match the matrix size")
-        if not np.all(entries > 0):
+        if not entries.min() > 0:
             raise ValueError("all derivative entries must be strictly positive")
         if np.any(defect < 0):
             raise ValueError("row defects must be nonnegative")
@@ -242,33 +242,25 @@ def _extended(X: EnergySequence) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _kernel_blocks(pair, kernel: KernelParams, sources: np.ndarray, probes: np.ndarray):
-    """Yield (block, pair(kernel, sources, probes[block, None])) over blocks of
-    at most _BLOCK_ENTRIES kernel values (one probe at least), so a temporary
-    holds O(sources * block) values whatever the number of probes."""
+def _kernel_blocks(sources: np.ndarray, probes: np.ndarray):
+    """Yield (block, values) over probe blocks of at most _BLOCK_ENTRIES kernel
+    values (one probe at least), values being an unfilled view of one buffer of
+    probes[block].size rows by sources.size, allocated once per call, in which
+    the caller evaluates its kernel in place: freed temporaries go back to the
+    OS and fault in afresh on the next call (~330 pages a call at N = 1500)."""
     step = max(1, _BLOCK_ENTRIES // sources.size)
+    buffer = np.empty((min(step, probes.size), sources.size))
     for start in range(0, probes.size, step):
-        block = slice(start, start + step)
-        # the name keeps this block alive while the next one is evaluated:
-        # freed at once, its pages go back to the OS and fault in again
-        # (on a 2-core Xeon at N = 2000: 3x the minor faults, ~20% slower)
-        values = pair(kernel, sources, probes[block, None])
-        yield block, values
+        yield slice(start, start + step), buffer[:min(step, probes.size - start)]
 
 
 def _kernel_sum(sources: np.ndarray, weights: np.ndarray, probes: np.ndarray,
                 kernel: KernelParams) -> np.ndarray:
     """(1/pi) sum_k w_k angle_kernel(s_k, y) over sources s_k with weights w_k
-    at every probe y, over the probe blocks _kernel_blocks would take, each
-    evaluated in place by angle_kernel's operations in one buffer: freed
-    temporaries go back to the OS and fault in afresh on the next call
-    (~330 pages a call at N = 1500)."""
+    at every probe y, each block of _kernel_blocks evaluated in place by
+    angle_kernel's operations."""
     out = np.empty(probes.size)
-    step = max(1, _BLOCK_ENTRIES // sources.size)
-    buffer = np.empty((min(step, probes.size), sources.size))
-    for start in range(0, probes.size, step):
-        block = slice(start, start + step)
-        values = buffer[:out[block].size]
+    for block, values in _kernel_blocks(sources, probes):
         with np.errstate(over="ignore"):
             np.divide(sources, probes[block, None], out=values)
         np.arctan2(kernel.sin, np.add(values, kernel.cos, out=values), out=values)
@@ -485,14 +477,23 @@ def derivative_matrix(X: EnergySequence, Y: EnergySequence, kernel: KernelParams
     entries[i, j] = K(X_j, Y_i) / Z_i with K the derivative kernel and Z_i the
     full-sequence sum including the tail of X; row_defect[i] is the tail share
     of Z_i.  The caller is responsible for Y = apply_quantization(X); this is
-    not re-verified.  Rows are filled in the blocks of _kernel_blocks, so
-    besides the result only O(N * block) memory is held.  cfg is not read.
+    not re-verified.  Each row block of _kernel_blocks is evaluated in place by
+    derivative_kernel's operations, its 1/r held in the block's rows of
+    entries, so besides the result only one block is held.  cfg is not read.
     """
     n = len(X)
     xe, we = _extended(X)
     entries = np.empty((len(Y), n))
     row_defect = np.empty(len(Y))
-    for rows, p in _kernel_blocks(derivative_kernel, kernel, xe, Y.values):
+    for rows, p in _kernel_blocks(xe, Y.values):
+        with np.errstate(over="ignore", divide="ignore"):
+            np.divide(xe, Y.values[rows, None], out=p)
+            tail_inverse = 1.0 / p[:, n:]
+            np.divide(1.0, p[:, :n], out=entries[rows])
+            p += 2.0 * kernel.cos
+            p[:, :n] += entries[rows]
+            p[:, n:] += tail_inverse
+            np.divide(1.0, p, out=p)
         z = p @ we
         np.divide(p[:, :n], z[:, None], out=entries[rows])
         row_defect[rows] = (p[:, n:] @ we[n:]) / z

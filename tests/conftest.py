@@ -48,9 +48,8 @@ def dense_counting(X, probes, kernel, slope=False):
     if not slope:
         return quantize._kernel_sum(sources, weights, probes, kernel)
     out = np.empty(probes.size)
-    for block, values in quantize._kernel_blocks(quantize.derivative_kernel, kernel,
-                                                 sources, probes):
-        out[block] = values @ weights
+    for block, _ in quantize._kernel_blocks(sources, probes):
+        out[block] = quantize.derivative_kernel(kernel, sources, probes[block, None]) @ weights
     return out * (kernel.sin / math.pi)
 
 

@@ -629,14 +629,42 @@ class TestDerivativeMatrix:
         (np.array([[0.5, 0.0], [0.25, 0.25]]), np.full(2, 0.5), "strictly positive"),
         (np.full((2, 2), 0.6), np.full(2, -0.2), "nonnegative"),
         (np.full((2, 2), 0.25), np.full(2, 0.5 + 1e-11), "sum to 1"),
-    ], ids=["not-square", "defect-length", "zero-entry", "negative-defect", "row-sum-gap"])
+        (np.array([[0.5, np.nan], [0.25, 0.25]]), np.full(2, 0.5), "strictly positive"),
+    ], ids=["not-square", "defect-length", "zero-entry", "negative-defect", "row-sum-gap",
+            "nan-entry"])
     def test_refuses_malformed_input(self, entries, defect, message):
         with pytest.raises(ValueError, match=message):
             DerivativeMatrix(entries, defect)
 
+    # 1000 entries make blocks of 4 rows and a ragged last block
+    @pytest.mark.parametrize("entries", [1000, quantize._BLOCK_ENTRIES])
+    def test_bit_identical_to_blocked_derivative_kernel(self, rng, monkeypatch, entries):
+        monkeypatch.setattr(quantize, "_BLOCK_ENTRIES", entries)
+        kp = KernelParams(2.2)
+        n = 139
+        seq = EnergySequence(np.exp(rng.uniform(-5.0, 5.0, size=n)), TailModel(1e-27, 1.1))
+        out = seq.with_values(rng.permutation(np.geomspace(1e-300, 1e300, n)))
+        xe, we = quantize._extended(seq)
+        # tail ratios beyond the float range and below it, where the kernel is 0
+        with np.errstate(over="ignore", divide="ignore", under="ignore"):
+            ratios = xe[n:] / out.values[:, None]
+        assert np.isinf(ratios).any() and (ratios == 0).any()
+        rows, defect = [], []
+        step = max(1, entries // xe.size)
+        for start in range(0, n, step):
+            p = derivative_kernel(kp, xe, out.values[start:start + step, None])
+            z = p @ we
+            rows.append(p[:, :n] / z[:, None])
+            defect.append((p[:, n:] @ we[n:]) / z)
+        with np.errstate(over="raise", divide="raise"):
+            D = derivative_matrix(seq, out, kp, self.CFG)
+        assert np.array_equal(D.entries, np.concatenate(rows))
+        assert np.array_equal(D.row_defect, np.concatenate(defect))
+
     def test_row_blocks_in_bounded_memory(self):
-        # N = 2000 fills the 30.5 MiB result in four row blocks, holding only a
-        # few blocks of kernel values besides it (a one-shot build peaks at 94.5 MiB)
+        # N = 2000 fills the 30.5 MiB result in four row blocks, each evaluated
+        # in place in one buffer of 8 MiB and the block's rows of the result
+        # (fresh temporaries per kernel operation peaked at 62.6 MiB)
         problem = build_problem(2, Parity.ODD)
         cfg = OperatorConfig(truncation=2000)
         seq = seed_sequence(problem, 2000)
@@ -647,7 +675,7 @@ class TestDerivativeMatrix:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 66 * 2**20
+        assert peak <= D.entries.nbytes + 8 * quantize._BLOCK_ENTRIES + 2**20
         # rows at both ends of every block against the dense normalization
         z = dense_counting(seq, out.values, problem.kernel, slope=True)
         z *= math.pi / problem.kernel.sin

@@ -657,14 +657,14 @@ class TestDerivativeMatrix:
             rows.append(p[:, :n] / z[:, None])
             defect.append((p[:, n:] @ we[n:]) / z)
         with np.errstate(over="raise", divide="raise"):
-            D = derivative_matrix(seq, out, kp, self.CFG)
+            D = derivative_matrix(seq, out, kp, OperatorConfig(truncation=n))
         assert np.array_equal(D.entries, np.concatenate(rows))
         assert np.array_equal(D.row_defect, np.concatenate(defect))
 
     def test_row_blocks_in_bounded_memory(self):
         # N = 2000 fills the 30.5 MiB result in four row blocks, each evaluated
-        # in place in one buffer of 8 MiB and the block's rows of the result
-        # (fresh temporaries per kernel operation peaked at 62.6 MiB)
+        # in place in one 8 MiB buffer and the block's rows of the result, so
+        # a call holds the result and one block
         problem = build_problem(2, Parity.ODD)
         cfg = OperatorConfig(truncation=2000)
         seq = seed_sequence(problem, 2000)

@@ -5,7 +5,7 @@ exponent, the contraction integrals governing weighted perturbations,
 sub/super-solution brackets, and empirical rate measurement on iteration
 traces.  Drift and contraction are one Mellin transform of the pair kernel,
 int_0^inf t**p dt / (t**2 + 2t cos theta + 1), read at p = 1/alpha and at
-p = (1 - eps)/a, so drift_integral calls contraction_integral: a fixed
+p = (1 - eps)/a, so both integrals call one _mellin: a fixed
 Gauss-Legendre sum over s in [1, 2] and the exact Chebyshev-U series beyond.
 Both closed forms read their sines through one reflection, _sin_fraction.
 """
@@ -79,13 +79,14 @@ def drift_integral(alpha: float, kernel: KernelParams) -> float:
     the same Mellin transform of the pair kernel as the contraction integral,
     which t = s**a turns into (1/a) int_0^inf t**((1 - eps)/a) dt / (...).
     So, with a the critical exponent, the drift is a sin(theta)/pi times the
-    contraction integral at eps = 1 - a/alpha, inside its strip |eps - 1| < a
-    exactly when alpha > 1.
+    contraction integral at b = 1 - eps = a/alpha, whose distance a - b to the
+    strip edge is passed as a ((alpha - 1)/alpha): exact next to alpha = 1,
+    where eps rounds, and finite up to alpha = 1e308.
     """
     if not 1.0 < alpha < math.inf:
         raise DomainError(f"drift integral needs a finite alpha > 1, got {alpha}")
     a = critical_exponent(kernel)
-    return a * kernel.sin / math.pi * contraction_integral(1.0 - a / alpha, kernel)
+    return a * kernel.sin / math.pi * _mellin(a / alpha, a * ((alpha - 1.0) / alpha), kernel)
 
 
 def drift_closed(alpha: float, kernel: KernelParams) -> float:
@@ -133,10 +134,15 @@ def contraction_integral(epsilon: float, kernel: KernelParams) -> float:
     integrated term by term.  Returns math.inf when |epsilon - 1| >= a, where
     the integral diverges.
     """
-    a = critical_exponent(kernel)
-    if abs(epsilon - 1.0) >= a:
+    return _mellin(1.0 - epsilon, critical_exponent(kernel) - abs(1.0 - epsilon), kernel)
+
+
+def _mellin(b: float, edge: float, kernel: KernelParams) -> float:
+    """contraction_integral at b = 1 - eps, given edge = a - |b| exact; the
+    series is even in b, its near-edge denominators n a - |b| = (n - 1) a + edge."""
+    if edge <= 0.0:
         return math.inf
-    b = 1.0 - epsilon
+    a = critical_exponent(kernel)
     half_cos = math.cos(0.5 * kernel.theta)
 
     # the head peaks at u = 0 with width 2 cos(theta/2) / a, which closes as
@@ -161,8 +167,8 @@ def contraction_integral(epsilon: float, kernel: KernelParams) -> float:
     cheb_u[0], cheb_u[1] = 1.0, 2.0 * x
     for k in range(2, _TAIL_TERMS):
         cheb_u[k] = 2.0 * x * cheb_u[k - 1] - cheb_u[k - 2]
-    na = a * np.arange(1, _TAIL_TERMS + 1)
-    tail = cheb_u @ (2.0 ** (b - na) / (na - b) + 2.0 ** (-b - na) / (na + b))
+    na, b = a * np.arange(1, _TAIL_TERMS + 1), abs(b)
+    tail = cheb_u @ (2.0 ** (b - na) / (na - a + edge) + 2.0 ** (-b - na) / (na + b))
     return float(head + tail)
 
 

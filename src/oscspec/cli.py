@@ -165,30 +165,28 @@ def cmd_spectrum(opts: dict) -> _Result:
         if levels > 2 * n:
             raise _UsageError(f"--levels {levels} exceeds the {2 * n} merged levels at --N {n}")
         result = oscillator.compute_spectrum(M, cfg, stop)
-        energies, residuals, iterations = result.energies, result.residuals, result.iterations
         merged = range(levels)
     else:
         if levels > n:
             raise _UsageError(f"--levels {levels} exceeds --N {n}")
         problem = oscillator.build_problem(M, oscillator.Parity(parity))
         fixed, trace = oscillator.solve_parity(problem, cfg, stop)
-        energies = fixed.values
-        residuals = {parity: trace.residual_sup[-1]}
-        iterations = {parity: trace.steps}
+        result = oscillator.SpectrumResult(fixed.values, {parity: trace.residual_sup[-1]},
+                                           {parity: trace.steps})
         # a parity class holds every other level of the merged spectrum
         merged = range(0 if parity == "even" else 1, 2 * levels, 2)
     rows = [
         {"level": level, "energy": float(energy), "parity": "odd" if level % 2 else "even",
          "parity_index": level // 2 + 1}
-        for level, energy in zip(merged, energies)
+        for level, energy in zip(merged, result.energies)
     ]
 
     document = {
         "problem": {"M": M, "parity": parity, "N": n},
         "energies": [row["energy"] for row in rows],
         "levels": rows,
-        "residuals": residuals,
-        "iterations": iterations,
+        "residuals": result.residuals,
+        "iterations": result.iterations,
     }
     return EXIT_OK, document, rows
 

@@ -51,7 +51,7 @@ class OscillatorProblem:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Merged spectrum with per-parity diagnostics."""
+    """Spectrum of one parity, or of both merged, with per-parity diagnostics."""
 
     energies: np.ndarray
     residuals: dict
@@ -130,13 +130,11 @@ def solve_parity(problem: OscillatorProblem, cfg: OperatorConfig,
     return trace.iterates[-1], trace
 
 
-def merge_spectrum(even: EnergySequence, odd: EnergySequence,
-                   residuals: dict | None = None,
-                   iterations: dict | None = None) -> SpectrumResult:
-    """Interleave parity fixed points into the full spectrum.
+def merge_spectrum(even: EnergySequence, odd: EnergySequence) -> np.ndarray:
+    """Interleave parity fixed points into the energies of the full spectrum.
 
     Level 2i-2 comes from even entry i and level 2i-1 from odd entry i.  The
-    merged list must be strictly increasing; a violation signals truncation
+    merged array must be strictly increasing; a violation signals truncation
     or convergence failure and is raised rather than warned about.
     """
     if len(even) != len(odd):
@@ -153,18 +151,15 @@ def merge_spectrum(even: EnergySequence, odd: EnergySequence,
             f"merged levels not strictly increasing at position {where} "
             f"(values {merged[where]:.12g} and {merged[where + 1]:.12g})"
         )
-    return SpectrumResult(
-        energies=merged,
-        residuals=residuals or {},
-        iterations=iterations or {},
-    )
+    return merged
 
 
 def compute_spectrum(M: int, cfg: OperatorConfig, stop: StopRule) -> SpectrumResult:
     """Solve both parities and merge."""
     problems = {p: build_problem(M, p) for p in Parity}
     solved = {p: solve_parity(prob, cfg, stop) for p, prob in problems.items()}
-    residuals = {p.value: solved[p][1].residual_sup[-1] for p in Parity}
-    iterations = {p.value: solved[p][1].steps for p in Parity}
-    return merge_spectrum(solved[Parity.EVEN][0], solved[Parity.ODD][0],
-                          residuals=residuals, iterations=iterations)
+    return SpectrumResult(
+        energies=merge_spectrum(solved[Parity.EVEN][0], solved[Parity.ODD][0]),
+        residuals={p.value: solved[p][1].residual_sup[-1] for p in Parity},
+        iterations={p.value: solved[p][1].steps for p in Parity},
+    )

@@ -224,7 +224,7 @@ def _tail_rule(n: int, tail: TailModel) -> tuple[np.ndarray, np.ndarray]:
     bounded and smooth and the fixed rule TAIL_NODES, TAIL_WEIGHTS suffices.
 
     Returns extrapolated sequence values at the nodes and the combined
-    quadrature-times-Jacobian weights.  EnergySequence refuses exponents <= 1.
+    quadrature-times-Jacobian weights.  TailModel refuses exponents <= 1.
     """
     a = tail.exponent
     s0 = n + 0.5
@@ -304,21 +304,18 @@ def _compressed_sources(X: EnergySequence, kernel: KernelParams) -> tuple[np.nda
     panel = np.clip(((x_log - lo) / width).astype(int), 0, count - 1)
     occupied, slot, size = np.unique(panel, return_inverse=True, return_counts=True)
     packed = size > _CHEB_DEGREE + 1
-    in_packed = packed[slot]
-    # each level of a compressed panel, by the rank of its panel among them
-    rank = (np.cumsum(packed) - 1)[slot[in_packed]]
-    centers = lo + width * (occupied[packed] + 0.5)
-    t = (x_log[in_packed] - centers[rank]) * (2.0 / width)
-    # column m: the sum of T_m(t_k) over the levels of each compressed panel
-    sums = np.empty((centers.size, _CHEB_DEGREE + 1))
+    centers = lo + width * (occupied + 0.5)
+    t = (x_log - centers[slot]) * (2.0 / width)
+    # column m: the sum of T_m(t_k) over the levels of each occupied panel
+    sums = np.empty((occupied.size, _CHEB_DEGREE + 1))
     t_prev, t_cur = np.ones_like(t), t
     for column in sums.T:
-        column[:] = np.bincount(rank, weights=t_prev, minlength=centers.size)
+        column[:] = np.bincount(slot, weights=t_prev, minlength=occupied.size)
         t_prev, t_cur = t_cur, 2.0 * t * t_cur - t_prev
-    moments = sums @ _CHEB_FROM_VALUES
-    nodes = np.exp(centers[:, None] + 0.5 * width * _CHEB_NODES)
+    moments = sums[packed] @ _CHEB_FROM_VALUES
+    nodes = np.exp(centers[packed, None] + 0.5 * width * _CHEB_NODES)
     tail_values, tail_weights = _tail_rule(len(X), X.tail)
-    direct = X.values[~in_packed]
+    direct = X.values[~packed[slot]]
     return (np.concatenate([direct, nodes.ravel(), tail_values]),
             np.concatenate([np.ones(direct.size), moments.ravel(), tail_weights]))
 
@@ -509,17 +506,18 @@ def iterate(X0: EnergySequence, Q: OffsetSequence, kernel: KernelParams,
     the stored entries, plain sup and k**rate_epsilon weighted.  Solver
     errors are re-raised with the step index attached.
 
-    With history=0 (the default) this is plain Picard iteration, X <- T(X),
-    whose residuals decay at the paper's contraction rate.  With history=m > 0
-    it is type-II Anderson acceleration in x = ln X (Walker & Ni, SIAM J.
-    Numer. Anal. 49, 2011): with g_k = ln T(X_k) and f_k = g_k - x_k, the
-    next point is x_{k+1} = g_k - dG gamma, where gamma solves
-    dF gamma ~= f_k in least squares over the differences of the last m + 1
-    pairs (f, g).  Only the stored entries are mixed; the operator keeps the
-    tail model of X0, so every iterate and mixed point carries it.  A mixed
-    point that is not finite or not strictly increasing is replaced by the
-    Picard step T(X_k), and the history restarts from that pair.  Either way
-    the final iterate is the image T(X_K) whose residual ended the run.
+    Each step but the last moves to the type-II Anderson point of history m
+    in x = ln X (Walker & Ni, SIAM J. Numer. Anal. 49, 2011): with
+    g_k = ln T(X_k) and f_k = g_k - x_k, it is x_{k+1} = g_k - dG gamma, where
+    gamma solves dF gamma ~= f_k in least squares over the differences of the
+    last m + 1 pairs (f, g).  With history=0 (the default) there are none and
+    the point is the image: plain Picard iteration, X <- T(X), whose residuals
+    decay at the paper's contraction rate, is the m = 0 case of the one loop.
+    Only the stored entries are mixed; the operator keeps the tail model of
+    X0, so every iterate and mixed point carries it.  A mixed point that is
+    not finite or not strictly increasing is replaced by the Picard step
+    T(X_k), and the history restarts from that pair.  Either way the final
+    iterate is the image T(X_K) whose residual ended the run.
     """
     if history < 0:
         raise ValueError(f"history must be nonnegative, got {history}")
@@ -537,7 +535,7 @@ def iterate(X0: EnergySequence, Q: OffsetSequence, kernel: KernelParams,
         trace.residual_weighted.append(weighted_norm(f, stop.rate_epsilon))
         done = trace.residual_sup[-1] <= stop.target_residual
         current = image
-        if history and not done and step + 1 < stop.max_steps:
+        if not done and step + 1 < stop.max_steps:
             current = _anderson_point(pairs, f, g, image)
         trace.iterates.append(current)
         if done:
@@ -548,8 +546,8 @@ def iterate(X0: EnergySequence, Q: OffsetSequence, kernel: KernelParams,
 def _anderson_point(pairs: deque, f: np.ndarray, g: np.ndarray,
                     image: EnergySequence) -> EnergySequence:
     """Next Anderson point after recording the pair (f, g) in the history;
-    the Picard image, with the history restarted, when the mixed point is
-    not finite or not strictly increasing."""
+    the Picard image while it holds one pair, always at m = 0, or, restarting
+    it, when the mixed point is not finite or not strictly increasing."""
     pairs.append((f, g))
     if len(pairs) == 1:
         return image

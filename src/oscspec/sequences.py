@@ -22,7 +22,8 @@ class TailModel:
 
     Entry k > N is modelled as ``amplitude * (k + shift)**exponent``.  The
     shift is zero for plain power tails; the bracket constructions use it to
-    represent shifted powers exactly.
+    represent shifted powers exactly.  An exponent of 1 or less, for which
+    kernel sums over the tail diverge, is a DomainError.
     """
 
     amplitude: float
@@ -32,8 +33,9 @@ class TailModel:
     def __post_init__(self):
         if not self.amplitude > 0:
             raise ValueError(f"tail amplitude must be positive, got {self.amplitude}")
-        if not self.exponent > 0:
-            raise ValueError(f"tail exponent must be positive, got {self.exponent}")
+        if not self.exponent > 1:
+            raise DomainError(f"tail exponent must exceed 1 for summable kernel tails, "
+                              f"got {self.exponent}")
 
     def value(self, k):
         """Extrapolated entry at (array of) index k."""
@@ -45,8 +47,8 @@ class EnergySequence:
     """Finite prefix of a positive sequence plus its tail model.
 
     ``values[i]`` holds entry k = i + 1 in dimensionless energy units.  Kernel
-    sums over the full sequence use the tail model for k > N; their
-    convergence requires a tail exponent strictly above one.
+    sums over the full sequence use the tail model for k > N, whose exponent
+    above one makes them converge.
     """
 
     values: np.ndarray
@@ -60,10 +62,6 @@ class EnergySequence:
             raise ValueError("at least one stored entry is required")
         if not np.all(np.isfinite(arr)) or not np.all(arr > 0):
             raise ValueError("all entries must be finite and strictly positive")
-        if not self.tail.exponent > 1:
-            raise DomainError(
-                f"tail exponent must exceed 1 for summable kernel tails, got {self.tail.exponent}"
-            )
         if not arr.size + 0.5 + self.tail.shift > 0:
             raise ValueError("tail shift would make extrapolated entries nonpositive")
         arr.setflags(write=False)

@@ -117,6 +117,16 @@ class TestDrift:
         tiny = 1e-300
         assert drift_closed(1e30, KernelParams(tiny)) == pytest.approx(tiny / math.pi, rel=1e-15)
 
+    def test_integral_matches_closed_next_to_one(self):
+        # the drift grows like 1/(alpha - 1); its distance to the strip edge,
+        # a (alpha - 1)/alpha, has to reach the series exact, since the
+        # contraction integral's eps = 1 - a/alpha rounds there
+        for theta in THETA_GRID:
+            kp = KernelParams(theta)
+            for excess in (1e-15, 1e-12, 1e-9, 1e-6):
+                closed = drift_closed(1.0 + excess, kp)
+                assert abs(drift_integral(1.0 + excess, kp) - closed) <= 2e-15 * closed
+
     def test_integral_matches_closed_next_to_pi(self):
         # the pair kernel peaks at t = 1 with width cos(theta/2) as theta -> pi
         for gap in (1e-6, 1e-8, 1e-10):

@@ -140,7 +140,7 @@ class TestMergeSpectrum:
         even = EnergySequence([1.0, 3.0], self.TAIL)
         odd = EnergySequence([2.0, 4.0], self.TAIL)
         result = merge_spectrum(even, odd)
-        assert np.array_equal(result.energies, [1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(result, [1.0, 2.0, 3.0, 4.0])
 
     def test_rejects_non_interlacing(self):
         even = EnergySequence([1.0, 1.5], self.TAIL)
@@ -158,7 +158,7 @@ class TestMergeSpectrum:
         _, _, even, _ = m2_even_300
         _, _, odd, _ = m2_odd_300
         result = merge_spectrum(even, odd)
-        assert np.all(np.diff(result.energies) > 0)
+        assert np.all(np.diff(result) > 0)
 
 
 def test_compute_spectrum_collects_diagnostics():

@@ -75,6 +75,10 @@ def test_tail_model_validation():
         TailModel(-1.0, 2.0)
     with pytest.raises(ValueError):
         TailModel(1.0, 0.0)
+    with pytest.raises(DomainError, match="tail exponent must exceed 1"):
+        TailModel(1.0, 1.0)
+    with pytest.raises(DomainError, match="tail exponent must exceed 1"):
+        TailModel(1.0, 0.5)
 
 
 def test_tail_shift_bounds():

@@ -66,22 +66,19 @@ class _UsageError(Exception):
     pass
 
 
-class _InvalidInput(Exception):
-    pass
-
-
 @contextlib.contextmanager
 def _building_input():
     """Report a ValueError raised while a command builds its inputs (configs,
-    stop rule, problem, start sequence) as invalid input, exit 2.  A
-    ValueError from the solve itself is a fault of the program and is not
-    caught.  Overflow stays silent here: the inf or nan it makes reaches the
-    finite-and-positive check of the sequence built from it."""
+    stop rule, problem, kernel, start sequence) as a usage error, exit 2,
+    prefixed "invalid input".  A ValueError from the solve itself is a fault
+    of the program and is not caught.  Overflow stays silent here: the inf or
+    nan it makes reaches the finite-and-positive check of the sequence built
+    from it."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             yield
     except ValueError as exc:
-        raise _InvalidInput(str(exc)) from exc
+        raise _UsageError(f"invalid input: {exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,6 +103,18 @@ def _finite(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _integer(text: str) -> int:
+    """Argparse type of every integer option: an int of magnitude below 2**63,
+    the range of numpy's int64."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if abs(value) >= 2**63:
+        raise argparse.ArgumentTypeError("must lie strictly between -2**63 and 2**63")
     return value
 
 
@@ -248,13 +257,11 @@ def cmd_iterate(opts: dict) -> _Result:
 def cmd_analyze(opts: dict) -> _Result:
     if (opts["M"] is None) == (opts["theta"] is None):
         raise _UsageError("analyze requires exactly one of --M / --theta")
-    if opts["M"] is not None:
-        theta = oscillator.build_problem(opts["M"], oscillator.Parity.EVEN).kernel.theta
-    else:
-        theta = opts["theta"]
-        if not 0.0 < theta < math.pi:
-            raise _UsageError("--theta must lie strictly between 0 and pi")
-    kernel = KernelParams(theta)
+    with _building_input():
+        if opts["M"] is not None:
+            kernel = oscillator.build_problem(opts["M"], oscillator.Parity.EVEN).kernel
+        else:
+            kernel = KernelParams(opts["theta"])
     alpha_star = asymptotics.critical_exponent(kernel)
 
     if not all(alpha > 1.0 for alpha in opts["alpha"]):
@@ -280,7 +287,7 @@ def cmd_analyze(opts: dict) -> _Result:
         })
 
     document = {
-        "theta": theta,
+        "theta": kernel.theta,
         "alpha_star": alpha_star,
         "predicted_rate_at_1": alpha_star - 1.0,
         "drift": [{k: v for k, v in row.items() if k != "kind"} for row in drift_rows],
@@ -391,18 +398,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     # options every command reads, and those of the three commands that solve
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--M", type=int, help="potential power parameter, at least 2")
+    shared.add_argument("--M", type=_integer, help="potential power parameter, at least 2")
     shared.add_argument("--format", choices=("csv", "json"), help="artifact format")
     shared.add_argument("--out", help="output path ('-' for stdout)")
     shared.add_argument("--config", help="flat key=value config file")
     solve = argparse.ArgumentParser(add_help=False)
-    solve.add_argument("--N", type=int, help="truncation length of stored sequences")
+    solve.add_argument("--N", type=_integer, help="truncation length of stored sequences")
     solve.add_argument("--tol", type=_finite, help="stopping sup-log residual")
-    solve.add_argument("--max-steps", dest="max_steps", type=int, help="iteration cap")
+    solve.add_argument("--max-steps", dest="max_steps", type=_integer, help="iteration cap")
 
     p = sub.add_parser("spectrum", parents=[shared, solve], help="compute merged oscillator levels")
     p.add_argument("--parity", choices=("even", "odd", "both"), help="parity class")
-    p.add_argument("--levels", type=int, help="number of levels to emit")
+    p.add_argument("--levels", type=_integer, help="number of levels to emit")
 
     p = sub.add_parser("iterate", parents=[shared, solve],
                        help="run the fixed-point iteration and fit its rate")
@@ -420,20 +427,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[shared, solve],
                        help="compare the solved spectrum against the eigensolver oracle")
-    p.add_argument("--levels", type=int)
+    p.add_argument("--levels", type=_integer)
     p.add_argument("--bound", type=_finite, help="relative deviation bound per level")
     p.add_argument("--refine", action="store_true", default=None,
                    help="also solve at doubled N and require per-level deviations not to grow")
-    p.add_argument("--oracle-grid", dest="oracle_grid", type=int)
-    p.add_argument("--oracle-levels", dest="oracle_levels", type=int)
+    p.add_argument("--oracle-grid", dest="oracle_grid", type=_integer)
+    p.add_argument("--oracle-levels", dest="oracle_levels", type=_integer)
     p.add_argument("--oracle-tol", dest="oracle_tol", type=_finite)
 
     p = sub.add_parser("bracket", parents=[shared], help="certify a sub- or super-solution")
-    p.add_argument("--N", type=int, help="truncation length of stored sequences")
+    p.add_argument("--N", type=_integer, help="truncation length of stored sequences")
     p.add_argument("--parity", choices=("even", "odd"), help="parity class")
     p.add_argument("--upper", nargs="?", const=100.0, type=_finite, metavar="A",
                    help="shifted-power super-solution (k + A)**a, A = 100 if omitted")
-    p.add_argument("--lower", nargs="?", const=6, type=int, metavar="NPARAM",
+    p.add_argument("--lower", nargs="?", const=6, type=_integer, metavar="NPARAM",
                    help="staircase sub-solution, NPARAM = 6 if omitted")
     p.add_argument("--slack", type=_finite, help="certification slack in counting units")
 
@@ -485,10 +492,8 @@ def main(argv: list[str] | None = None) -> int:
         if opts.get("M") is None and args.command != "analyze":
             raise _UsageError("--M is required")
         if opts.get("M") is not None:
-            if opts["M"] < 2:
-                raise _UsageError("--M must be at least 2")
-            # before any command solves: the kernel angle (M - 1) pi / (M + 1)
-            # of a huge M rounds to pi, which the problem refuses
+            # before any command solves: the problem refuses M < 2, and a huge
+            # M whose kernel angle (M - 1) pi / (M + 1) rounds to pi
             with _building_input():
                 oscillator.build_problem(opts["M"], oscillator.Parity.EVEN)
         out = None if args.out == "-" else args.out
@@ -513,10 +518,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except MemoryError as exc:
         sys.stderr.write(f"usage error: the problem does not fit in memory, "
-                         f"reduce --N or --oracle-grid ({exc})\n")
-        return EXIT_USAGE
-    except _InvalidInput as exc:
-        sys.stderr.write(f"invalid input: {exc}\n")
+                         f"reduce --N, --M or --oracle-grid ({exc})\n")
         return EXIT_USAGE
     except ResolutionError as exc:
         sys.stderr.write(f"oracle failure: {exc}\n")

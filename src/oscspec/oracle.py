@@ -16,15 +16,21 @@ import numpy as np
 from .errors import DomainError, ResolutionError
 from .oscillator import growth_constant
 
+# largest finest grid, 128 times the 32768 points of the benchmark's verify
+# runs (4096 points, 4 levels); one solve at it takes seconds, and each
+# further level doubles that
+MAX_GRID_POINTS = 2**22
+
 
 @dataclass(frozen=True)
 class OracleConfig:
     """Discretization parameters.
 
     grid_points is the interior point count of the coarsest level; each of
-    the at least two refinement levels doubles it; the domain half-width comes
-    from suggest_halfwidth.  The tolerance bounds the disagreement between the
-    two finest Richardson extrapolants, per eigenvalue.
+    the at least two refinement levels doubles it, up to a finest grid of at
+    most MAX_GRID_POINTS; the domain half-width comes from suggest_halfwidth.
+    The tolerance bounds the disagreement between the two finest Richardson
+    extrapolants, per eigenvalue.
     """
 
     grid_points: int = 2048
@@ -36,6 +42,10 @@ class OracleConfig:
             raise ValueError("grid_points must be at least 64")
         if self.refinement_levels < 2:
             raise ValueError("refinement_levels must be at least 2")
+        # exact in integers, and no power of two is formed for a huge level count
+        if self.grid_points > MAX_GRID_POINTS >> (self.refinement_levels - 1):
+            raise ValueError(f"the finest grid, grid_points * 2**(refinement_levels - 1), "
+                             f"must not exceed {MAX_GRID_POINTS} points")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
 

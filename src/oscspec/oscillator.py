@@ -79,20 +79,15 @@ def growth_constant(M: int) -> float:
 
 def build_problem(M: int, parity: Parity) -> OscillatorProblem:
     """Assemble kernel angle, growth data and parity offsets; validates the
-    offset admissibility conditions and fails construction on violation."""
-    if M < 2:
-        raise ValueError("M must be at least 2 (the potential q**2 is not covered)")
-    theta = (M - 1) * math.pi / (M + 1)
-    kernel = KernelParams(theta)
-    alpha = 2.0 * M / (M + 1.0)
-    quarter = (M - 1) / (4.0 * (M + 1))
-    if parity is Parity.EVEN:
-        offsets = OffsetSequence(constant=-0.75 + quarter)
-    else:
-        offsets = OffsetSequence(constant=-0.25 - quarter)
+    offset admissibility conditions and fails construction on violation.
+    The offset constant is (2l - M)/(2(M + 1)), l = -1 even and l = 0 odd."""
+    nu = growth_constant(M)  # refuses M < 2 before the kernel angle is formed
+    kernel = KernelParams((M - 1) * math.pi / (M + 1))
+    l = -1 if parity is Parity.EVEN else 0
+    offsets = OffsetSequence(constant=(2 * l - M) / (2.0 * (M + 1)))
     offsets.validate(kernel)
-    return OscillatorProblem(M=M, parity=parity, kernel=kernel, alpha=alpha,
-                             nu=growth_constant(M), offsets=offsets)
+    return OscillatorProblem(M=M, parity=parity, kernel=kernel, alpha=2.0 * M / (M + 1.0),
+                             nu=nu, offsets=offsets)
 
 
 def seed_sequence(problem: OscillatorProblem, n: int) -> EnergySequence:

@@ -42,13 +42,15 @@ class TestSpectrum:
         assert len(doc["energies"]) == 4
         assert doc["iterations"]["even"] >= 1
 
-    def test_rejects_harmonic(self, capsys):
+    def test_rejects_harmonic(self, capsys, monkeypatch):
+        # one check, growth_constant's, for every command, before anything runs
+        _refuse_every_solve(monkeypatch)
         for argv in (("spectrum", "--M", "1", "--levels", "4"), ("iterate", "--M", "1"),
                      ("analyze", "--M", "1"), ("verify", "--M", "1"),
-                     ("bracket", "--M", "1", "--upper")):
-            code, _, err = run(capsys, *argv)
+                     ("bracket", "--M", "1", "--upper"), ("spectrum", "--M", "-5")):
+            code, out, err = run(capsys, *argv)
             assert code == EXIT_USAGE
-            assert "at least 2" in err
+            assert out == "" and err == "usage error: invalid input: M must be at least 2\n"
 
     def test_requires_m(self, capsys):
         code, _, err = run(capsys, "spectrum", "--levels", "4")
@@ -170,9 +172,14 @@ class TestAnalyze:
             code, _, err = run(capsys, *argv)
             assert code == EXIT_USAGE
 
-    def test_rejects_bad_theta(self, capsys):
-        code, _, _ = run(capsys, "analyze", "--theta", "3.5")
-        assert code == EXIT_USAGE
+    def test_rejects_bad_theta(self, capsys, monkeypatch):
+        # one check, KernelParams', before any integral is evaluated
+        _refuse_every_solve(monkeypatch)
+        for theta in ("3.5", "3.141592653589793", "0", "-1"):
+            code, out, err = run(capsys, "analyze", "--theta", theta)
+            assert code == EXIT_USAGE
+            assert out == "" and err.startswith(
+                "usage error: invalid input: theta must lie strictly between 0 and pi"), err
 
     def test_rejects_alpha_outside_the_drift_domain(self, capsys):
         # the drift integral diverges at alpha <= 1; the parser refuses inf and nan
@@ -456,6 +463,14 @@ def _must_not_solve(*args, **kwargs):
     raise AssertionError("the solver ran on input that should have been refused")
 
 
+def _refuse_every_solve(monkeypatch):
+    for module, name in ((oracle, "hamiltonian_eigenvalues"), (oscillator, "compute_spectrum"),
+                         (oscillator, "solve_parity"), (asymptotics, "verify_bracket"),
+                         (asymptotics, "contraction_integral"), (asymptotics, "drift_integral"),
+                         (cli, "run_iteration")):
+        monkeypatch.setattr(module, name, _must_not_solve)
+
+
 @pytest.mark.parametrize("argv, flag", [
     (("spectrum", "--levels", "0"), "--levels"),
     (("spectrum", "--N", "10", "--levels", "21"), "--levels"),
@@ -486,11 +501,7 @@ def _must_not_solve(*args, **kwargs):
     (("analyze", "--eps", "0.5", "--eps", "2.4"), "--eps"),
 ])
 def test_out_of_range_options_are_refused_before_any_solve(capsys, monkeypatch, argv, flag):
-    for module, name in ((oracle, "hamiltonian_eigenvalues"), (oscillator, "compute_spectrum"),
-                         (oscillator, "solve_parity"), (asymptotics, "verify_bracket"),
-                         (asymptotics, "contraction_integral"), (asymptotics, "drift_integral"),
-                         (cli, "run_iteration")):
-        monkeypatch.setattr(module, name, _must_not_solve)
+    _refuse_every_solve(monkeypatch)
     code, out, err = run(capsys, argv[0], "--M", "2", *argv[1:])
     assert code == EXIT_USAGE
     assert out == "" and flag in err and "usage error" in err, err
@@ -507,6 +518,52 @@ def test_oversized_truncation_is_a_usage_error(capsys):
     code, _, err = run(capsys, "spectrum", "--M", "2", "--N", "1000000000000000")
     assert code == EXIT_USAGE
     assert "usage error" in err and "--N" in err
+
+
+_DIGITS_401 = "9" * 401
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--M", "2", "--N", "9223372036854775808"),
+    ("spectrum", "--M", "2", "--N", _DIGITS_401),
+    ("spectrum", "--M", "2", "--levels", "-9223372036854775808"),
+    ("analyze", "--M", _DIGITS_401),
+    ("verify", "--M", "2", "--oracle-grid", _DIGITS_401),
+], ids=["N-2**63", "N-401-digits", "levels-minus-2**63", "analyze-M-401-digits",
+        "oracle-grid-401-digits"])
+def test_integer_options_past_int64_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
+    # numpy's int64 holds |value| < 2**63; a flag or a config key past it is
+    # refused by the parser and named, before anything runs
+    _refuse_every_solve(monkeypatch)
+    flag, value = argv[-2:]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:]} = {value}\n")
+    for given in (argv, (*argv[:-2], "--config", str(cfg))):
+        code, out, err = run(capsys, *given)
+        assert code == EXIT_USAGE, given
+        assert out == "" and err.startswith("usage error: ") and flag in err, err
+        assert "must lie strictly between -2**63 and 2**63" in err
+
+
+@pytest.mark.parametrize("levels", ["40", "9223372036854775807"])
+def test_oracle_grid_past_its_cap_is_refused_before_any_grid(capsys, monkeypatch, levels):
+    # 2048 points doubled 39 times would never finish; the cap compares
+    # exponents, so the largest level count is refused at once as well
+    monkeypatch.setattr(oracle, "_grid_eigenvalues", _must_not_solve)
+    _refuse_every_solve(monkeypatch)
+    code, out, err = run(capsys, "verify", "--M", "2", "--oracle-levels", levels)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("usage error: invalid input: the finest grid"), err
+
+
+def test_oversized_panel_count_names_m(capsys, monkeypatch):
+    # the panel count grows like M + 1: M = 1e15 asks for 12.6 PiB of panel
+    # edges, which numpy refuses before any counting sum is evaluated
+    monkeypatch.setattr(quantize, "counting_function", _must_not_solve)
+    code, out, err = run(capsys, "spectrum", "--M", "1000000000000000", "--N", "5",
+                         "--levels", "1")
+    assert code == EXIT_USAGE
+    assert out == "" and "does not fit in memory" in err and "--M" in err, err
 
 
 def test_unwritable_output_is_a_usage_error(capsys, tmp_path):

@@ -148,3 +148,10 @@ def test_oracle_config_validation():
         OracleConfig(refinement_levels=1)
     with pytest.raises(ValueError):
         OracleConfig(tolerance=0.0)
+    # the finest grid, grid_points * 2**(refinement_levels - 1), holds at most
+    # MAX_GRID_POINTS = 2**22 points, and a huge level count is refused at once
+    OracleConfig(grid_points=2**21, refinement_levels=2)
+    OracleConfig(grid_points=64, refinement_levels=17)
+    for grid_points, levels in ((2**21 + 1, 2), (64, 18), (2048, 40), (64, 2**63 - 1)):
+        with pytest.raises(ValueError, match="finest grid"):
+            OracleConfig(grid_points=grid_points, refinement_levels=levels)

@@ -1,6 +1,7 @@
 """Problem construction, seeds, parity solves and the merged spectrum."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ class TestGrowthConstant:
             assert math.isfinite(nu) and nu > 0
 
     def test_requires_m_at_least_two(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="M must be at least 2"):
             growth_constant(1)
 
 
@@ -57,6 +58,13 @@ class TestBuildProblem:
     def test_quartic_odd(self):
         problem = build_problem(2, Parity.ODD)
         assert problem.offsets.constant == pytest.approx(-1.0 / 3.0, abs=1e-15)
+
+    def test_offset_constant_is_the_correctly_rounded_family_value(self):
+        # c(l) = (2l - M) / (2(M + 1)), l = -1 even and l = 0 odd, to the last bit
+        for M in range(2, 200):
+            for parity, l in ((Parity.EVEN, -1), (Parity.ODD, 0)):
+                exact = float(Fraction(2 * l - M, 2 * (M + 1)))
+                assert build_problem(M, parity).offsets.constant == exact, (M, parity)
 
     def test_angle_and_exponent_formulas(self):
         for M in range(2, 13):
@@ -82,8 +90,10 @@ class TestBuildProblem:
                 assert np.all(problem.offsets.values(10_000) > barrier)
 
     def test_rejects_harmonic(self):
-        with pytest.raises(ValueError):
-            build_problem(1, Parity.EVEN)
+        # growth_constant owns the rule, before the kernel angle is formed
+        for M in (1, 0, -3):
+            with pytest.raises(ValueError, match="M must be at least 2"):
+                build_problem(M, Parity.EVEN)
 
 
 class TestSeed:

@@ -11,12 +11,15 @@ to a stable exit-code enumeration:
     4  tolerance failure (verify bound exceeded)
 
 Flag values take precedence over the optional key=value config file, which
-takes precedence over built-in defaults.  The argparse parser declares every
-option once: it parses config-file lines as flag tokens too, and rejects bad
-values from either source as usage errors.  Only main writes the artifact,
-floats in 17 significant digits (CSV) or shortest repr (JSON) so each
-round-trips exactly, and JSON holds only finite numbers; iterate also reports
-fitted_lambda on stderr under CSV.
+takes precedence over the command's defaults.  build_parser declares each
+command once, its subparser carrying its options, handler and defaults (verify's
+oracle defaults are OracleConfig's own).  The parser reads config-file lines as
+flag tokens too, and rejects bad values from either source as usage errors.
+spectrum and verify refuse a --levels outside 1 to the levels they solve: 2N
+merged, or N of one parity.  Only main writes the artifact, floats in 17
+significant digits (CSV) or shortest repr (JSON) so each round-trips exactly,
+and JSON holds only finite numbers; iterate also reports fitted_lambda on
+stderr under CSV.
 """
 
 from __future__ import annotations
@@ -42,21 +45,6 @@ EXIT_CONVERGENCE = 1
 EXIT_USAGE = 2
 EXIT_ORACLE = 3
 EXIT_TOLERANCE = 4
-
-DEFAULTS = {
-    "spectrum": {"levels": 10, "N": 500, "tol": 1e-10, "parity": "both",
-                 "format": "csv", "max_steps": 400},
-    "iterate": {"parity": "odd", "N": 1000, "max_steps": 40, "tol": 1e-10, "eps": 1.0,
-                "perturb_eps": None, "perturb_size": None, "format": "csv"},
-    "analyze": {"M": None, "theta": None, "format": "csv",
-                "eps": (0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 1.9),
-                "alpha": (1.1, 1.5, 2.0, 3.0, 8.0)},
-    "verify": {"levels": 10, "N": 1000, "tol": 1e-10, "bound": 1e-3,
-               "oracle_grid": 2048, "oracle_levels": 3, "oracle_tol": 1e-6,
-               "format": "json", "max_steps": 400, "refine": False},
-    "bracket": {"parity": "even", "N": 2000, "slack": 1e-8, "format": "csv",
-                "upper": None, "lower": None},
-}
 
 # a handler's exit code, JSON document and CSV rows
 _Result = tuple[int, dict, list[dict]]
@@ -119,7 +107,8 @@ def _integer(text: str) -> int:
 
 
 def _given(args: argparse.Namespace) -> dict:
-    return {key: value for key, value in vars(args).items() if value is not None}
+    return {key: value for key, value in vars(args).items()
+            if value is not None and key not in ("handler", "defaults")}
 
 
 def _file_options(parser: argparse.ArgumentParser, command: str, path: str) -> dict:
@@ -164,20 +153,17 @@ def cmd_spectrum(opts: dict) -> _Result:
     levels = opts["levels"]
     n = opts["N"]
     parity = opts["parity"]
-    if levels < 1:
-        raise _UsageError("--levels must be at least 1")
     with _building_input():
         cfg = OperatorConfig(truncation=n)
         stop = StopRule(max_steps=opts["max_steps"], target_residual=opts["tol"])
+    solved = 2 * n if parity == "both" else n
+    if not 1 <= levels <= solved:
+        raise _UsageError(f"--levels {levels} is outside 1 to {solved} at --N {n}")
 
     if parity == "both":
-        if levels > 2 * n:
-            raise _UsageError(f"--levels {levels} exceeds the {2 * n} merged levels at --N {n}")
         result = oscillator.compute_spectrum(M, cfg, stop)
         merged = range(levels)
     else:
-        if levels > n:
-            raise _UsageError(f"--levels {levels} exceeds --N {n}")
         problem = oscillator.build_problem(M, oscillator.Parity(parity))
         fixed, trace = oscillator.solve_parity(problem, cfg, stop)
         result = oscillator.SpectrumResult(fixed.values, {parity: trace.residual_sup[-1]},
@@ -300,10 +286,6 @@ def cmd_verify(opts: dict) -> _Result:
     M = opts["M"]
     levels = opts["levels"]
     n = opts["N"]
-    if levels < 1:
-        raise _UsageError("--levels must be at least 1")
-    if levels > 2 * n:
-        raise _UsageError(f"--levels {levels} exceeds the {2 * n} merged levels at --N {n}")
     bound = opts["bound"]
     if bound < 0:
         raise _UsageError("--bound must be nonnegative")
@@ -315,17 +297,22 @@ def cmd_verify(opts: dict) -> _Result:
             refinement_levels=opts["oracle_levels"],
             tolerance=opts["oracle_tol"],
         )
+        # both truncations solved are checked before the oracle runs
+        cfg = OperatorConfig(truncation=n)
+        refined_cfg = OperatorConfig(truncation=2 * n) if opts["refine"] else None
+    if not 1 <= levels <= 2 * n:
+        raise _UsageError(f"--levels {levels} is outside 1 to {2 * n} at --N {n}")
     if 8 * levels > oracle_cfg.grid_points:
         raise _UsageError(f"--levels {levels} needs --oracle-grid of at least {8 * levels}")
     reference = oracle.hamiltonian_eigenvalues(M, levels, oracle_cfg)
 
-    def deviations(truncation: int):
-        result = oscillator.compute_spectrum(M, OperatorConfig(truncation=truncation), stop)
+    def deviations(cfg: OperatorConfig):
+        result = oscillator.compute_spectrum(M, cfg, stop)
         computed = result.energies[:levels]
         abs_dev = np.abs(computed - reference)
         return result, computed, abs_dev, abs_dev / np.abs(reference)
 
-    result, computed, abs_dev, rel_dev = deviations(n)
+    result, computed, abs_dev, rel_dev = deviations(cfg)
     rows = [
         {"level": i, "computed": float(computed[i]), "oracle": float(reference[i]),
          "abs_dev": float(abs_dev[i]), "rel_dev": float(rel_dev[i])}
@@ -345,7 +332,7 @@ def cmd_verify(opts: dict) -> _Result:
     }
     if opts["refine"]:
         # doubled truncation: per-level deviations must not increase
-        _, _, _, rel_refined = deviations(2 * n)
+        _, _, _, rel_refined = deviations(refined_cfg)
         monotone = bool(np.all(rel_refined <= rel_dev))
         for i, row in enumerate(rows):
             row["rel_dev_refined"] = float(rel_refined[i])
@@ -410,6 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", parents=[shared, solve], help="compute merged oscillator levels")
     p.add_argument("--parity", choices=("even", "odd", "both"), help="parity class")
     p.add_argument("--levels", type=_integer, help="number of levels to emit")
+    p.set_defaults(handler=cmd_spectrum, defaults=dict(
+        levels=10, N=500, tol=1e-10, parity="both", format="csv", max_steps=400))
 
     p = sub.add_parser("iterate", parents=[shared, solve],
                        help="run the fixed-point iteration and fit its rate")
@@ -419,11 +408,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="perturb the seed by perturb-size * k**(-perturb-eps) in log space")
     p.add_argument("--perturb-size", dest="perturb_size", type=_finite,
                    help="amplitude of the seed perturbation, default 0.1; needs --perturb-eps")
+    p.set_defaults(handler=cmd_iterate, defaults=dict(
+        parity="odd", N=1000, max_steps=40, tol=1e-10, eps=1.0, perturb_eps=None,
+        perturb_size=None, format="csv"))
 
     p = sub.add_parser("analyze", parents=[shared], help="drift and contraction diagnostics")
     p.add_argument("--theta", type=_finite, help="kernel angle in (0, pi), alternative to --M")
     p.add_argument("--eps", type=_finite, action="append", help="epsilon grid point (repeatable)")
     p.add_argument("--alpha", type=_finite, action="append", help="alpha grid point (repeatable)")
+    p.set_defaults(handler=cmd_analyze, defaults=dict(
+        M=None, theta=None, format="csv", eps=(0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 1.9),
+        alpha=(1.1, 1.5, 2.0, 3.0, 8.0)))
 
     p = sub.add_parser("verify", parents=[shared, solve],
                        help="compare the solved spectrum against the eigensolver oracle")
@@ -434,6 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-grid", dest="oracle_grid", type=_integer)
     p.add_argument("--oracle-levels", dest="oracle_levels", type=_integer)
     p.add_argument("--oracle-tol", dest="oracle_tol", type=_finite)
+    p.set_defaults(handler=cmd_verify, defaults=dict(
+        levels=10, N=1000, tol=1e-10, bound=1e-3, format="json", max_steps=400, refine=False,
+        oracle_grid=oracle.OracleConfig.grid_points, oracle_tol=oracle.OracleConfig.tolerance,
+        oracle_levels=oracle.OracleConfig.refinement_levels))
 
     p = sub.add_parser("bracket", parents=[shared], help="certify a sub- or super-solution")
     p.add_argument("--N", type=_integer, help="truncation length of stored sequences")
@@ -443,6 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lower", nargs="?", const=6, type=_integer, metavar="NPARAM",
                    help="staircase sub-solution, NPARAM = 6 if omitted")
     p.add_argument("--slack", type=_finite, help="certification slack in counting units")
+    p.set_defaults(handler=cmd_bracket, defaults=dict(
+        parity="even", N=2000, slack=1e-8, format="csv", upper=None, lower=None))
 
     return parser
 
@@ -469,15 +470,6 @@ def _render(fmt: str, document: dict, rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-_HANDLERS = {
-    "spectrum": cmd_spectrum,
-    "iterate": cmd_iterate,
-    "analyze": cmd_analyze,
-    "verify": cmd_verify,
-    "bracket": cmd_bracket,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -485,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command is None:
             parser.print_help()
             return EXIT_USAGE
-        opts = dict(DEFAULTS[args.command])
+        opts = dict(args.defaults)
         if args.config:
             opts.update(_file_options(parser, args.command, args.config))
         opts.update(_given(args))
@@ -501,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
         if out is not None:
             open(out, "a", encoding="utf-8").close()  # an unwritable path fails before the solve
         try:
-            code, document, rows = _HANDLERS[args.command](opts)
+            code, document, rows = args.handler(opts)
         except BaseException:
             if created:
                 os.remove(out)  # a failed command leaves no empty artifact

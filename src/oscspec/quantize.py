@@ -40,6 +40,10 @@ _BLOCK_ENTRIES = 1 << 20
 # safeguarded Newton iterations
 ROOT_TOL = 1e-12
 MAX_ROOT_ITERS = 100
+# largest truncation: numpy refuses 2**60 float64 entries with a ValueError, not
+# a MemoryError, and np.arange(1, N + 1, dtype=float) rounds its length up to
+# 2**60 from N = 2**60 - 64 on; up to 2**59 a solve's seed fails as a MemoryError
+MAX_TRUNCATION = 2**59
 # degree of the Chebyshev panels of apply_quantization, their points on [-1, 1],
 # and the maps from values at the points to the coefficients of the interpolant
 # (discrete orthogonality) and of its derivative on [-1, 1]
@@ -109,6 +113,8 @@ class OperatorConfig:
     def __post_init__(self):
         if self.truncation < 1:
             raise ValueError("truncation must be at least 1")
+        if self.truncation > MAX_TRUNCATION:
+            raise ValueError(f"truncation must be at most {MAX_TRUNCATION}")
 
 
 # the tail quadrature, OperatorConfig's Gauss-Legendre rule mapped onto [0, 1]

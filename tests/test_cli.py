@@ -499,12 +499,53 @@ def _refuse_every_solve(monkeypatch):
     (("analyze", "--eps", "2.34"), "--eps"),
     (("analyze", "--eps", "-0.34"), "--eps"),
     (("analyze", "--eps", "0.5", "--eps", "2.4"), "--eps"),
+    # truncations numpy cannot size as one float64 array: from 2**60 - 64 on
+    # np.arange(1, N + 1, dtype=float) rounds its length up to 2**60
+    (("spectrum", "--N", str(2**60 - 64)), "truncation"),
+    (("spectrum", "--N", str(2**60)), "truncation"),
+    (("spectrum", "--N", str(2**63 - 1)), "truncation"),
+    (("verify", "--N", str(2**60 - 64)), "truncation"),
+    (("verify", "--N", str(2**60)), "truncation"),
+    (("verify", "--N", str(2**63 - 1)), "truncation"),
+    # the doubled truncation of --refine, checked before the oracle runs
+    (("verify", "--N", str(2**59), "--refine"), "truncation"),
 ])
 def test_out_of_range_options_are_refused_before_any_solve(capsys, monkeypatch, argv, flag):
     _refuse_every_solve(monkeypatch)
     code, out, err = run(capsys, argv[0], "--M", "2", *argv[1:])
     assert code == EXIT_USAGE
     assert out == "" and flag in err and "usage error" in err, err
+
+
+# each command's defaults, as main hands them to its handler
+_DEFAULTS = {
+    "spectrum": {"levels": 10, "N": 500, "tol": 1e-10, "parity": "both",
+                 "format": "csv", "max_steps": 400},
+    "iterate": {"parity": "odd", "N": 1000, "max_steps": 40, "tol": 1e-10, "eps": 1.0,
+                "perturb_eps": None, "perturb_size": None, "format": "csv"},
+    "analyze": {"M": None, "theta": None, "format": "csv",
+                "eps": (0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 1.9),
+                "alpha": (1.1, 1.5, 2.0, 3.0, 8.0)},
+    "verify": {"levels": 10, "N": 1000, "tol": 1e-10, "bound": 1e-3,
+               "oracle_grid": 2048, "oracle_levels": 3, "oracle_tol": 1e-6,
+               "format": "json", "max_steps": 400, "refine": False},
+    "bracket": {"parity": "even", "N": 2000, "slack": 1e-8, "format": "csv",
+                "upper": None, "lower": None},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DEFAULTS))
+def test_each_command_gets_its_defaults(capsys, monkeypatch, command):
+    seen = []
+    monkeypatch.setattr(cli, f"cmd_{command}",
+                        lambda opts: seen.append(opts) or (EXIT_OK, {}, []))
+    side = ("--upper",) if command == "bracket" else ()
+    code, _, _ = run(capsys, command, "--M", "2", *side)
+    assert code == EXIT_OK
+    expected = {**_DEFAULTS[command], "command": command, "M": 2}
+    if side:
+        expected["upper"] = 100.0
+    assert seen == [expected]
 
 
 def test_no_command_prints_help(capsys):

@@ -24,7 +24,6 @@ from .quantize import (
     ROOT_TOL,
     TAIL_NODES,
     TAIL_WEIGHTS,
-    DerivativeMatrix,
     IterationTrace,
     KernelParams,
     OffsetSequence,
@@ -207,20 +206,22 @@ def contraction_factor(epsilon: float, kernel: KernelParams) -> ContractionRepor
     return ContractionReport(s_eps=s_eps, factor=s_eps / s_zero)
 
 
-def spectral_rate_estimate(D: DerivativeMatrix, epsilon: float, steps: int) -> float:
+def spectral_rate_estimate(D, epsilon: float, steps: int) -> float:
     """Geometric decay rate of the truncated derivative matrix acting on
     the profile v_k = k**(-epsilon).
 
-    Applies the stored block `steps` times and fits the slope of the log of
-    the epsilon-weighted sup norms over the last half of the steps.
+    D is anything with a length and a product `D @ v`: a DerivativeMatrix,
+    whose product runs in O(N) memory, or a plain square array.  Applies it
+    `steps` times and fits the slope of the log of the epsilon-weighted sup
+    norms over the last half of the steps.
     """
     if steps < 3:
         # the fit window, the last half of the steps, needs two points
         raise InsufficientData("at least three steps are needed to fit a rate")
-    v = np.arange(1, D.entries.shape[0] + 1, dtype=float) ** (-epsilon)
+    v = np.arange(1, len(D) + 1, dtype=float) ** (-epsilon)
     norms = np.empty(steps)
     for i in range(steps):
-        v = D.entries @ v
+        v = D @ v
         norms[i] = weighted_norm(v, epsilon)
     window = np.arange(steps // 2, steps)
     slope = np.polyfit(window, np.log(norms[window]), 1)[0]

@@ -163,7 +163,7 @@ def test_a5_stochastic_rows():
         X = EnergySequence(values, TailModel(amp, problem.alpha))
         Y = apply_quantization(X, problem.offsets, problem.kernel, cfg)
         D = derivative_matrix(X, Y, problem.kernel, cfg)
-        worst = max(worst, float(np.max(np.abs(D.entries.sum(axis=1) + D.row_defect - 1.0))))
+        worst = max(worst, float(np.max(np.abs(D @ np.ones(n) + D.row_defect - 1.0))))
     elapsed = time.time() - start
     report("A5", worst <= 1e-12, f"worst row-sum defect {worst:.2e} over 20 points (tol 1e-12)",
            elapsed, 60.0)
@@ -208,14 +208,14 @@ def test_a6_operator_properties():
             failures.append((trial, "lipschitz"))
 
         D = derivative_matrix(X, TX, problem.kernel, cfg)
-        image = D.entries @ (1.0 / k)
+        image = D @ (1.0 / k)
         if not np.max(np.abs(image)) < 1.0:
             failures.append((trial, "weak contraction"))
 
         size = math.exp(rng.uniform(math.log(1e-3), math.log(3e-2)))
         v = size * rng.uniform(-1.0, 1.0, size=n)
         moved = apply(X.with_values(X.values * np.exp(v)))
-        linear = D.entries @ v
+        linear = D @ v
         residual = np.max(np.abs(np.log(moved.values) - np.log(TX.values) - linear))
         if residual > 4.0 * np.max(np.abs(v)) ** 2:
             failures.append((trial, "second order"))

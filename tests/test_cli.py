@@ -561,6 +561,18 @@ def test_oversized_truncation_is_a_usage_error(capsys):
     assert "usage error" in err and "--N" in err
 
 
+def test_verify_fails_to_allocate_before_the_oracle(capsys, monkeypatch):
+    # 2**59 is the largest truncation OperatorConfig accepts, and its 4 EiB
+    # seed cannot be allocated: the solve runs first and fails at once
+    def oracle_run(*args, **kwargs):
+        raise AssertionError("the oracle ran before the solve")
+
+    monkeypatch.setattr(oracle, "hamiltonian_eigenvalues", oracle_run)
+    code, out, err = run(capsys, "verify", "--M", "2", "--N", str(2**59))
+    assert code == EXIT_USAGE
+    assert out == "" and "usage error" in err and "--N" in err
+
+
 _DIGITS_401 = "9" * 401
 
 

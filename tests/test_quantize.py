@@ -9,7 +9,6 @@ import pytest
 
 from oscspec import (
     BracketKind,
-    DerivativeMatrix,
     DomainError,
     EnergySequence,
     KernelParams,
@@ -32,6 +31,7 @@ from oscspec import (
     Parity,
     OracleConfig,
     seed_sequence,
+    spectral_rate_estimate,
 )
 from oscspec import quantize
 from oscspec.quantize import (ROOT_TOL, _LOG8, _anderson_point, _CountingPanels, angle_kernel,
@@ -292,8 +292,9 @@ class TestApplyQuantization:
         problem = self.problem()
         seq = random_growth_sequence(rng, 48)
         x_log = np.log(seq.values)
-        panels = _CountingPanels(seq, problem.kernel, x_log.min() - _LOG8, x_log.max() + _LOG8)
-        phi_edges = panels(panels.edges)[0]
+        panels = _CountingPanels(problem.kernel, x_log.min() - _LOG8, x_log.max() + _LOG8)
+        coef = panels.fit(counting_function(seq, panels.nodes, problem.kernel), slope=True)
+        phi_edges = panels(coef, panels.edges)[0]
         q = problem.offsets.values(48)
         # the operator builds these same panels: they already bracket every level
         assert phi_edges[0] < q.min() and phi_edges[-1] > q.max()
@@ -387,10 +388,11 @@ class TestCountingPanels:
             kp = KernelParams(theta)
             seq = random_growth_sequence(rng, 1000, alpha=1.0 + theta / math.pi)
             x_log = np.log(seq.values)
-            panels = _CountingPanels(seq, kp, x_log.min() - _LOG8, x_log.max() + _LOG8)
+            panels = _CountingPanels(kp, x_log.min() - _LOG8, x_log.max() + _LOG8)
+            coef = panels.fit(counting_function(seq, panels.nodes, kp), slope=True)
             lo, hi = panels.edges[0], panels.edges[-1]
             s = np.concatenate([[lo, hi], rng.uniform(lo, hi, 400)])
-            phi, slope = panels(s)
+            phi, slope = panels(coef, s)
             dense = dense_counting(seq, np.exp(s), kp)
             dense_slope = dense_counting(seq, np.exp(s), kp, slope=True)
             assert np.max(np.abs(phi - dense)) <= 1e-14 * np.max(np.abs(dense)), theta
@@ -415,9 +417,9 @@ class TestCountingPanels:
         calls = []
         call = _CountingPanels.__call__
 
-        def counted(panels, s):
+        def counted(panels, coef, s):
             calls.append(s.size)
-            return call(panels, s)
+            return call(panels, coef, s)
 
         monkeypatch.setattr(_CountingPanels, "__call__", counted)
         cfg = OperatorConfig(truncation=2000)
@@ -450,7 +452,7 @@ class TestCompressedSources:
         kp = KernelParams(theta)
         seq = random_growth_sequence(rng, n, alpha=1.0 + theta / math.pi)
         x_log = np.log(seq.values)
-        panels = _CountingPanels(seq, kp, x_log.min() - _LOG8, x_log.max() + _LOG8)
+        panels = _CountingPanels(kp, x_log.min() - _LOG8, x_log.max() + _LOG8)
         return seq, kp, panels, *quantize._compressed_sources(seq, kp)
 
     # 48 levels: every panel stays direct; 250: mixed; 2000: the top panels compress
@@ -608,7 +610,7 @@ class TestDerivativeMatrix:
         D, *_ = self.matrix_at(rng)
         k = np.arange(1, 41, dtype=float)
         v = 1.0 / k
-        image = D.entries @ v
+        image = D @ v
         assert np.max(np.abs(image)) < np.max(np.abs(v))
 
     def test_first_order_accuracy(self, rng):
@@ -619,22 +621,52 @@ class TestDerivativeMatrix:
             out = apply_quantization(seq, problem.offsets, problem.kernel, self.CFG)
             moved = apply_quantization(seq.with_values(seq.values * np.exp(v)),
                                        problem.offsets, problem.kernel, self.CFG)
-            predicted = derivative_matrix(seq, out, problem.kernel, self.CFG).entries @ v
+            predicted = derivative_matrix(seq, out, problem.kernel, self.CFG) @ v
             gap = np.max(np.abs(np.log(moved.values) - np.log(out.values) - predicted))
             assert gap <= 4 * np.max(np.abs(v)) ** 2 + 100 * ROOT_TOL
 
-    @pytest.mark.parametrize("entries, defect, message", [
-        (np.full((2, 3), 0.25), np.full(2, 0.25), "square"),
-        (np.full((2, 2), 0.25), np.full(3, 0.5), "row_defect length"),
-        (np.array([[0.5, 0.0], [0.25, 0.25]]), np.full(2, 0.5), "strictly positive"),
-        (np.full((2, 2), 0.6), np.full(2, -0.2), "nonnegative"),
-        (np.full((2, 2), 0.25), np.full(2, 0.5 + 1e-11), "sum to 1"),
-        (np.array([[0.5, np.nan], [0.25, 0.25]]), np.full(2, 0.5), "strictly positive"),
-    ], ids=["not-square", "defect-length", "zero-entry", "negative-defect", "row-sum-gap",
-            "nan-entry"])
-    def test_refuses_malformed_input(self, entries, defect, message):
-        with pytest.raises(ValueError, match=message):
-            DerivativeMatrix(entries, defect)
+    def test_refuses_unequal_lengths(self, rng):
+        D, seq, out, problem = self.matrix_at(rng)
+        with pytest.raises(ValueError, match="square"):
+            derivative_matrix(seq, out.with_values(out.values[:-1]), problem.kernel, self.CFG)
+
+    # the seed and the fixed point of each problem; at N = 40 every panel of X
+    # stays direct, at 300 some compress, at 2000 the top panels do
+    @pytest.mark.parametrize("n", [40, 300, 2000])
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("M", [2, 3, 5])
+    def test_product_matches_dense_matrix(self, rng, M, parity, n):
+        problem, cfg, fixed, _ = solved_parity(M, parity, n)
+        k = np.arange(1, n + 1, dtype=float)
+        for X in (seed_sequence(problem, n), fixed):
+            D = derivative_matrix(X, apply_quantization(X, problem.offsets, problem.kernel, cfg),
+                                  problem.kernel, cfg)
+            # the dense product summed in extended precision, so that the
+            # reference carries only the rounding of the entries
+            dense = D.entries.astype(np.longdouble)
+            for v in (np.ones(n), 1.0 / k, rng.uniform(-1.0, 1.0, n)):
+                exact = (dense @ v.astype(np.longdouble)).astype(float)
+                assert np.max(np.abs(D @ v - exact)) <= 2e-15 * np.max(np.abs(v)), (X is fixed)
+            assert np.max(np.abs(D @ np.ones(n) + D.row_defect - 1.0)) <= 2e-15
+
+    def test_product_in_bounded_memory(self):
+        # the product holds X, Y, the normalizer and the kernel matrix between
+        # the compressed sources and the panel nodes; at N = 20000 the dense
+        # matrix would take 3 GiB
+        problem = build_problem(2, Parity.ODD)
+        for n, bound in ((2000, 2 * 2**20), (20000, 4 * 2**20)):
+            cfg = OperatorConfig(truncation=n)
+            seq = seed_sequence(problem, n)
+            out = apply_quantization(seq, problem.offsets, problem.kernel, cfg)
+            tracemalloc.start()
+            try:
+                rate = spectral_rate_estimate(derivative_matrix(seq, out, problem.kernel, cfg),
+                                              1.0, 40)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, n
+            assert 0.0 < rate < 1.0, n
 
     # 1000 entries make blocks of 4 rows and a ragged last block
     @pytest.mark.parametrize("entries", [1000, quantize._BLOCK_ENTRIES])
@@ -662,26 +694,29 @@ class TestDerivativeMatrix:
         assert np.array_equal(D.row_defect, np.concatenate(defect))
 
     def test_row_blocks_in_bounded_memory(self):
-        # N = 2000 fills the 30.5 MiB result in four row blocks, each evaluated
-        # in place in one 8 MiB buffer and the block's rows of the result, so
-        # a call holds the result and one block
+        # the first read of entries fills the 30.5 MiB result at N = 2000 in
+        # row blocks of 63 rows, each evaluated in place in one 1 MiB buffer
+        # and the block's rows of the result, so it holds the result and one block
         problem = build_problem(2, Parity.ODD)
         cfg = OperatorConfig(truncation=2000)
         seq = seed_sequence(problem, 2000)
         out = apply_quantization(seq, problem.offsets, problem.kernel, cfg)
+        D = derivative_matrix(seq, out, problem.kernel, cfg)
         tracemalloc.start()
         try:
-            D = derivative_matrix(seq, out, problem.kernel, cfg)
+            entries = D.entries
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= D.entries.nbytes + 8 * quantize._BLOCK_ENTRIES + 2**20
+        assert peak <= entries.nbytes + 8 * quantize._BLOCK_ENTRIES + 2**20
         # rows at both ends of every block against the dense normalization
         z = dense_counting(seq, out.values, problem.kernel, slope=True)
         z *= math.pi / problem.kernel.sin
-        for i in (0, 507, 508, 1015, 1016, 1999):
-            row = derivative_kernel(problem.kernel, seq.values, out.values[i]) / z[i]
-            assert np.allclose(D.entries[i], row, rtol=1e-13, atol=0), i
+        step = quantize._BLOCK_ENTRIES // (2000 + quantize.TAIL_NODES.size)
+        for start in range(0, 2000, step):
+            for i in (start, min(start + step, 2000) - 1):
+                row = derivative_kernel(problem.kernel, seq.values, out.values[i]) / z[i]
+                assert np.allclose(entries[i], row, rtol=1e-13, atol=0), i
 
 
 class TestIterate:

@@ -304,18 +304,18 @@ def cmd_verify(opts: dict) -> _Result:
         raise _UsageError(f"--levels {levels} is outside 1 to {2 * n} at --N {n}")
     if 8 * levels > oracle_cfg.grid_points:
         raise _UsageError(f"--levels {levels} needs --oracle-grid of at least {8 * levels}")
-    # the solves run before the oracle, so a truncation whose arrays cannot be
-    # allocated fails at once, not after the oracle's run
-    result = oscillator.compute_spectrum(M, cfg, stop)
-    refined = oscillator.compute_spectrum(M, refined_cfg, stop) if opts["refine"] else None
+    # the seed is the first array a solve sizes from N: a truncation that
+    # cannot be allocated fails here, not after the oracle's run
+    oscillator.seed_sequence(oscillator.build_problem(M, oscillator.Parity.EVEN), n)
     reference = oracle.hamiltonian_eigenvalues(M, levels, oracle_cfg)
 
-    def deviations(result: oscillator.SpectrumResult):
+    def deviations(cfg: OperatorConfig):
+        result = oscillator.compute_spectrum(M, cfg, stop)
         computed = result.energies[:levels]
         abs_dev = np.abs(computed - reference)
-        return computed, abs_dev, abs_dev / np.abs(reference)
+        return result, computed, abs_dev, abs_dev / np.abs(reference)
 
-    computed, abs_dev, rel_dev = deviations(result)
+    result, computed, abs_dev, rel_dev = deviations(cfg)
     rows = [
         {"level": i, "computed": float(computed[i]), "oracle": float(reference[i]),
          "abs_dev": float(abs_dev[i]), "rel_dev": float(rel_dev[i])}
@@ -333,9 +333,9 @@ def cmd_verify(opts: dict) -> _Result:
         "bound": bound,
         "pass": passed,
     }
-    if refined is not None:
+    if opts["refine"]:
         # doubled truncation: per-level deviations must not increase
-        rel_refined = deviations(refined)[2]
+        _, _, _, rel_refined = deviations(refined_cfg)
         monotone = bool(np.all(rel_refined <= rel_dev))
         for i, row in enumerate(rows):
             row["rel_dev_refined"] = float(rel_refined[i])

@@ -625,10 +625,16 @@ class TestDerivativeMatrix:
             gap = np.max(np.abs(np.log(moved.values) - np.log(out.values) - predicted))
             assert gap <= 4 * np.max(np.abs(v)) ** 2 + 100 * ROOT_TOL
 
-    def test_refuses_unequal_lengths(self, rng):
-        D, seq, out, problem = self.matrix_at(rng)
+    # X and Y of unequal lengths cannot make a square matrix, either way round
+    @pytest.mark.parametrize("short_x", [False, True], ids=["not-square", "not-square-short-x"])
+    def test_refuses_malformed_input(self, rng, short_x):
+        _, seq, out, problem = self.matrix_at(rng)
+        if short_x:
+            seq = seq.with_values(seq.values[:-1])
+        else:
+            out = out.with_values(out.values[:-1])
         with pytest.raises(ValueError, match="square"):
-            derivative_matrix(seq, out.with_values(out.values[:-1]), problem.kernel, self.CFG)
+            derivative_matrix(seq, out, problem.kernel, self.CFG)
 
     # the seed and the fixed point of each problem; at N = 40 every panel of X
     # stays direct, at 300 some compress, at 2000 the top panels do

@@ -13,10 +13,10 @@ and the components solve independently.
 This module provides the two pair kernels, the counting function over
 per-panel Chebyshev moments of the sequence, the implicit solve on panels
 that sample the counting function, the row-stochastic derivative matrix of
-the operator in log coordinates, a product in O(N) memory on the same
-moments and panels, and the iteration driver.  The truncated
+the operator in log coordinates, and the iteration driver.  The truncated
 operator keeps its input's tail model: the tail normalization is a boundary
-condition, as in the paper's spaces of properly normalized sequences.
+condition, as in the paper's spaces of properly normalized sequences.  The
+derivative matrix is a product in O(N) memory on the same moments and panels.
 """
 
 from __future__ import annotations

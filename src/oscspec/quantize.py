@@ -10,13 +10,13 @@ Q is an admissible offset sequence.  Because the left side depends on Y only
 through Y_j and is strictly increasing in it, each component has a unique root
 and the components solve independently.
 
-This module provides the two pair kernels, the counting function over
-per-panel Chebyshev moments of the sequence, the implicit solve on panels
-that sample the counting function, the row-stochastic derivative matrix of
-the operator in log coordinates, and the iteration driver.  The truncated
-operator keeps its input's tail model: the tail normalization is a boundary
-condition, as in the paper's spaces of properly normalized sequences.  The
-derivative matrix is a product in O(N) memory on the same moments and panels.
+This module provides the two pair kernels, the compression of a sequence
+into per-panel Chebyshev moments, built once per sequence by each of its
+three readers: the counting function, the implicit solve on panels, and the
+row-stochastic derivative matrix of the operator in log coordinates, a
+product in O(N) memory; and the iteration driver.  The truncated operator
+keeps its input's tail model: the tail normalization is a boundary
+condition, as in the paper's spaces of properly normalized sequences.
 """
 
 from __future__ import annotations
@@ -242,9 +242,11 @@ def _kernel_sum(sources: np.ndarray, weights: np.ndarray, probes: np.ndarray,
     return out * (1.0 / math.pi)
 
 
-def _panel_grid(kernel: KernelParams, lo: float, hi: float) -> tuple[int, float]:
-    """Number and width of the equal panels of width at most 2 (pi - theta) / 3
-    on [lo, hi], in s = ln y.
+class _CountingPanels:
+    """The equal panels of width at most 2 (pi - theta) / 3 on [lo, hi] in
+    s = ln y, the one owner of their geometry, and piecewise Chebyshev
+    interpolants on them of functions sampled at their Chebyshev points,
+    panel by panel.
 
     Each term of the counting sum, arg(e**(ln X_k - s) + e**(i theta)), is
     analytic in |Im s| < pi - theta and, whatever s is, in the same strip as
@@ -252,111 +254,44 @@ def _panel_grid(kernel: KernelParams, lo: float, hi: float) -> tuple[int, float]
     parameter 3 + sqrt(10), in which degree _CHEB_DEGREE reaches the rounding
     floor of the dense sum.  The number of panels grows like the log-range
     over pi - theta (so like M + 1 for the oscillator) and is not bounded by N.
-    """
-    count = max(1, math.ceil((hi - lo) / (2.0 * (math.pi - kernel.theta) / 3.0)))
-    return count, (hi - lo) / count
 
-
-def _compressed_sources(X: EnergySequence, kernel: KernelParams,
-                        weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Sources and weights of the compressed counting sum of X.
-
-    The stored levels are interpolated on the panels of _panel_grid over
-    [min ln X - ln 8, max ln X + ln 8] (the far-field step of the black-box
-    FMM, Fong & Darve, J. Comput. Phys. 228, 2009, with no near field).  A
-    panel holding more than _CHEB_DEGREE + 1 stored levels hands the kernel
-    sum its own Chebyshev points instead, weighted by the moments
-    m_a = sum_k w_k l_a(t_k) of the Lagrange basis l_a at the levels' local
-    coordinates t_k; any other panel keeps its levels at their weights w_k,
-    and the tail nodes stay direct.  The level weights are one and the tail
-    nodes carry the tail rule's weights; given `weights`, the levels carry
-    those and the tail nodes zero, so the sum runs over the stored levels
-    alone.  The sum therefore sees at most N + 64 sources, and the moments
-    cost O(N * 25) time and memory, since only occupied panels are indexed.
-    Returns the direct levels, the Chebyshev points of compressed panels,
-    then the tail nodes, each with its weight.
-    """
-    x_log = np.log(X.values)
-    lo, hi = x_log.min() - _LOG8, x_log.max() + _LOG8
-    count, width = _panel_grid(kernel, lo, hi)
-    panel = np.clip(((x_log - lo) / width).astype(int), 0, count - 1)
-    occupied, slot, size = np.unique(panel, return_inverse=True, return_counts=True)
-    packed = size > _CHEB_DEGREE + 1
-    centers = lo + width * (occupied + 0.5)
-    t = (x_log - centers[slot]) * (2.0 / width)
-    tail_values, tail_weights = _tail_rule(len(X), X.tail)
-    if weights is None:
-        weights = np.ones_like(t)
-    else:
-        tail_weights = np.zeros(tail_values.size)
-    # column m: the sum of w_k T_m(t_k) over the levels of each occupied panel,
-    # w_k T_m(t_k) running the three-term recurrence of T_m from w_k, w_k t_k
-    sums = np.empty((occupied.size, _CHEB_DEGREE + 1))
-    t_prev, t_cur = weights, t * weights
-    for column in sums.T:
-        column[:] = np.bincount(slot, weights=t_prev, minlength=occupied.size)
-        t_prev, t_cur = t_cur, 2.0 * t * t_cur - t_prev
-    moments = sums[packed] @ _CHEB_FROM_VALUES
-    nodes = np.exp(centers[packed, None] + 0.5 * width * _CHEB_NODES)
-    direct = ~packed[slot]
-    return (np.concatenate([X.values[direct], nodes.ravel(), tail_values]),
-            np.concatenate([weights[direct], moments.ravel(), tail_weights]))
-
-
-def counting_function(X: EnergySequence, probes, kernel: KernelParams) -> np.ndarray:
-    """Counting function of the full sequence X at every probe energy.
-
-    Returns (1/pi) sum_k w_k angle_kernel(X_k, y) for each probe y.  The
-    weights w_k are one on the stored entries and the tail quadrature weights
-    on the tail nodes.  The stored levels enter through the sources of
-    _compressed_sources, and every probe is evaluated directly against them,
-    with no interpolation on the probe side: a probe costs O(S) with
-    S <= N + 64 sources (164 to 378 for the bracket candidates at N = 2000,
-    M = 2, 3, 5), on top of O(N log N + N * 25) for the compression, whatever
-    the number of panels.  The panels of apply_quantization sample it at
-    their Chebyshev points.
-    Against the dense sum over all N + 64 sources it is off by at most
-    1.2e-15 * max phi, at the stored levels and above them, so a certificate
-    moves by ~2e-12 against its 1e-8 slack.
-    The sum is blocked over the probes, so besides its output it holds
-    O(S * block) memory, a block being max(1, _BLOCK_ENTRIES // S) probes.
-    """
-    return _kernel_sum(*_compressed_sources(X, kernel), np.asarray(probes, dtype=float), kernel)
-
-
-class _CountingPanels:
-    """The panels of _panel_grid over [lo, hi] in s = ln y, and piecewise
-    Chebyshev interpolants on them of functions sampled at `nodes`, the
-    energies of every panel's Chebyshev points, panel by panel.
-
-    apply_quantization samples s -> phi(X, e**s) with counting_function, once
-    per build: O(N * 25) for the moments plus
-    O((panels * 25) * (panels * 25 + 64)) kernel evaluations.  Whatever
-    [lo, hi] is, the sources are those compressed on the unwidened range;
-    counting_function evaluates the nodes beyond it directly.
-    DerivativeMatrix samples derivative-kernel sums over the same sources.
+    Nothing is kept per panel (`edges` is built when it is read), so the
+    compression of X touches only its occupied panels, also among the 2.4e7
+    of the bracket certificates at M = 1e7, where every panel's points would
+    take gigabytes.
     """
 
     def __init__(self, kernel: KernelParams, lo: float, hi: float):
-        count, self.width = _panel_grid(kernel, lo, hi)
-        self.lo = lo
-        self.edges = lo + self.width * np.arange(count + 1)
-        self.centers = lo + self.width * (np.arange(count) + 0.5)
-        self.nodes = np.exp(self.centers[:, None] + 0.5 * self.width * _CHEB_NODES).ravel()
+        self.count = max(1, math.ceil((hi - lo) / (2.0 * (math.pi - kernel.theta) / 3.0)))
+        self.lo, self.width = lo, (hi - lo) / self.count
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        return self.lo + self.width * np.arange(self.count + 1)
+
+    def locate(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The panel of every s in [lo, hi] and its local coordinate in [-1, 1]."""
+        panel = np.clip(((s - self.lo) / self.width).astype(int), 0, self.count - 1)
+        return panel, (s - (self.lo + self.width * (panel + 0.5))) * (2.0 / self.width)
+
+    def nodes(self, panels: np.ndarray) -> np.ndarray:
+        """Energies of the Chebyshev points of the given panels, panel by panel."""
+        centers = self.lo + self.width * (panels[:, None] + 0.5)
+        return np.exp(centers + 0.5 * self.width * _CHEB_NODES).ravel()
 
     def fit(self, values: np.ndarray, slope: bool = False) -> np.ndarray:
         """Coefficients (degree + 1, row, panel) of the interpolant of the
-        values at the nodes and, with slope, of its derivative in s."""
-        phi = values.reshape(self.centers.size, -1)
+        values at the nodes of every panel and, with slope, of its derivative
+        in s."""
+        phi = values.reshape(self.count, -1)
         rows = [_CHEB_FROM_VALUES @ phi.T]
         if slope:
             rows.append((2.0 / self.width) * (_CHEB_SLOPE_FROM_VALUES @ phi.T))
         return np.stack(rows, axis=1)
 
-    def __call__(self, coef: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """The rows of coef at every s in [lo, hi], from one Clenshaw sweep."""
-        panel = np.clip(((s - self.lo) / self.width).astype(int), 0, self.centers.size - 1)
-        x = (s - self.centers[panel]) * (2.0 / self.width)
+    def __call__(self, coef: np.ndarray, panel: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The rows of coef at the points `locate` put at local coordinates x
+        of the given panels, from one Clenshaw sweep."""
         x2 = 2.0 * x
         b1, b2 = coef[-1].take(panel, axis=1), 0.0
         for c in coef[-2:0:-1]:
@@ -364,17 +299,86 @@ class _CountingPanels:
         return coef[0].take(panel, axis=1) + x * b1 - b2
 
 
+class _CompressedSources:
+    """The sources of the kernel sums over X, compressed once.
+
+    The stored levels are interpolated on `panels`, the _CountingPanels over
+    [min ln X - ln 8, max ln X + ln 8] (the far-field step of the black-box
+    FMM, Fong & Darve, J. Comput. Phys. 228, 2009, with no near field).  A
+    panel holding more than _CHEB_DEGREE + 1 stored levels hands a sum its
+    own Chebyshev points instead, weighted by the moments
+    m_a = sum_k v_k l_a(t_k) of the Lagrange basis l_a at the levels' local
+    coordinates t_k; any other panel keeps its levels at their weights v_k.
+    `points` are the direct levels, the Chebyshev points of compressed
+    panels, then the tail nodes: at most N + 64 sources.  `weights` are the
+    counting sum's, the levels at one and the tail nodes at the tail rule's
+    weights.  `moments(v)`, the one step per weight vector, weights the
+    levels by v and the tail nodes by zero, so its sum runs over the stored
+    levels alone; it costs O(N * 25) time and memory, and the build
+    O(N log N) besides, since only occupied panels are indexed.
+    """
+
+    def __init__(self, X: EnergySequence, kernel: KernelParams):
+        x_log = np.log(X.values)
+        self.panels = _CountingPanels(kernel, x_log.min() - _LOG8, x_log.max() + _LOG8)
+        panel, self._t = self.panels.locate(x_log)
+        occupied, self._slot, size = np.unique(panel, return_inverse=True, return_counts=True)
+        self._packed = size > _CHEB_DEGREE + 1
+        self._direct = ~self._packed[self._slot]
+        tail_values, tail_weights = _tail_rule(len(X), X.tail)
+        self.points = np.concatenate([X.values[self._direct],
+                                      self.panels.nodes(occupied[self._packed]), tail_values])
+        self.weights = self.moments(np.ones(len(X)))
+        self.weights[-tail_weights.size:] = tail_weights
+
+    def moments(self, v: np.ndarray) -> np.ndarray:
+        """Weights of the points for the level weights v, the tail nodes at zero."""
+        # column m: the sum of v_k T_m(t_k) over the levels of each occupied panel,
+        # v_k T_m(t_k) running the three-term recurrence of T_m from v_k, v_k t_k
+        sums = np.empty((self._packed.size, _CHEB_DEGREE + 1))
+        t_prev, t_cur = v, self._t * v
+        for column in sums.T:
+            column[:] = np.bincount(self._slot, weights=t_prev, minlength=self._packed.size)
+            t_prev, t_cur = t_cur, 2.0 * self._t * t_cur - t_prev
+        moments = sums[self._packed] @ _CHEB_FROM_VALUES
+        return np.concatenate([v[self._direct], moments.ravel(), np.zeros(TAIL_NODES.size)])
+
+
+def counting_function(X: EnergySequence, probes, kernel: KernelParams) -> np.ndarray:
+    """Counting function of the full sequence X at every probe energy.
+
+    Returns (1/pi) sum_k w_k angle_kernel(X_k, y) for each probe y.  The
+    weights w_k are one on the stored entries and the tail quadrature weights
+    on the tail nodes.  The stored levels enter through the points of
+    _CompressedSources, and every probe is evaluated directly against them,
+    with no interpolation on the probe side: a probe costs O(S) with
+    S <= N + 64 sources (164 to 378 for the bracket candidates at N = 2000,
+    M = 2, 3, 5), on top of O(N log N + N * 25) for the compression, whatever
+    the number of panels.  The panels of apply_quantization sample the same
+    sum, over the sources compressed once per application, at their
+    Chebyshev points.
+    Against the dense sum over all N + 64 sources it is off by at most
+    1.2e-15 * max phi, at the stored levels and above them, so a certificate
+    moves by ~2e-12 against its 1e-8 slack.
+    The sum is blocked over the probes, so besides its output it holds
+    O(S * block) memory, a block being max(1, _BLOCK_ENTRIES // S) probes.
+    """
+    sources = _CompressedSources(X, kernel)
+    return _kernel_sum(sources.points, sources.weights, np.asarray(probes, dtype=float), kernel)
+
+
 def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParams,
                        cfg: OperatorConfig) -> EnergySequence:
     """Apply the operator: solve the counting equation at every stored level.
 
     Every component inverts one increasing function, the counting function
-    s -> phi(X, e**s).  counting_function evaluates it once, at the Chebyshev
-    points of panels covering one range of y = ln Y shared by all levels; the
-    panel width is 2 (pi - theta) / 3, set by the strip of analyticity of the
-    kernel, at degree 24.  Each panel holding more than 25 stored levels
-    enters that sum through its 25 Chebyshev moments instead of its levels
-    (see _compressed_sources), so the kernel sum costs
+    s -> phi(X, e**s).  Its sum is evaluated once per panel build, at the
+    Chebyshev points of panels covering one range of y = ln Y shared by all
+    levels; the panel width is 2 (pi - theta) / 3, set by the strip of
+    analyticity of the kernel, at degree 24.  X is compressed once per
+    application, and each panel of it holding more than 25 stored levels
+    enters every build's sum through its 25 Chebyshev moments instead of its
+    levels (see _CompressedSources), so the kernel sum costs
     O(N * 25 + (panels * 25) * (panels * 25 + 64)) per application instead
     of several O(N**2) passes, with O(N) memory besides the blocked sum.  All
     root finding then runs on that piecewise interpolant and its Chebyshev
@@ -383,9 +387,9 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
     to DerivativeMatrix.entries, built when it is read.
 
     The range starts at [min X / 8, 8 max X] and widens by a factor 8 at an
-    end, rebuilding the panels, until the interpolant there lies below min Q
-    and above max Q (up to a total factor of 2**64 per side).  Level j is
-    bracketed by the panel whose edge values straddle Q_j and solved by a
+    end, rebuilding the panels on the same compressed sources, until the
+    interpolant there lies below min Q and above max Q (up to a total factor
+    of 2**64 per side).  Level j is bracketed by the panel whose edge values straddle Q_j and solved by a
     safeguarded Newton iteration in y_j = ln Y_j from ln X_j clipped into that
     panel, falling back to bisection.  Level j closes, keeping y_j, when
     |phi_j - Q_j| <= max(ROOT_TOL, phi'_j r_j), r_j = 8 eps max(1, |y_j|):
@@ -403,18 +407,19 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
     Raises NoConvergence if widening runs out or MAX_ROOT_ITERS is exhausted.
     cfg is not read: the tail rule, TAIL_NODES and TAIL_WEIGHTS, is fixed.
     """
-    values = X.values
-    n = len(values)
+    n = len(X)
     q = Q.values(n)
 
-    x_log = np.log(values)
+    sources = _CompressedSources(X, kernel)
+    x_log = np.log(X.values)
     lo, hi = x_log.min() - _LOG8, x_log.max() + _LOG8
     # widen until the range brackets every level: phi is increasing in y, so
     # phi(lo) < min Q and phi(hi) > max Q put each root between two panel edges
     while True:
         panels = _CountingPanels(kernel, lo, hi)
-        coef = panels.fit(counting_function(X, panels.nodes, kernel), slope=True)
-        phi_edges = panels(coef, panels.edges)[0]
+        nodes = panels.nodes(np.arange(panels.count))
+        coef = panels.fit(_kernel_sum(sources.points, sources.weights, nodes, kernel), slope=True)
+        phi_edges = panels(coef, *panels.locate(panels.edges))[0]
         widen_lo, widen_hi = phi_edges[0] >= q.min(), phi_edges[-1] <= q.max()
         if not widen_lo and not widen_hi:
             break
@@ -435,7 +440,7 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
     roots = np.empty(n)
     level = np.arange(n)
     for _ in range(MAX_ROOT_ITERS):
-        f, slope = panels(coef, y)
+        f, slope = panels(coef, *panels.locate(y))
         f -= q
         positive = f > 0
         lo, hi = np.where(positive, lo, y), np.where(positive, y, hi)
@@ -465,17 +470,19 @@ class DerivativeMatrix:
     Row i is K(X_j, Y_i) / Z_i over the stored levels j, with K the derivative
     kernel and Z_i = sum_k w_k K(X_k, Y_i) over the full sequence, tail
     included; the tail's share of Z_i is the row defect, so every entry is
-    positive and each row plus its defect sums to one.  `D @ v` sums over the
-    compressed sources of X (_compressed_sources with the level weights v, the
-    tail weighted zero) at the Chebyshev points of the panels of _panel_grid
-    over [min ln Y - ln 8, max ln Y + ln 8], one small matrix-vector product
-    with the derivative-kernel matrix between them, then interpolates that sum
-    to ln Y with one Clenshaw sweep and divides by Z, the unit-weight-plus-tail
-    sum on the same panels; so D @ 1 and the defect add up to one to rounding.
+    positive and each row plus its defect sums to one.  Construction
+    compresses X once (_CompressedSources) and locates ln Y once on the
+    _CountingPanels over [min ln Y - ln 8, max ln Y + ln 8].  `D @ v` takes
+    the moments of v, the tail weighted zero, sums them at the Chebyshev
+    points of those panels by one small matrix-vector product with the
+    derivative-kernel matrix between the two, interpolates that sum to ln Y
+    with one Clenshaw sweep and divides by Z, the unit-weight-plus-tail sum
+    on the same panels; so D @ 1 and the defect add up to one to rounding.
     Against `entries @ v` summed in extended precision it is off by at most
     1.8e-15 * max |v| (measured at the seeds and fixed points of M = 2, 3, 5,
-    N <= 2000).  Besides X and Y it holds Z and that matrix, a few hundred by
-    a few hundred, whatever N.
+    N <= 2000).  Besides X, Y, the compression and the panel coordinates of
+    ln Y, O(N), it holds Z and that matrix, a few hundred by a few hundred,
+    whatever N.
 
     `entries` and `row_defect` are the dense N x N matrix and the defects,
     built together on the first read of either, in row blocks of
@@ -487,22 +494,23 @@ class DerivativeMatrix:
         if len(Y) != len(X):
             raise ValueError(f"Y has {len(Y)} levels, X {len(X)}: the matrix must be square")
         self._X, self._Y, self._kernel = X, Y, kernel
-        self._s = np.log(Y.values)
-        self._panels = _CountingPanels(kernel, self._s.min() - _LOG8, self._s.max() + _LOG8)
-        sources, weights = _compressed_sources(X, kernel)
-        self._matrix = derivative_kernel(kernel, sources, self._panels.nodes[:, None])
-        self._norm = self._sum(weights)
+        s = np.log(Y.values)
+        self._panels = _CountingPanels(kernel, s.min() - _LOG8, s.max() + _LOG8)
+        self._at = self._panels.locate(s)
+        self._sources = _CompressedSources(X, kernel)
+        nodes = self._panels.nodes(np.arange(self._panels.count))
+        self._matrix = derivative_kernel(kernel, self._sources.points, nodes[:, None])
+        self._norm = self._sum(self._sources.weights)
 
     def __len__(self) -> int:
         return len(self._Y)
 
     def __matmul__(self, v) -> np.ndarray:
-        weights = _compressed_sources(self._X, self._kernel, np.asarray(v, dtype=float))[1]
-        return self._sum(weights) / self._norm
+        return self._sum(self._sources.moments(np.asarray(v, dtype=float))) / self._norm
 
     def _sum(self, weights: np.ndarray) -> np.ndarray:
         """sum_k weights_k K(source_k, Y_i) at every level i, from the panels."""
-        return self._panels(self._panels.fit(self._matrix @ weights), self._s)[0]
+        return self._panels(self._panels.fit(self._matrix @ weights), *self._at)[0]
 
     @property
     def entries(self) -> np.ndarray:

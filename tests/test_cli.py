@@ -610,9 +610,9 @@ def test_oracle_grid_past_its_cap_is_refused_before_any_grid(capsys, monkeypatch
 
 
 def test_oversized_panel_count_names_m(capsys, monkeypatch):
-    # the panel count grows like M + 1: M = 1e15 asks for 12.6 PiB of panel
-    # edges, which numpy refuses before any counting sum is evaluated
-    monkeypatch.setattr(quantize, "counting_function", _must_not_solve)
+    # the panel count grows like M + 1: M = 1e15 asks for petabytes of panel
+    # points, which numpy refuses before any kernel sum is evaluated
+    monkeypatch.setattr(quantize, "_kernel_sum", _must_not_solve)
     code, out, err = run(capsys, "spectrum", "--M", "1000000000000000", "--N", "5",
                          "--levels", "1")
     assert code == EXIT_USAGE

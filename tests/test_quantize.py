@@ -34,8 +34,8 @@ from oscspec import (
     spectral_rate_estimate,
 )
 from oscspec import quantize
-from oscspec.quantize import (ROOT_TOL, _LOG8, _anderson_point, _CountingPanels, angle_kernel,
-                              derivative_kernel)
+from oscspec.quantize import (ROOT_TOL, _anderson_point, _CompressedSources, _CountingPanels,
+                              angle_kernel, derivative_kernel)
 from conftest import dense_counting, random_growth_sequence, solved_parity
 from test_acceptance import THETA_GRID
 
@@ -291,14 +291,15 @@ class TestApplyQuantization:
         # a wrong level without raising
         problem = self.problem()
         seq = random_growth_sequence(rng, 48)
-        x_log = np.log(seq.values)
-        panels = _CountingPanels(problem.kernel, x_log.min() - _LOG8, x_log.max() + _LOG8)
-        coef = panels.fit(counting_function(seq, panels.nodes, problem.kernel), slope=True)
-        phi_edges = panels(coef, panels.edges)[0]
+        panels = _CompressedSources(seq, problem.kernel).panels
+        nodes = panels.nodes(np.arange(panels.count))
+        coef = panels.fit(counting_function(seq, nodes, problem.kernel), slope=True)
+        phi_edges = panels(coef, *panels.locate(panels.edges))[0]
         q = problem.offsets.values(48)
-        # the operator builds these same panels: they already bracket every level
+        # the operator's first build has the panels of the compression of X:
+        # they already bracket every level
         assert phi_edges[0] < q.min() and phi_edges[-1] > q.max()
-        assert panels.centers.size >= 3
+        assert panels.count >= 3
         for j, value in enumerate(phi_edges[1:-1]):
             offsets = _ReplacedOffsets(problem.offsets.constant, {j + 1: value})
             out = apply_quantization(seq, offsets, problem.kernel, self.CFG)
@@ -387,12 +388,12 @@ class TestCountingPanels:
         for theta in thetas:
             kp = KernelParams(theta)
             seq = random_growth_sequence(rng, 1000, alpha=1.0 + theta / math.pi)
-            x_log = np.log(seq.values)
-            panels = _CountingPanels(kp, x_log.min() - _LOG8, x_log.max() + _LOG8)
-            coef = panels.fit(counting_function(seq, panels.nodes, kp), slope=True)
+            panels = _CompressedSources(seq, kp).panels
+            coef = panels.fit(counting_function(seq, panels.nodes(np.arange(panels.count)), kp),
+                              slope=True)
             lo, hi = panels.edges[0], panels.edges[-1]
             s = np.concatenate([[lo, hi], rng.uniform(lo, hi, 400)])
-            phi, slope = panels(coef, s)
+            phi, slope = panels(coef, *panels.locate(s))
             dense = dense_counting(seq, np.exp(s), kp)
             dense_slope = dense_counting(seq, np.exp(s), kp, slope=True)
             assert np.max(np.abs(phi - dense)) <= 1e-14 * np.max(np.abs(dense)), theta
@@ -417,9 +418,9 @@ class TestCountingPanels:
         calls = []
         call = _CountingPanels.__call__
 
-        def counted(panels, coef, s):
-            calls.append(s.size)
-            return call(panels, coef, s)
+        def counted(panels, coef, panel, x):
+            calls.append(x.size)
+            return call(panels, coef, panel, x)
 
         monkeypatch.setattr(_CountingPanels, "__call__", counted)
         cfg = OperatorConfig(truncation=2000)
@@ -451,9 +452,8 @@ class TestCompressedSources:
     def build(rng, n, theta):
         kp = KernelParams(theta)
         seq = random_growth_sequence(rng, n, alpha=1.0 + theta / math.pi)
-        x_log = np.log(seq.values)
-        panels = _CountingPanels(kp, x_log.min() - _LOG8, x_log.max() + _LOG8)
-        return seq, kp, panels, *quantize._compressed_sources(seq, kp)
+        compressed = _CompressedSources(seq, kp)
+        return seq, kp, compressed.panels, compressed.points, compressed.weights
 
     # 48 levels: every panel stays direct; 250: mixed; 2000: the top panels compress
     @pytest.mark.parametrize("n", [48, 250, 2000])
@@ -467,8 +467,7 @@ class TestCompressedSources:
                 assert stored.size < n and np.isin(seq.values, stored).any(), theta
             else:
                 assert not np.isin(seq.values.max(), stored), theta
-            probes = np.exp(panels.centers[:, None]
-                            + 0.5 * panels.width * quantize._CHEB_NODES).ravel()
+            probes = panels.nodes(np.arange(panels.count))
             compressed = quantize._kernel_sum(sources, weights, probes, kp)
             dense = dense_counting(seq, probes, kp)
             assert np.max(np.abs(compressed - dense)) <= 1e-14 * np.max(np.abs(dense)), theta
@@ -482,6 +481,32 @@ class TestCompressedSources:
             stored = weights[:-quantize.TAIL_NODES.size]
             assert stored.size <= n, theta
             assert abs(stored.sum() - n) <= 64 * np.finfo(float).eps * n, theta
+
+    def test_each_sequence_compressed_once(self, monkeypatch):
+        # an application that rebuilds its panels over a widened range, and a
+        # derivative matrix with the 40 products of a rate estimate, each
+        # compress X once; only the compression calls the tail rule
+        calls = []
+        tail_rule = quantize._tail_rule
+
+        def counted(n, tail):
+            calls.append(n)
+            return tail_rule(n, tail)
+
+        monkeypatch.setattr(quantize, "_tail_rule", counted)
+        problem = build_problem(2, Parity.EVEN)
+        seq = seed_sequence(problem, 2000)
+        cfg = OperatorConfig(truncation=2000)
+        offsets = _ReplacedOffsets(problem.offsets.constant, {1: 1e-3})
+        out = apply_quantization(seq, offsets, problem.kernel, cfg)
+        # the range starts at [min X / 8, 8 max X]: a root below min X / 8**3
+        # means the panels were rebuilt on at least two widened ranges
+        assert out.values[0] < seq.values.min() / 8**3
+        assert len(calls) == 1
+        D = derivative_matrix(seq, out, problem.kernel, cfg)
+        for _ in range(40):
+            D @ np.ones(2000)
+        assert len(calls) == 2
 
     def test_memory_of_one_application(self):
         # summing every panel node against all N + 64 sources peaked at
@@ -498,7 +523,7 @@ class TestCompressedSources:
 
 
 class TestCompressedCounting:
-    """counting_function sums over the sources of _compressed_sources; the
+    """counting_function sums over the sources of _CompressedSources; the
     dense sum over all N + 64 sources is the exact reference."""
 
     # stored levels, then probes above max X, where the tail nodes dominate

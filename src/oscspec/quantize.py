@@ -13,10 +13,11 @@ and the components solve independently.
 This module provides the two pair kernels, the compression of a sequence
 into per-panel Chebyshev moments, built once per sequence by each of its
 three readers: the counting function, the implicit solve on panels, and the
-row-stochastic derivative matrix of the operator in log coordinates, a
-product in O(N) memory; and the iteration driver.  The truncated operator
-keeps its input's tail model: the tail normalization is a boundary
-condition, as in the paper's spaces of properly normalized sequences.
+row-stochastic derivative matrix of the operator in log coordinates, which
+exists only as a product in O(N) memory, never as an N x N array; and the
+iteration driver.  The truncated operator keeps its input's tail model: the
+tail normalization is a boundary condition, as in the paper's spaces of
+properly normalized sequences.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .sequences import EnergySequence, TailModel, weighted_norm
 _LOG8 = math.log(8.0)
 # widest admissible panel range: total widening factor 2**64 on either side
 _MAX_HALFWIDTH = 64.0 * math.log(2.0)
-# probes per block of a dense kernel sum hold at most this many kernel values
-# (1 MiB, inside a 2 MiB L2 cache)
+# probes per block of _kernel_sum, the one kernel block loop, hold at most this
+# many kernel values (1 MiB, inside a 2 MiB L2 cache)
 _BLOCK_ENTRIES = 1 << 17
 # apply_quantization solves level j to |phi_j - Q_j| <= ROOT_TOL within MAX_ROOT_ITERS
 # safeguarded Newton iterations
@@ -207,34 +208,20 @@ def _tail_rule(n: int, tail: TailModel) -> tuple[np.ndarray, np.ndarray]:
     return tail.value(s), TAIL_WEIGHTS * jac
 
 
-def _extended(X: EnergySequence) -> tuple[np.ndarray, np.ndarray]:
-    """Stored entries plus tail nodes, with unit weights on the prefix."""
-    tail_values, tail_weights = _tail_rule(len(X), X.tail)
-    return (
-        np.concatenate([X.values, tail_values]),
-        np.concatenate([np.ones(len(X)), tail_weights]),
-    )
-
-
-def _kernel_blocks(sources: np.ndarray, probes: np.ndarray):
-    """Yield (block, values) over probe blocks of at most _BLOCK_ENTRIES kernel
-    values (one probe at least), values being an unfilled view of one buffer of
-    probes[block].size rows by sources.size, allocated once per call, in which
-    the caller evaluates its kernel in place: freed temporaries go back to the
-    OS and fault in afresh on the next call (~330 pages a call at N = 1500)."""
-    step = max(1, _BLOCK_ENTRIES // sources.size)
-    buffer = np.empty((min(step, probes.size), sources.size))
-    for start in range(0, probes.size, step):
-        yield slice(start, start + step), buffer[:min(step, probes.size - start)]
-
-
 def _kernel_sum(sources: np.ndarray, weights: np.ndarray, probes: np.ndarray,
                 kernel: KernelParams) -> np.ndarray:
     """(1/pi) sum_k w_k angle_kernel(s_k, y) over sources s_k with weights w_k
-    at every probe y, each block of _kernel_blocks evaluated in place by
-    angle_kernel's operations."""
+    at every probe y, in probe blocks of at most _BLOCK_ENTRIES kernel values
+    (one probe at least), each evaluated in place by angle_kernel's operations
+    in a view of one buffer allocated once per call: freed temporaries go back
+    to the OS and fault in afresh on the next call (~330 pages a call at
+    N = 1500)."""
     out = np.empty(probes.size)
-    for block, values in _kernel_blocks(sources, probes):
+    step = max(1, _BLOCK_ENTRIES // sources.size)
+    buffer = np.empty((min(step, probes.size), sources.size))
+    for start in range(0, probes.size, step):
+        block = slice(start, start + step)
+        values = buffer[:min(step, probes.size - start)]
         with np.errstate(over="ignore"):
             np.divide(sources, probes[block, None], out=values)
         np.arctan2(kernel.sin, np.add(values, kernel.cos, out=values), out=values)
@@ -383,8 +370,7 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
     of several O(N**2) passes, with O(N) memory besides the blocked sum.  All
     root finding then runs on that piecewise interpolant and its Chebyshev
     derivative, which agree with the dense sum to its rounding floor
-    (measured ~1e-15 * max phi).  The dense N x N kernel loop is left only
-    to DerivativeMatrix.entries, built when it is read.
+    (measured ~1e-15 * max phi).  No N x N kernel matrix is ever formed.
 
     The range starts at [min X / 8, 8 max X] and widens by a factor 8 at an
     end, rebuilding the panels on the same compressed sources, until the
@@ -474,26 +460,23 @@ class DerivativeMatrix:
     compresses X once (_CompressedSources) and locates ln Y once on the
     _CountingPanels over [min ln Y - ln 8, max ln Y + ln 8].  `D @ v` takes
     the moments of v, the tail weighted zero, sums them at the Chebyshev
-    points of those panels by one small matrix-vector product with the
+    points of those panels by one matrix-vector product with the
     derivative-kernel matrix between the two, interpolates that sum to ln Y
     with one Clenshaw sweep and divides by Z, the unit-weight-plus-tail sum
     on the same panels; so D @ 1 and the defect add up to one to rounding.
-    Against `entries @ v` summed in extended precision it is off by at most
-    1.8e-15 * max |v| (measured at the seeds and fixed points of M = 2, 3, 5,
-    N <= 2000).  Besides X, Y, the compression and the panel coordinates of
-    ln Y, O(N), it holds Z and that matrix, a few hundred by a few hundred,
-    whatever N.
-
-    `entries` and `row_defect` are the dense N x N matrix and the defects,
-    built together on the first read of either, in row blocks of
-    _kernel_blocks, each evaluated in place in that buffer and the block's rows
-    of `entries` by derivative_kernel's operations.
+    Against the dense matrix times v summed in extended precision it is off
+    by at most 1.8e-15 * max |v| (measured at the seeds and fixed points of
+    M = 2, 3, 5, N <= 2000).  Besides the compression and the panel
+    coordinates of ln Y, O(N), it holds Z and that matrix for its whole
+    life: 25 points per panel, the panels numbering about M + 1 times the
+    log-range of Y, by at most N + 64 sources.  It grows slowly with N but
+    fast with M: 275 x 216 (0.45 MiB) at M = 2, N = 2000 and 325 x 270 at
+    N = 20000, but 10775 x 1064 (87.5 MiB) at M = 100, N = 1000.
     """
 
     def __init__(self, X: EnergySequence, Y: EnergySequence, kernel: KernelParams):
         if len(Y) != len(X):
             raise ValueError(f"Y has {len(Y)} levels, X {len(X)}: the matrix must be square")
-        self._X, self._Y, self._kernel = X, Y, kernel
         s = np.log(Y.values)
         self._panels = _CountingPanels(kernel, s.min() - _LOG8, s.max() + _LOG8)
         self._at = self._panels.locate(s)
@@ -503,7 +486,7 @@ class DerivativeMatrix:
         self._norm = self._sum(self._sources.weights)
 
     def __len__(self) -> int:
-        return len(self._Y)
+        return self._norm.size
 
     def __matmul__(self, v) -> np.ndarray:
         return self._sum(self._sources.moments(np.asarray(v, dtype=float))) / self._norm
@@ -511,37 +494,6 @@ class DerivativeMatrix:
     def _sum(self, weights: np.ndarray) -> np.ndarray:
         """sum_k weights_k K(source_k, Y_i) at every level i, from the panels."""
         return self._panels(self._panels.fit(self._matrix @ weights), *self._at)[0]
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self._dense[0]
-
-    @property
-    def row_defect(self) -> np.ndarray:
-        return self._dense[1]
-
-    @cached_property
-    def _dense(self) -> tuple[np.ndarray, np.ndarray]:
-        X, y, kernel = self._X, self._Y.values, self._kernel
-        n = len(X)
-        xe, we = _extended(X)
-        entries = np.empty((y.size, n))
-        row_defect = np.empty(y.size)
-        for rows, p in _kernel_blocks(xe, y):
-            with np.errstate(over="ignore", divide="ignore"):
-                np.divide(xe, y[rows, None], out=p)
-                tail_inverse = 1.0 / p[:, n:]
-                np.divide(1.0, p[:, :n], out=entries[rows])
-                p += 2.0 * kernel.cos
-                p[:, :n] += entries[rows]
-                p[:, n:] += tail_inverse
-                np.divide(1.0, p, out=p)
-            z = p @ we
-            np.divide(p[:, :n], z[:, None], out=entries[rows])
-            row_defect[rows] = (p[:, n:] @ we[n:]) / z
-        entries.setflags(write=False)
-        row_defect.setflags(write=False)
-        return entries, row_defect
 
 
 def derivative_matrix(X: EnergySequence, Y: EnergySequence, kernel: KernelParams,

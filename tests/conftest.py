@@ -1,5 +1,6 @@
 """Shared fixtures: cached parity solves reused across test modules, the
-exact dense counting sum, and the parser of the CLI's CSV output."""
+exact dense counting sum and derivative matrix, and the parser of the CLI's
+CSV output."""
 
 import csv
 import functools
@@ -38,19 +39,51 @@ def m2_even_500():
     return solved_parity(2, "even", 500)
 
 
+def dense_sources(X):
+    """All N stored levels of X and the 64 nodes of its tail rule, with unit
+    weights on the levels and the rule's weights on the nodes."""
+    tail_values, tail_weights = quantize._tail_rule(len(X), X.tail)
+    return (np.concatenate([X.values, tail_values]),
+            np.concatenate([np.ones(len(X)), tail_weights]))
+
+
+def row_blocks(sources, probes):
+    """Slices of the probes in blocks of at most _BLOCK_ENTRIES kernel values
+    against the sources, one probe at least."""
+    step = max(1, quantize._BLOCK_ENTRIES // sources.size)
+    return [slice(start, start + step) for start in range(0, probes.size, step)]
+
+
 def dense_counting(X, probes, kernel, slope=False):
     """Counting function (or, with slope set, its log-derivative
     (sin theta / pi) sum_k w_k derivative_kernel(X_k, y)) summed over all N
     stored levels and the 64 tail nodes: the exact reference against which
     the compressed sums of counting_function and the panels are measured."""
-    sources, weights = quantize._extended(X)
+    sources, weights = dense_sources(X)
     probes = np.asarray(probes, dtype=float)
     if not slope:
         return quantize._kernel_sum(sources, weights, probes, kernel)
     out = np.empty(probes.size)
-    for block, _ in quantize._kernel_blocks(sources, probes):
+    for block in row_blocks(sources, probes):
         out[block] = quantize.derivative_kernel(kernel, sources, probes[block, None]) @ weights
     return out * (kernel.sin / math.pi)
+
+
+def dense_derivative(X, Y, kernel):
+    """The N x N derivative matrix of the operator at X, with Y its image, and
+    the row defects: row i is derivative_kernel(X_j, Y_i) / Z_i over the stored
+    levels, Z_i the same kernel summed over all N levels and the 64 tail
+    nodes, and the defect the tail nodes' share of Z_i.  The exact reference
+    against which the product of DerivativeMatrix is measured."""
+    n = len(X)
+    sources, weights = dense_sources(X)
+    entries, defect = np.empty((len(Y), n)), np.empty(len(Y))
+    for rows in row_blocks(sources, Y.values):
+        kernel_values = quantize.derivative_kernel(kernel, sources, Y.values[rows, None])
+        z = kernel_values @ weights
+        entries[rows] = kernel_values[:, :n] / z[:, None]
+        defect[rows] = (kernel_values[:, n:] @ weights[n:]) / z
+    return entries, defect
 
 
 @pytest.fixture

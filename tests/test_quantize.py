@@ -36,7 +36,7 @@ from oscspec import (
 from oscspec import quantize
 from oscspec.quantize import (ROOT_TOL, _anderson_point, _CompressedSources, _CountingPanels,
                               angle_kernel, derivative_kernel)
-from conftest import dense_counting, random_growth_sequence, solved_parity
+from conftest import dense_counting, dense_derivative, random_growth_sequence, solved_parity
 from test_acceptance import THETA_GRID
 
 # tail with a huge exponent pushes every extrapolated entry so high that the
@@ -609,11 +609,17 @@ class TestDerivativeMatrix:
         out = apply_quantization(seq, problem.offsets, problem.kernel, self.CFG)
         return derivative_matrix(seq, out, problem.kernel, self.CFG), seq, out, problem
 
+    @staticmethod
+    def columns(D):
+        """The product's own matrix, column j being D @ e_j."""
+        return np.column_stack([D @ e for e in np.eye(len(D))])
+
     def test_rows_stochastic_and_positive(self, rng):
-        D, *_ = self.matrix_at(rng)
-        total = D.entries.sum(axis=1) + D.row_defect
+        D, seq, out, problem = self.matrix_at(rng)
+        matrix = self.columns(D)
+        total = matrix.sum(axis=1) + dense_derivative(seq, out, problem.kernel)[1]
         assert np.max(np.abs(total - 1.0)) <= 1e-12
-        assert np.all(D.entries > 0)
+        assert np.all(matrix > 0)
 
     def test_four_lipschitz_entry_ratios(self, rng):
         problem = build_problem(2, Parity.EVEN)
@@ -626,7 +632,7 @@ class TestDerivativeMatrix:
             out_b = apply_quantization(other, problem.offsets, problem.kernel, self.CFG)
             da = derivative_matrix(seq, out_a, problem.kernel, self.CFG)
             db = derivative_matrix(other, out_b, problem.kernel, self.CFG)
-            ratio = da.entries / db.entries
+            ratio = self.columns(da) / self.columns(db)
             slack = 1e-9
             assert ratio.max() <= math.exp(4 * c) + slack
             assert ratio.min() >= math.exp(-4 * c) - slack
@@ -670,20 +676,22 @@ class TestDerivativeMatrix:
         problem, cfg, fixed, _ = solved_parity(M, parity, n)
         k = np.arange(1, n + 1, dtype=float)
         for X in (seed_sequence(problem, n), fixed):
-            D = derivative_matrix(X, apply_quantization(X, problem.offsets, problem.kernel, cfg),
-                                  problem.kernel, cfg)
+            Y = apply_quantization(X, problem.offsets, problem.kernel, cfg)
+            D = derivative_matrix(X, Y, problem.kernel, cfg)
+            entries, defect = dense_derivative(X, Y, problem.kernel)
             # the dense product summed in extended precision, so that the
             # reference carries only the rounding of the entries
-            dense = D.entries.astype(np.longdouble)
+            dense = entries.astype(np.longdouble)
             for v in (np.ones(n), 1.0 / k, rng.uniform(-1.0, 1.0, n)):
                 exact = (dense @ v.astype(np.longdouble)).astype(float)
                 assert np.max(np.abs(D @ v - exact)) <= 2e-15 * np.max(np.abs(v)), (X is fixed)
-            assert np.max(np.abs(D @ np.ones(n) + D.row_defect - 1.0)) <= 2e-15
+            assert np.max(np.abs(D @ np.ones(n) + defect - 1.0)) <= 2e-15
 
     def test_product_in_bounded_memory(self):
-        # the product holds X, Y, the normalizer and the kernel matrix between
-        # the compressed sources and the panel nodes; at N = 20000 the dense
-        # matrix would take 3 GiB
+        # the product holds the compression of X, the panel coordinates of
+        # ln Y, the normalizer and the kernel matrix between the compressed
+        # sources and the panel nodes; at N = 20000 the dense matrix would
+        # take 3 GiB
         problem = build_problem(2, Parity.ODD)
         for n, bound in ((2000, 2 * 2**20), (20000, 4 * 2**20)):
             cfg = OperatorConfig(truncation=n)
@@ -699,55 +707,29 @@ class TestDerivativeMatrix:
             assert peak <= bound, n
             assert 0.0 < rate < 1.0, n
 
-    # 1000 entries make blocks of 4 rows and a ragged last block
-    @pytest.mark.parametrize("entries", [1000, quantize._BLOCK_ENTRIES])
-    def test_bit_identical_to_blocked_derivative_kernel(self, rng, monkeypatch, entries):
-        monkeypatch.setattr(quantize, "_BLOCK_ENTRIES", entries)
+    def test_product_finite_at_extreme_ratios(self, rng):
         kp = KernelParams(2.2)
         n = 139
         seq = EnergySequence(np.exp(rng.uniform(-5.0, 5.0, size=n)), TailModel(1e-27, 1.1))
         out = seq.with_values(rng.permutation(np.geomspace(1e-300, 1e300, n)))
-        xe, we = quantize._extended(seq)
-        # tail ratios beyond the float range and below it, where the kernel is 0
+        entries, defect = dense_derivative(seq, out, kp)
+        # tail ratios beyond the float range and below it, where the kernel is
+        # 0; Y's log-range makes the product's kernel matrix 55200 x 203
+        # (about 86 MiB)
+        tail = quantize._tail_rule(n, seq.tail)[0]
         with np.errstate(over="ignore", divide="ignore", under="ignore"):
-            ratios = xe[n:] / out.values[:, None]
+            ratios = tail / out.values[:, None]
         assert np.isinf(ratios).any() and (ratios == 0).any()
-        rows, defect = [], []
-        step = max(1, entries // xe.size)
-        for start in range(0, n, step):
-            p = derivative_kernel(kp, xe, out.values[start:start + step, None])
-            z = p @ we
-            rows.append(p[:, :n] / z[:, None])
-            defect.append((p[:, n:] @ we[n:]) / z)
+        k = np.arange(1, n + 1, dtype=float)
+        dense = entries.astype(np.longdouble)
         with np.errstate(over="raise", divide="raise"):
             D = derivative_matrix(seq, out, kp, OperatorConfig(truncation=n))
-        assert np.array_equal(D.entries, np.concatenate(rows))
-        assert np.array_equal(D.row_defect, np.concatenate(defect))
-
-    def test_row_blocks_in_bounded_memory(self):
-        # the first read of entries fills the 30.5 MiB result at N = 2000 in
-        # row blocks of 63 rows, each evaluated in place in one 1 MiB buffer
-        # and the block's rows of the result, so it holds the result and one block
-        problem = build_problem(2, Parity.ODD)
-        cfg = OperatorConfig(truncation=2000)
-        seq = seed_sequence(problem, 2000)
-        out = apply_quantization(seq, problem.offsets, problem.kernel, cfg)
-        D = derivative_matrix(seq, out, problem.kernel, cfg)
-        tracemalloc.start()
-        try:
-            entries = D.entries
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= entries.nbytes + 8 * quantize._BLOCK_ENTRIES + 2**20
-        # rows at both ends of every block against the dense normalization
-        z = dense_counting(seq, out.values, problem.kernel, slope=True)
-        z *= math.pi / problem.kernel.sin
-        step = quantize._BLOCK_ENTRIES // (2000 + quantize.TAIL_NODES.size)
-        for start in range(0, 2000, step):
-            for i in (start, min(start + step, 2000) - 1):
-                row = derivative_kernel(problem.kernel, seq.values, out.values[i]) / z[i]
-                assert np.allclose(entries[i], row, rtol=1e-13, atol=0), i
+            for v in (np.ones(n), 1.0 / k, rng.uniform(-1.0, 1.0, n)):
+                product = D @ v
+                exact = (dense @ v.astype(np.longdouble)).astype(float)
+                assert np.all(np.isfinite(product))
+                assert np.max(np.abs(product - exact)) <= 2e-15 * np.max(np.abs(v))
+            assert np.max(np.abs(D @ np.ones(n) + defect - 1.0)) <= 2e-15
 
 
 class TestIterate:

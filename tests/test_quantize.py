@@ -707,19 +707,46 @@ class TestDerivativeMatrix:
             assert peak <= bound, n
             assert 0.0 < rate < 1.0, n
 
-    def test_product_finite_at_extreme_ratios(self, rng):
-        kp = KernelParams(2.2)
-        n = 139
+    @staticmethod
+    def extreme_pair(rng, n=139):
+        """X of moderate levels and a Y spanning 1e-300 to 1e300, whose tail
+        ratios lie beyond the float range and below it, where the kernel is 0."""
         seq = EnergySequence(np.exp(rng.uniform(-5.0, 5.0, size=n)), TailModel(1e-27, 1.1))
         out = seq.with_values(rng.permutation(np.geomspace(1e-300, 1e300, n)))
-        entries, defect = dense_derivative(seq, out, kp)
-        # tail ratios beyond the float range and below it, where the kernel is
-        # 0; Y's log-range makes the product's kernel matrix 55200 x 203
-        # (about 86 MiB)
         tail = quantize._tail_rule(n, seq.tail)[0]
         with np.errstate(over="ignore", divide="ignore", under="ignore"):
             ratios = tail / out.values[:, None]
         assert np.isinf(ratios).any() and (ratios == 0).any()
+        return KernelParams(2.2), seq, out
+
+    # the dense reference the product is measured against, in row blocks of
+    # derivative_kernel; 1000 entries make blocks of 4 rows and a ragged last block
+    @pytest.mark.parametrize("entries", [1000, quantize._BLOCK_ENTRIES])
+    def test_bit_identical_to_blocked_derivative_kernel(self, rng, monkeypatch, entries):
+        monkeypatch.setattr(quantize, "_BLOCK_ENTRIES", entries)
+        kp, seq, out = self.extreme_pair(rng)
+        n = len(seq)
+        tail_values, tail_weights = quantize._tail_rule(n, seq.tail)
+        xe = np.concatenate([seq.values, tail_values])
+        we = np.concatenate([np.ones(n), tail_weights])
+        rows, defect = [], []
+        step = max(1, entries // xe.size)
+        for start in range(0, n, step):
+            p = derivative_kernel(kp, xe, out.values[start:start + step, None])
+            z = p @ we
+            rows.append(p[:, :n] / z[:, None])
+            defect.append((p[:, n:] @ we[n:]) / z)
+        with np.errstate(over="raise", divide="raise"):
+            matrix, row_defect = dense_derivative(seq, out, kp)
+        assert np.array_equal(matrix, np.concatenate(rows))
+        assert np.array_equal(row_defect, np.concatenate(defect))
+        assert np.all(np.isfinite(matrix)) and np.all(matrix >= 0)
+
+    def test_product_finite_at_extreme_ratios(self, rng):
+        kp, seq, out = self.extreme_pair(rng)
+        n = len(seq)
+        # Y's log-range makes the product's kernel matrix 55200 x 203 (about 86 MiB)
+        entries, defect = dense_derivative(seq, out, kp)
         k = np.arange(1, n + 1, dtype=float)
         dense = entries.astype(np.longdouble)
         with np.errstate(over="raise", divide="raise"):

@@ -100,11 +100,15 @@ class TestParityBlocks:
 
 def test_richardson_recurrence_matches_the_table_entry_by_entry():
     # the array recurrence does the arithmetic of the classic list-of-lists
-    # table, so the extrapolants agree bit for bit
+    # table, so the extrapolants agree bit for bit; each grid is shifted by
+    # the levels of the one before, as in _richardson_eigenvalues
     cfg = OracleConfig(grid_points=256, refinement_levels=4, tolerance=1.0)
     halfwidth = suggest_halfwidth(2, 6)
-    table = [[oracle._grid_eigenvalues(4, 6, cfg.grid_points * 2**lvl, halfwidth)
-              for lvl in range(cfg.refinement_levels)]]
+    column, shifts = [], None
+    for lvl in range(cfg.refinement_levels):
+        shifts = oracle._grid_eigenvalues(4, 6, cfg.grid_points * 2**lvl, halfwidth, shifts)
+        column.append(shifts)
+    table = [column]
     for order in range(1, cfg.refinement_levels):
         weight = 4.0**order
         previous = table[-1]
@@ -112,6 +116,108 @@ def test_richardson_recurrence_matches_the_table_entry_by_entry():
                       for i in range(len(previous) - 1)])
     got = oracle._richardson_eigenvalues(4, 6, cfg, halfwidth)
     assert np.array_equal(got, table[-1][0])
+
+
+def _longdouble_levels(diagonal, off, count):
+    """Lowest levels of a Jacobi matrix by Sturm-count bisection in long double."""
+    d = diagonal.astype(np.longdouble)
+    e2 = off.astype(np.longdouble) ** 2
+    rank = np.arange(count)
+    lo = np.zeros(count, dtype=np.longdouble)
+    hi = np.full(count, np.abs(d).max() + 2 * np.sqrt(e2.max()), dtype=np.longdouble)
+    tiny = np.finfo(np.longdouble).tiny
+    while True:
+        mid = (lo + hi) / 2
+        if np.all((mid == lo) | (mid == hi)):
+            return mid
+        pivot = d[0] - mid
+        below = (pivot < 0).astype(int)
+        for i in range(1, d.size):
+            pivot = d[i] - mid - e2[i - 1] / np.where(pivot == 0, -tiny, pivot)
+            below += pivot < 0
+        # level k lies below mid when more than k eigenvalues do
+        lo, hi = np.where(below > rank, lo, mid), np.where(below > rank, mid, hi)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("M", [2, 3])
+@pytest.mark.parametrize("points", [256, 257])
+def test_grid_levels_match_a_long_double_bisection_of_the_stored_matrix(M, points):
+    # the Rayleigh quotient has no cancellation, so each grid's levels are
+    # the stored matrix's eigenvalues to about 1e-15 relative (1.2e-14 next
+    # to the odd grid's centre node); LAPACK's bisection to eps * ||T||_1
+    # was up to 5.1e-13 off here
+    halfwidth = suggest_halfwidth(M, 10)
+    got = oracle._grid_eigenvalues(2 * M, 10, points, halfwidth)
+    for parity, (diagonal, off) in enumerate(oracle._parity_blocks(2 * M, points, halfwidth)):
+        exact = _longdouble_levels(diagonal, off, 5)
+        assert np.max(np.abs(got[parity::2] - exact) / exact) <= 1e-13
+
+
+@pytest.mark.parametrize("M", [2, 3, 4, 5])
+def test_oracle_is_reproducible_under_a_one_ulp_change_of_the_halfwidth(M):
+    # A4's configuration: the levels move by rounding alone, where the
+    # bisection's tolerance moved them by 3.5e-10 (M = 2) to 1.4e-8 (M = 5)
+    cfg = OracleConfig(grid_points=4096, refinement_levels=3, tolerance=1e-6)
+    halfwidth = suggest_halfwidth(M, 10)
+    base = oracle._richardson_eigenvalues(2 * M, 10, cfg, halfwidth)
+    nudged = oracle._richardson_eigenvalues(2 * M, 10, cfg, np.nextafter(halfwidth, np.inf))
+    assert np.max(np.abs(nudged - base) / base) <= 1e-13
+
+
+class TestCertificate:
+    halfwidth = suggest_halfwidth(2, 10)
+
+    def test_shifts_one_level_up_are_refused(self):
+        # each block converges to its levels 1 to 3, and the Sturm count at
+        # the top finds four levels below, not three
+        coarse = oracle._grid_eigenvalues(4, 8, 256, self.halfwidth)
+        with pytest.raises(ResolutionError, match="4 eigenvalues lie below"):
+            oracle._grid_eigenvalues(4, 6, 512, self.halfwidth, coarse[2:])
+
+    def test_a_repeated_shift_is_refused(self):
+        # two shifts at the even block's lowest level converge to it twice
+        shifts = oracle._grid_eigenvalues(4, 6, 256, self.halfwidth)
+        shifts[2] = shifts[0]
+        with pytest.raises(ResolutionError, match="overlap"):
+            oracle._grid_eigenvalues(4, 6, 512, self.halfwidth, shifts)
+
+    @pytest.mark.parametrize("points", [256, 257])
+    def test_shifts_at_the_stored_eigenvalues(self, points):
+        levels = oracle._grid_eigenvalues(4, 10, points, self.halfwidth)
+        again = oracle._grid_eigenvalues(4, 10, points, self.halfwidth, levels)
+        assert np.max(np.abs(again - levels) / levels) <= 1e-13
+
+    def test_a_level_stalled_above_the_floor_is_refused(self, monkeypatch):
+        # two solves from a fifth of the way up to the next level leave the
+        # residual far above the floor: the interval is apart and the count
+        # right, but the value is not certified to the floor
+        (diagonal, off), _ = oracle._parity_blocks(4, 256, self.halfwidth)
+        low, high = oracle._lowest(diagonal, off, 2)
+        monkeypatch.setattr(oracle, "MAX_SOLVES", 2)
+        with pytest.raises(ResolutionError, match="stalled"):
+            oracle._lowest(diagonal, off, 1, np.array([low + (high - low) / 5]))
+
+    def test_a_grid_too_coarse_to_steer_the_next_seeds_its_own(self):
+        # 64 levels on 512 points: the top levels move by more than half their
+        # spacing from one grid to the next, so the second grid's inherited
+        # shifts fail its certificate, and it bisects for its own
+        halfwidth = suggest_halfwidth(2, 64)
+        coarse = oracle._grid_eigenvalues(4, 64, 512, halfwidth)
+        with pytest.raises(ResolutionError):
+            oracle._grid_eigenvalues(4, 64, 1024, halfwidth, coarse)
+        fine = oracle._grid_eigenvalues(4, 64, 1024, halfwidth)
+        cfg = OracleConfig(grid_points=512, refinement_levels=2, tolerance=10.0)
+        got = oracle._richardson_eigenvalues(4, 64, cfg, halfwidth)
+        assert np.array_equal(got, (4.0 * fine - coarse) / 3.0)
+
+    def test_a_shift_with_an_exactly_zero_pivot(self):
+        # [[2, -1], [-1, 2]] less 1 or 3 factors with a zero second pivot;
+        # dgtsv reports it, and the shift is moved off by the rounding floor
+        diagonal, off = np.array([2.0, 2.0]), np.array([-1.0])
+        got = oracle._lowest(diagonal, off, 2, np.array([1.0, 3.0]))
+        np.testing.assert_allclose(got, [1.0, 3.0], rtol=1e-15)
 
 
 class TestParitySplit:

@@ -184,6 +184,8 @@ def contraction_closed(epsilon: float, kernel: KernelParams) -> float:
         return math.inf
     if gap == 0.0:
         return kernel.theta / (a * kernel.sin)
+    if kernel.theta < sys.float_info.min:  # pi / sin overflows, but sin(t) = t there
+        return math.pi / a * (gap / a) / _sin_fraction(gap, a)
     return (math.pi / (a * kernel.sin)) * _sin_fraction(gap, a, kernel) / _sin_fraction(gap, a)
 
 

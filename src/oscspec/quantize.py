@@ -241,6 +241,7 @@ class _CountingPanels:
     parameter 3 + sqrt(10), in which degree _CHEB_DEGREE reaches the rounding
     floor of the dense sum.  The number of panels grows like the log-range
     over pi - theta (so like M + 1 for the oscillator) and is not bounded by N.
+    A one-point range, hi = lo, gets one panel of the widest width, from lo up.
 
     Nothing is kept per panel (`edges` is built when it is read), so the
     compression of X touches only its occupied panels, also among the 2.4e7
@@ -249,8 +250,10 @@ class _CountingPanels:
     """
 
     def __init__(self, kernel: KernelParams, lo: float, hi: float):
-        self.count = max(1, math.ceil((hi - lo) / (2.0 * (math.pi - kernel.theta) / 3.0)))
-        self.lo, self.width = lo, (hi - lo) / self.count
+        widest = 2.0 * (math.pi - kernel.theta) / 3.0
+        self.count = max(1, math.ceil((hi - lo) / widest))
+        # a one-point range (hi = lo) gets one panel of the widest width
+        self.lo, self.hi, self.width = lo, hi, (hi - lo) / self.count or widest
 
     @cached_property
     def edges(self) -> np.ndarray:
@@ -297,12 +300,13 @@ class _CompressedSources:
     m_a = sum_k v_k l_a(t_k) of the Lagrange basis l_a at the levels' local
     coordinates t_k; any other panel keeps its levels at their weights v_k.
     `points` are the direct levels, the Chebyshev points of compressed
-    panels, then the tail nodes: at most N + 64 sources.  `weights` are the
-    counting sum's, the levels at one and the tail nodes at the tail rule's
-    weights.  `moments(v)`, the one step per weight vector, weights the
-    levels by v and the tail nodes by zero, so its sum runs over the stored
-    levels alone; it costs O(N * 25) time and memory, and the build
-    O(N log N) besides, since only occupied panels are indexed.
+    panels, then the nodes of the tail rule: at most N + 64 sources with its
+    64 nodes.  `weights` are the counting sum's, the levels at one and the
+    tail nodes at the rule's `tail_weights`.  `moments(v)`, the one step per
+    weight vector, weights the levels by v and as many tail nodes as the rule
+    returns by zero, so its sum runs over the stored levels alone; it costs
+    O(N * 25) time and memory, and the build O(N log N) besides, since only
+    occupied panels are indexed.
     """
 
     def __init__(self, X: EnergySequence, kernel: KernelParams):
@@ -312,11 +316,11 @@ class _CompressedSources:
         occupied, self._slot, size = np.unique(panel, return_inverse=True, return_counts=True)
         self._packed = size > _CHEB_DEGREE + 1
         self._direct = ~self._packed[self._slot]
-        tail_values, tail_weights = _tail_rule(len(X), X.tail)
+        tail_values, self.tail_weights = _tail_rule(len(X), X.tail)
         self.points = np.concatenate([X.values[self._direct],
                                       self.panels.nodes(occupied[self._packed]), tail_values])
         self.weights = self.moments(np.ones(len(X)))
-        self.weights[-tail_weights.size:] = tail_weights
+        self.weights[-self.tail_weights.size:] = self.tail_weights
 
     def moments(self, v: np.ndarray) -> np.ndarray:
         """Weights of the points for the level weights v, the tail nodes at zero."""
@@ -328,7 +332,7 @@ class _CompressedSources:
             column[:] = np.bincount(self._slot, weights=t_prev, minlength=self._packed.size)
             t_prev, t_cur = t_cur, 2.0 * self._t * t_cur - t_prev
         moments = sums[self._packed] @ _CHEB_FROM_VALUES
-        return np.concatenate([v[self._direct], moments.ravel(), np.zeros(TAIL_NODES.size)])
+        return np.concatenate([v[self._direct], moments.ravel(), np.zeros_like(self.tail_weights)])
 
 
 def counting_function(X: EnergySequence, probes, kernel: KernelParams) -> np.ndarray:
@@ -372,12 +376,14 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
     derivative, which agree with the dense sum to its rounding floor
     (measured ~1e-15 * max phi).  No N x N kernel matrix is ever formed.
 
-    The range starts at [min X / 8, 8 max X] and widens by a factor 8 at an
-    end, rebuilding the panels on the same compressed sources, until the
+    The first build samples on the panels of the compression itself, over
+    [min X / 8, 8 max X]; the range widens by a factor 8 at an end, each time
+    building new panels on the same compressed sources, until the
     interpolant there lies below min Q and above max Q (up to a total factor
-    of 2**64 per side).  Level j is bracketed by the panel whose edge values straddle Q_j and solved by a
-    safeguarded Newton iteration in y_j = ln Y_j from ln X_j clipped into that
-    panel, falling back to bisection.  Level j closes, keeping y_j, when
+    of 2**64 per side).  Level j is bracketed by the panel whose edge values
+    straddle Q_j and solved by a safeguarded Newton iteration in
+    y_j = ln Y_j from ln X_j clipped into that panel, falling back to
+    bisection.  Level j closes, keeping y_j, when
     |phi_j - Q_j| <= max(ROOT_TOL, phi'_j r_j), r_j = 8 eps max(1, |y_j|):
     the residual is at the tolerance, or the Newton step is within the
     resolution of y_j, since at large truncations one ulp of y_j moves phi_j
@@ -397,25 +403,24 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
     q = Q.values(n)
 
     sources = _CompressedSources(X, kernel)
+    panels = sources.panels
     x_log = np.log(X.values)
-    lo, hi = x_log.min() - _LOG8, x_log.max() + _LOG8
     # widen until the range brackets every level: phi is increasing in y, so
     # phi(lo) < min Q and phi(hi) > max Q put each root between two panel edges
     while True:
-        panels = _CountingPanels(kernel, lo, hi)
         nodes = panels.nodes(np.arange(panels.count))
         coef = panels.fit(_kernel_sum(sources.points, sources.weights, nodes, kernel), slope=True)
         phi_edges = panels(coef, *panels.locate(panels.edges))[0]
         widen_lo, widen_hi = phi_edges[0] >= q.min(), phi_edges[-1] <= q.max()
         if not widen_lo and not widen_hi:
             break
-        if x_log.min() - lo > _MAX_HALFWIDTH or hi - x_log.max() > _MAX_HALFWIDTH:
+        if x_log.min() - panels.lo > _MAX_HALFWIDTH or panels.hi - x_log.max() > _MAX_HALFWIDTH:
             worst = int(np.argmax(q) if widen_hi else np.argmin(q))
             raise NoConvergence(
                 f"no sign change bracketing level {worst + 1} within a 2**64 expansion"
             )
-        lo -= _LOG8 * widen_lo
-        hi += _LOG8 * widen_hi
+        panels = _CountingPanels(kernel, panels.lo - _LOG8 * widen_lo,
+                                 panels.hi + _LOG8 * widen_hi)
 
     # level j's bracket is the panel whose edge values straddle Q_j
     upper = np.searchsorted(phi_edges, q)
@@ -458,7 +463,9 @@ class DerivativeMatrix:
     included; the tail's share of Z_i is the row defect, so every entry is
     positive and each row plus its defect sums to one.  Construction
     compresses X once (_CompressedSources) and locates ln Y once on the
-    _CountingPanels over [min ln Y - ln 8, max ln Y + ln 8].  `D @ v` takes
+    _CountingPanels over exactly [min ln Y, max ln Y] (one panel of the
+    widest width if the levels are all equal): the product is read only at
+    ln Y and brackets no root, so its panels take no margin.  `D @ v` takes
     the moments of v, the tail weighted zero, sums them at the Chebyshev
     points of those panels by one matrix-vector product with the
     derivative-kernel matrix between the two, interpolates that sum to ln Y
@@ -470,15 +477,15 @@ class DerivativeMatrix:
     coordinates of ln Y, O(N), it holds Z and that matrix for its whole
     life: 25 points per panel, the panels numbering about M + 1 times the
     log-range of Y, by at most N + 64 sources.  It grows slowly with N but
-    fast with M: 275 x 216 (0.45 MiB) at M = 2, N = 2000 and 325 x 270 at
-    N = 20000, but 10775 x 1064 (87.5 MiB) at M = 100, N = 1000.
+    fast with M: 200 x 216 (0.33 MiB) at M = 2, N = 2000 and 250 x 270 at
+    N = 20000, but 8250 x 1064 (67.0 MiB) at M = 100, N = 1000.
     """
 
     def __init__(self, X: EnergySequence, Y: EnergySequence, kernel: KernelParams):
         if len(Y) != len(X):
             raise ValueError(f"Y has {len(Y)} levels, X {len(X)}: the matrix must be square")
         s = np.log(Y.values)
-        self._panels = _CountingPanels(kernel, s.min() - _LOG8, s.max() + _LOG8)
+        self._panels = _CountingPanels(kernel, s.min(), s.max())
         self._at = self._panels.locate(s)
         self._sources = _CompressedSources(X, kernel)
         nodes = self._panels.nodes(np.arange(self._panels.count))

@@ -222,6 +222,16 @@ class TestContraction:
                 closed = contraction_closed(eps, kp)
                 assert abs(contraction_integral(eps, kp) - closed) <= 2e-15 * closed
 
+    def test_closed_at_subnormal_theta(self):
+        # pi / sin(theta) overflows below the smallest normal float, where
+        # sin(gap theta / a) / sin(theta) is gap / a; on analyze's default grid
+        for theta in (1e-308, 1e-310, 5e-324):
+            kp = KernelParams(theta)
+            for eps in (0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 1.9):
+                closed = contraction_closed(eps, kp)
+                error = abs(contraction_integral(eps, kp) - closed)
+                assert error <= 1e-13 * closed, (theta, eps)
+
     def test_integral_matches_closed_next_to_pi(self):
         # the head's peak at s = 1 narrows like cos(theta/2) as theta -> pi
         for gap in (3e-4, 1e-6):

@@ -217,6 +217,13 @@ class TestAnalyze:
         (row,) = json.loads(out)["drift"]
         assert row["gap"] <= 1e-12 * row["closed"]
 
+    def test_subnormal_theta_writes_json(self, capsys):
+        # an overflowed closed form wrote inf and nan, which JSON refuses
+        code, out, _ = run(capsys, "analyze", "--theta", "1e-310", "--format", "json")
+        assert code == EXIT_OK
+        for row in json.loads(out)["contraction"]:
+            assert row["gap"] <= 1e-13 * row["s_integral"], row["epsilon"]
+
 
 class TestVerify:
     def test_passes_with_realistic_bound(self, capsys):

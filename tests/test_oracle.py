@@ -12,6 +12,7 @@ from oscspec import (
     parity_split,
 )
 from oscspec import oracle
+from oscspec.cli import EXIT_ORACLE, main
 from oscspec.oracle import suggest_halfwidth
 
 
@@ -198,6 +199,17 @@ class TestCertificate:
         monkeypatch.setattr(oracle, "MAX_SOLVES", 2)
         with pytest.raises(ResolutionError, match="stalled"):
             oracle._lowest(diagonal, off, 1, np.array([low + (high - low) / 5]))
+
+    def test_a_coarsest_grid_that_fails_its_certificate_is_refused(self, monkeypatch, capsys):
+        # one solve, at the shift, measures no residual: the coarsest grid has
+        # no coarser one to fall back from, so its failure reaches the caller
+        monkeypatch.setattr(oracle, "MAX_SOLVES", 1)
+        with pytest.raises(ResolutionError, match="residual intervals overlap"):
+            hamiltonian_eigenvalues(2, 10, OracleConfig(512, 2))
+        code = main(["verify", "--M", "2", "--N", "100", "--levels", "10",
+                     "--oracle-grid", "512", "--oracle-levels", "2"])
+        assert code == EXIT_ORACLE
+        assert "oracle failure:" in capsys.readouterr().err
 
     def test_a_grid_too_coarse_to_steer_the_next_seeds_its_own(self):
         # 64 levels on 512 points: the top levels move by more than half their

@@ -430,6 +430,33 @@ class TestCountingPanels:
             apply_quantization(seed_sequence(problem, 2000), problem.offsets, problem.kernel, cfg)
             assert len(calls) <= 10, (M, len(calls))
 
+    # the seed's roots lie inside the range of its compression; scaled by
+    # e**20 or e**-20 against its tail, the range widens 9 times at one end
+    @pytest.mark.parametrize("factor, builds", [(1.0, 1), (math.exp(20.0), 10),
+                                                (math.exp(-20.0), 10)],
+                             ids=["seed", "seed-times-e20", "seed-times-e-20"])
+    def test_one_panel_family_per_build(self, monkeypatch, factor, builds):
+        # the application starts from the panels of its compression and builds
+        # new ones only when it widens them, each family summed once
+        built, sums = [], []
+        init, kernel_sum = _CountingPanels.__init__, quantize._kernel_sum
+
+        def counted_init(panels, *args):
+            built.append(args)
+            init(panels, *args)
+
+        def counted_sum(*args):
+            sums.append(args)
+            return kernel_sum(*args)
+
+        monkeypatch.setattr(_CountingPanels, "__init__", counted_init)
+        monkeypatch.setattr(quantize, "_kernel_sum", counted_sum)
+        problem = build_problem(2, Parity.EVEN)
+        seed = seed_sequence(problem, 300)
+        apply_quantization(seed.with_values(seed.values * factor), problem.offsets,
+                           problem.kernel, OperatorConfig(truncation=300))
+        assert len(built) == len(sums) == builds
+
     def test_memory_bounded_at_large_truncation(self):
         problem = build_problem(2, Parity.EVEN)
         seq = seed_sequence(problem, 8000)
@@ -507,6 +534,39 @@ class TestCompressedSources:
         for _ in range(40):
             D @ np.ones(2000)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_tail_rule_of_any_size(self, rng, monkeypatch, M):
+        # the moments pad as many tail nodes as the rule returns: here its 64
+        # nodes and endpoint corrections at k = N + 1 (weight 1/24) and k = N
+        # (weight -1/24), which the dense references take from the same rule
+        tail_rule = quantize._tail_rule
+
+        def with_endpoints(n, tail):
+            values, weights = tail_rule(n, tail)
+            return (np.concatenate([values, tail.value(np.array([n + 1.0, n]))]),
+                    np.concatenate([weights, [1.0 / 24.0, -1.0 / 24.0]]))
+
+        monkeypatch.setattr(quantize, "_tail_rule", with_endpoints)
+        problem, n = build_problem(M, Parity.EVEN), 2000
+        cfg = OperatorConfig(truncation=n)
+        X = seed_sequence(problem, n)
+        probes = np.concatenate([X.values, X.values.max() * TestCompressedCounting.TAIL_FACTORS])
+        exact = dense_counting(X, probes, problem.kernel)
+        error = np.max(np.abs(counting_function(X, probes, problem.kernel) - exact))
+        assert error <= 2e-15 * np.max(np.abs(exact))
+        Y = apply_quantization(X, problem.offsets, problem.kernel, cfg)
+        q = problem.offsets.values(n)
+        phi = dense_counting(X, Y.values, problem.kernel)
+        slope = dense_counting(X, Y.values, problem.kernel, slope=True)
+        assert np.max(np.abs(phi - q) / slope) <= 1e-11
+        D = derivative_matrix(X, Y, problem.kernel, cfg)
+        entries, defect = dense_derivative(X, Y, problem.kernel)
+        dense = entries.astype(np.longdouble)
+        for v in (np.ones(n), rng.uniform(-1.0, 1.0, n)):
+            exact = (dense @ v.astype(np.longdouble)).astype(float)
+            assert np.max(np.abs(D @ v - exact)) <= 2e-15 * np.max(np.abs(v))
+        assert np.max(np.abs(D @ np.ones(n) + defect - 1.0)) <= 2e-15
 
     def test_memory_of_one_application(self):
         # summing every panel node against all N + 64 sources peaked at
@@ -687,6 +747,36 @@ class TestDerivativeMatrix:
                 assert np.max(np.abs(D @ v - exact)) <= 2e-15 * np.max(np.abs(v)), (X is fixed)
             assert np.max(np.abs(D @ np.ones(n) + defect - 1.0)) <= 2e-15
 
+    # 25 Chebyshev points per panel over [min ln Y, max ln Y], by the
+    # compressed sources and the 64 tail nodes
+    @pytest.mark.parametrize("M, n, shape", [(2, 2000, (200, 216)), (100, 1000, (8250, 1064))])
+    def test_probe_panels_span_the_levels(self, M, n, shape):
+        problem = build_problem(M, Parity.EVEN)
+        cfg = OperatorConfig(truncation=n)
+        X = seed_sequence(problem, n)
+        Y = apply_quantization(X, problem.offsets, problem.kernel, cfg)
+        D = derivative_matrix(X, Y, problem.kernel, cfg)
+        s = np.log(Y.values)
+        assert (D._panels.lo, D._panels.hi) == (s.min(), s.max())
+        assert D._matrix.shape == shape
+
+    # N = 1, and 40 equal levels: ln Y spans no range, and its one panel has
+    # the widest width instead of dividing 0 by 0
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_one_point_range(self, rng, n):
+        problem = build_problem(2, Parity.EVEN)
+        cfg = OperatorConfig(truncation=n)
+        X = seed_sequence(problem, n)
+        Y = apply_quantization(X, problem.offsets, problem.kernel, cfg)
+        Y = Y.with_values(np.full(n, Y.values[n // 2]))
+        D = derivative_matrix(X, Y, problem.kernel, cfg)
+        assert D._panels.count == 1
+        entries, defect = dense_derivative(X, Y, problem.kernel)
+        v = rng.uniform(-1.0, 1.0, n)
+        exact = (entries.astype(np.longdouble) @ v.astype(np.longdouble)).astype(float)
+        assert np.max(np.abs(D @ v - exact)) <= 2e-15 * np.max(np.abs(v))
+        assert np.max(np.abs(D @ np.ones(n) + defect - 1.0)) <= 2e-15
+
     def test_product_in_bounded_memory(self):
         # the product holds the compression of X, the panel coordinates of
         # ln Y, the normalizer and the kernel matrix between the compressed
@@ -745,7 +835,7 @@ class TestDerivativeMatrix:
     def test_product_finite_at_extreme_ratios(self, rng):
         kp, seq, out = self.extreme_pair(rng)
         n = len(seq)
-        # Y's log-range makes the product's kernel matrix 55200 x 203 (about 86 MiB)
+        # Y's log-range makes the product's kernel matrix 55025 x 203 (about 85 MiB)
         entries, defect = dense_derivative(seq, out, kp)
         k = np.arange(1, n + 1, dtype=float)
         dense = entries.astype(np.longdouble)

@@ -92,7 +92,8 @@ def _parity_blocks(power: int, points: int,
     h = 2.0 * halfwidth / (points + 1)
     half = points // 2
     q = -halfwidth + h * np.arange(1, half + 1)
-    inner = 2.0 / h**2 + q**power
+    # q < 0 on the left half, where numpy's pow is about 30 times slower than on |q|
+    inner = 2.0 / h**2 + np.abs(q) ** power
     off = np.full(half - 1, -1.0 / h**2)
     if points % 2:
         even_diagonal = np.append(inner, 2.0 / h**2)

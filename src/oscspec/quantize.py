@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -231,9 +230,9 @@ def _kernel_sum(sources: np.ndarray, weights: np.ndarray, probes: np.ndarray,
 
 class _CountingPanels:
     """The equal panels of width at most 2 (pi - theta) / 3 on [lo, hi] in
-    s = ln y, the one owner of their geometry, and piecewise Chebyshev
-    interpolants on them of functions sampled at their Chebyshev points,
-    panel by panel.
+    s = ln y, the one owner of their geometry, continued as a lattice past
+    both ends, and piecewise Chebyshev interpolants on them of functions
+    sampled at their Chebyshev points, panel by panel.
 
     Each term of the counting sum, arg(e**(ln X_k - s) + e**(i theta)), is
     analytic in |Im s| < pi - theta and, whatever s is, in the same strip as
@@ -241,28 +240,24 @@ class _CountingPanels:
     parameter 3 + sqrt(10), in which degree _CHEB_DEGREE reaches the rounding
     floor of the dense sum.  The number of panels grows like the log-range
     over pi - theta (so like M + 1 for the oscillator) and is not bounded by N.
-    A one-point range, hi = lo, gets one panel of the widest width, from lo up.
+    Every range spans at least the compression's 2 ln 8, so hi > lo.
 
-    Nothing is kept per panel (`edges` is built when it is read), so the
-    compression of X touches only its occupied panels, also among the 2.4e7
-    of the bracket certificates at M = 1e7, where every panel's points would
-    take gigabytes.
+    Nothing is kept per panel, so the compression of X touches only its
+    occupied panels, also among the 2.4e7 of the bracket certificates at
+    M = 1e7, where every panel's points would take gigabytes.
     """
 
     def __init__(self, kernel: KernelParams, lo: float, hi: float):
-        widest = 2.0 * (math.pi - kernel.theta) / 3.0
-        self.count = max(1, math.ceil((hi - lo) / widest))
-        # a one-point range (hi = lo) gets one panel of the widest width
-        self.lo, self.hi, self.width = lo, hi, (hi - lo) / self.count or widest
+        self.count = math.ceil((hi - lo) / (2.0 * (math.pi - kernel.theta) / 3.0))
+        self.lo, self.hi, self.width = lo, hi, (hi - lo) / self.count
 
-    @cached_property
-    def edges(self) -> np.ndarray:
-        return self.lo + self.width * np.arange(self.count + 1)
+    def locate(self, s: np.ndarray) -> np.ndarray:
+        """The panel of every s, by floor: below 0 or from count on outside [lo, hi)."""
+        return np.floor((s - self.lo) / self.width).astype(int)
 
-    def locate(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The panel of every s in [lo, hi] and its local coordinate in [-1, 1]."""
-        panel = np.clip(((s - self.lo) / self.width).astype(int), 0, self.count - 1)
-        return panel, (s - (self.lo + self.width * (panel + 0.5))) * (2.0 / self.width)
+    def local(self, panel: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """The local coordinate of every s on its panel, in [-1, 1] on the panel."""
+        return (s - (self.lo + self.width * (panel + 0.5))) * (2.0 / self.width)
 
     def nodes(self, panels: np.ndarray) -> np.ndarray:
         """Energies of the Chebyshev points of the given panels, panel by panel."""
@@ -271,17 +266,17 @@ class _CountingPanels:
 
     def fit(self, values: np.ndarray, slope: bool = False) -> np.ndarray:
         """Coefficients (degree + 1, row, panel) of the interpolant of the
-        values at the nodes of every panel and, with slope, of its derivative
-        in s."""
-        phi = values.reshape(self.count, -1)
+        values at the nodes of any number of panels, panel by panel, and,
+        with slope, of its derivative in s."""
+        phi = values.reshape(-1, _CHEB_DEGREE + 1)
         rows = [_CHEB_FROM_VALUES @ phi.T]
         if slope:
             rows.append((2.0 / self.width) * (_CHEB_SLOPE_FROM_VALUES @ phi.T))
         return np.stack(rows, axis=1)
 
     def __call__(self, coef: np.ndarray, panel: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """The rows of coef at the points `locate` put at local coordinates x
-        of the given panels, from one Clenshaw sweep."""
+        """The rows of coef at local coordinates x of the given panels (their
+        indices into coef), from one Clenshaw sweep."""
         x2 = 2.0 * x
         b1, b2 = coef[-1].take(panel, axis=1), 0.0
         for c in coef[-2:0:-1]:
@@ -312,7 +307,8 @@ class _CompressedSources:
     def __init__(self, X: EnergySequence, kernel: KernelParams):
         x_log = np.log(X.values)
         self.panels = _CountingPanels(kernel, x_log.min() - _LOG8, x_log.max() + _LOG8)
-        panel, self._t = self.panels.locate(x_log)
+        panel = self.panels.locate(x_log)
+        self._t = self.panels.local(panel, x_log)
         occupied, self._slot, size = np.unique(panel, return_inverse=True, return_counts=True)
         self._packed = size > _CHEB_DEGREE + 1
         self._direct = ~self._packed[self._slot]
@@ -380,10 +376,12 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
     [min X / 8, 8 max X]; the range widens by a factor 8 at an end, each time
     building new panels on the same compressed sources, until the
     interpolant there lies below min Q and above max Q (up to a total factor
-    of 2**64 per side).  Level j is bracketed by the panel whose edge values
-    straddle Q_j and solved by a safeguarded Newton iteration in
-    y_j = ln Y_j from ln X_j clipped into that panel, falling back to
-    bisection.  Level j closes, keeping y_j, when
+    of 2**64 per side).  Each panel's edge values are read from its
+    coefficients, since T_m(+-1) = (+-1)**m, and level j is bracketed by the
+    panel whose edge values straddle Q_j.  It is solved on the interpolant
+    of that panel alone, with no lookup per sweep, by a safeguarded Newton
+    iteration in y_j = ln Y_j from ln X_j clipped into the panel, falling
+    back to bisection.  Level j closes, keeping y_j, when
     |phi_j - Q_j| <= max(ROOT_TOL, phi'_j r_j), r_j = 8 eps max(1, |y_j|):
     the residual is at the tolerance, or the Newton step is within the
     resolution of y_j, since at large truncations one ulp of y_j moves phi_j
@@ -410,7 +408,9 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
     while True:
         nodes = panels.nodes(np.arange(panels.count))
         coef = panels.fit(_kernel_sum(sources.points, sources.weights, nodes, kernel), slope=True)
-        phi_edges = panels(coef, *panels.locate(panels.edges))[0]
+        # T_m(-1) = (-1)**m and T_m(1) = 1: the interpolant at each panel's left
+        # edge, then at the last panel's right edge
+        phi_edges = np.append(coef[::2, 0].sum(0) - coef[1::2, 0].sum(0), coef[:, 0, -1].sum())
         widen_lo, widen_hi = phi_edges[0] >= q.min(), phi_edges[-1] <= q.max()
         if not widen_lo and not widen_hi:
             break
@@ -422,16 +422,17 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
         panels = _CountingPanels(kernel, panels.lo - _LOG8 * widen_lo,
                                  panels.hi + _LOG8 * widen_hi)
 
-    # level j's bracket is the panel whose edge values straddle Q_j
-    upper = np.searchsorted(phi_edges, q)
-    lo, hi = panels.edges[upper - 1], panels.edges[upper]
+    # level j's bracket is the panel whose edge values straddle Q_j; its
+    # Newton iteration runs on that panel's interpolant
+    panel = np.searchsorted(phi_edges, q) - 1
+    lo, hi = panels.lo + panels.width * panel, panels.lo + panels.width * (panel + 1)
     y = np.clip(x_log, lo, hi)
 
     # the open set: a level leaves it when it closes, its root written to roots
     roots = np.empty(n)
     level = np.arange(n)
     for _ in range(MAX_ROOT_ITERS):
-        f, slope = panels(coef, *panels.locate(y))
+        f, slope = panels(coef, panel, panels.local(panel, y))
         f -= q
         positive = f > 0
         lo, hi = np.where(positive, lo, y), np.where(positive, y, hi)
@@ -440,7 +441,8 @@ def apply_quantization(X: EnergySequence, Q: OffsetSequence, kernel: KernelParam
         closed = (np.abs(f) <= np.maximum(ROOT_TOL, slope * r)) | (hi - lo <= r)
         roots[level[closed]] = y[closed]
         open_ = ~closed
-        level, y, lo, hi, q, f, slope = (v[open_] for v in (level, y, lo, hi, q, f, slope))
+        level, panel, y, lo, hi, q, f, slope = (
+            v[open_] for v in (level, panel, y, lo, hi, q, f, slope))
         if level.size == 0:
             break
         proposal = y - f / slope
@@ -463,11 +465,10 @@ class DerivativeMatrix:
     included; the tail's share of Z_i is the row defect, so every entry is
     positive and each row plus its defect sums to one.  Construction
     compresses X once (_CompressedSources) and locates ln Y once on the
-    _CountingPanels over exactly [min ln Y, max ln Y] (one panel of the
-    widest width if the levels are all equal): the product is read only at
-    ln Y and brackets no root, so its panels take no margin.  `D @ v` takes
-    the moments of v, the tail weighted zero, sums them at the Chebyshev
-    points of those panels by one matrix-vector product with the
+    compression's own panels, continued past their range where a level lies
+    beyond it, and samples only the panels that hold a level.  `D @ v`
+    takes the moments of v, the tail weighted zero, sums them at the
+    Chebyshev points of those panels by one matrix-vector product with the
     derivative-kernel matrix between the two, interpolates that sum to ln Y
     with one Clenshaw sweep and divides by Z, the unit-weight-plus-tail sum
     on the same panels; so D @ 1 and the defect add up to one to rounding.
@@ -475,22 +476,23 @@ class DerivativeMatrix:
     by at most 1.8e-15 * max |v| (measured at the seeds and fixed points of
     M = 2, 3, 5, N <= 2000).  Besides the compression and the panel
     coordinates of ln Y, O(N), it holds Z and that matrix for its whole
-    life: 25 points per panel, the panels numbering about M + 1 times the
-    log-range of Y, by at most N + 64 sources.  It grows slowly with N but
-    fast with M: 200 x 216 (0.33 MiB) at M = 2, N = 2000 and 250 x 270 at
-    N = 20000, but 8250 x 1064 (67.0 MiB) at M = 100, N = 1000.
+    life: 25 points per panel holding a level of Y, at most N panels, by at
+    most N + 64 sources.  It grows slowly with N but fast with M, as the
+    panels narrow: 225 x 216 (0.37 MiB) at M = 2, N = 2000 and 300 x 270 at
+    N = 20000, but 4825 x 1064 (39.2 MiB) at M = 100, N = 1000.
     """
 
     def __init__(self, X: EnergySequence, Y: EnergySequence, kernel: KernelParams):
         if len(Y) != len(X):
             raise ValueError(f"Y has {len(Y)} levels, X {len(X)}: the matrix must be square")
         s = np.log(Y.values)
-        self._panels = _CountingPanels(kernel, s.min(), s.max())
-        self._at = self._panels.locate(s)
-        self._sources = _CompressedSources(X, kernel)
-        nodes = self._panels.nodes(np.arange(self._panels.count))
-        self._matrix = derivative_kernel(kernel, self._sources.points, nodes[:, None])
-        self._norm = self._sum(self._sources.weights)
+        sources = self._sources = _CompressedSources(X, kernel)
+        panels = sources.panels
+        panel = panels.locate(s)
+        occupied, slot = np.unique(panel, return_inverse=True)
+        self._at = slot, panels.local(panel, s)
+        self._matrix = derivative_kernel(kernel, sources.points, panels.nodes(occupied)[:, None])
+        self._norm = self._sum(sources.weights)
 
     def __len__(self) -> int:
         return self._norm.size
@@ -500,7 +502,8 @@ class DerivativeMatrix:
 
     def _sum(self, weights: np.ndarray) -> np.ndarray:
         """sum_k weights_k K(source_k, Y_i) at every level i, from the panels."""
-        return self._panels(self._panels.fit(self._matrix @ weights), *self._at)[0]
+        panels = self._sources.panels
+        return panels(panels.fit(self._matrix @ weights), *self._at)[0]
 
 
 def derivative_matrix(X: EnergySequence, Y: EnergySequence, kernel: KernelParams,

@@ -294,7 +294,9 @@ class TestApplyQuantization:
         panels = _CompressedSources(seq, problem.kernel).panels
         nodes = panels.nodes(np.arange(panels.count))
         coef = panels.fit(counting_function(seq, nodes, problem.kernel), slope=True)
-        phi_edges = panels(coef, *panels.locate(panels.edges))[0]
+        # as the operator reads them, from T_m(-1) = (-1)**m and T_m(1) = 1: the
+        # interpolant at each panel's left edge, then at the last one's right edge
+        phi_edges = np.append(coef[::2, 0].sum(0) - coef[1::2, 0].sum(0), coef[:, 0, -1].sum())
         q = problem.offsets.values(48)
         # the operator's first build has the panels of the compression of X:
         # they already bracket every level
@@ -391,9 +393,11 @@ class TestCountingPanels:
             panels = _CompressedSources(seq, kp).panels
             coef = panels.fit(counting_function(seq, panels.nodes(np.arange(panels.count)), kp),
                               slope=True)
-            lo, hi = panels.edges[0], panels.edges[-1]
+            lo, hi = panels.lo, panels.hi
             s = np.concatenate([[lo, hi], rng.uniform(lo, hi, 400)])
-            phi, slope = panels(coef, *panels.locate(s))
+            # hi is the right edge of the last panel
+            panel = np.minimum(panels.locate(s), panels.count - 1)
+            phi, slope = panels(coef, panel, panels.local(panel, s))
             dense = dense_counting(seq, np.exp(s), kp)
             dense_slope = dense_counting(seq, np.exp(s), kp, slope=True)
             assert np.max(np.abs(phi - dense)) <= 1e-14 * np.max(np.abs(dense)), theta
@@ -456,6 +460,40 @@ class TestCountingPanels:
         apply_quantization(seed.with_values(seed.values * factor), problem.offsets,
                            problem.kernel, OperatorConfig(truncation=300))
         assert len(built) == len(sums) == builds
+
+    @pytest.mark.parametrize("factor", [1.0, math.exp(20.0)], ids=["seed", "seed-times-e20"])
+    def test_one_panel_geometry_per_sequence(self, monkeypatch, factor):
+        # an application locates X on its compression's panels once and keeps
+        # each level's bracket panel through every Newton sweep; the product
+        # samples the panels of its own compression and builds no others
+        located, built, sweeps = [], [], []
+        locate, init, call = (_CountingPanels.locate, _CountingPanels.__init__,
+                              _CountingPanels.__call__)
+
+        def counted_locate(panels, s):
+            located.append(s.size)
+            return locate(panels, s)
+
+        def counted_init(panels, *args):
+            built.append(panels)
+            init(panels, *args)
+
+        def counted_call(panels, *args):
+            sweeps.append(panels)
+            return call(panels, *args)
+
+        monkeypatch.setattr(_CountingPanels, "locate", counted_locate)
+        monkeypatch.setattr(_CountingPanels, "__init__", counted_init)
+        monkeypatch.setattr(_CountingPanels, "__call__", counted_call)
+        problem = build_problem(2, Parity.EVEN)
+        cfg = OperatorConfig(truncation=300)
+        seed = seed_sequence(problem, 300)
+        X = seed.with_values(seed.values * factor)
+        Y = apply_quantization(X, problem.offsets, problem.kernel, cfg)
+        assert located == [300] and len(sweeps) >= 3
+        built.clear()
+        D = derivative_matrix(X, Y, problem.kernel, cfg)
+        assert built == [D._sources.panels]
 
     def test_memory_bounded_at_large_truncation(self):
         problem = build_problem(2, Parity.EVEN)
@@ -747,21 +785,21 @@ class TestDerivativeMatrix:
                 assert np.max(np.abs(D @ v - exact)) <= 2e-15 * np.max(np.abs(v)), (X is fixed)
             assert np.max(np.abs(D @ np.ones(n) + defect - 1.0)) <= 2e-15
 
-    # 25 Chebyshev points per panel over [min ln Y, max ln Y], by the
-    # compressed sources and the 64 tail nodes
-    @pytest.mark.parametrize("M, n, shape", [(2, 2000, (200, 216)), (100, 1000, (8250, 1064))])
+    # 25 Chebyshev points per panel of the compression of X that holds a level
+    # of Y, by the compressed sources and the 64 tail nodes
+    @pytest.mark.parametrize("M, n, shape", [(2, 2000, (225, 216)), (100, 1000, (4825, 1064)),
+                                             (300, 250, (5575, 314))])
     def test_probe_panels_span_the_levels(self, M, n, shape):
         problem = build_problem(M, Parity.EVEN)
         cfg = OperatorConfig(truncation=n)
         X = seed_sequence(problem, n)
         Y = apply_quantization(X, problem.offsets, problem.kernel, cfg)
         D = derivative_matrix(X, Y, problem.kernel, cfg)
-        s = np.log(Y.values)
-        assert (D._panels.lo, D._panels.hi) == (s.min(), s.max())
-        assert D._matrix.shape == shape
+        sources = _CompressedSources(X, problem.kernel)
+        occupied = np.unique(sources.panels.locate(np.log(Y.values)))
+        assert D._matrix.shape == (25 * occupied.size, sources.points.size) == shape
 
-    # N = 1, and 40 equal levels: ln Y spans no range, and its one panel has
-    # the widest width instead of dividing 0 by 0
+    # N = 1, and 40 equal levels: ln Y spans no range and occupies one panel
     @pytest.mark.parametrize("n", [1, 40])
     def test_one_point_range(self, rng, n):
         problem = build_problem(2, Parity.EVEN)
@@ -770,7 +808,7 @@ class TestDerivativeMatrix:
         Y = apply_quantization(X, problem.offsets, problem.kernel, cfg)
         Y = Y.with_values(np.full(n, Y.values[n // 2]))
         D = derivative_matrix(X, Y, problem.kernel, cfg)
-        assert D._panels.count == 1
+        assert D._matrix.shape[0] == 25
         entries, defect = dense_derivative(X, Y, problem.kernel)
         v = rng.uniform(-1.0, 1.0, n)
         exact = (entries.astype(np.longdouble) @ v.astype(np.longdouble)).astype(float)
@@ -835,7 +873,8 @@ class TestDerivativeMatrix:
     def test_product_finite_at_extreme_ratios(self, rng):
         kp, seq, out = self.extreme_pair(rng)
         n = len(seq)
-        # Y's log-range makes the product's kernel matrix 55025 x 203 (about 85 MiB)
+        # each of the 139 levels of Y occupies a panel of its own: the product's
+        # kernel matrix is 3475 x 203 (5.4 MiB)
         entries, defect = dense_derivative(seq, out, kp)
         k = np.arange(1, n + 1, dtype=float)
         dense = entries.astype(np.longdouble)

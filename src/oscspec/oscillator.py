@@ -27,10 +27,6 @@ from .quantize import (
 )
 from .sequences import EnergySequence, TailModel
 
-# Anderson history of the parity solves: the fixed point is globally attractive,
-# so any convergent accelerator reaches it, and m = 5 cuts the outer steps ~3x
-ANDERSON_HISTORY = 5
-
 
 class Parity(enum.Enum):
     EVEN = "even"
@@ -106,16 +102,17 @@ def solve_parity(problem: OscillatorProblem, cfg: OperatorConfig,
                  stop: StopRule) -> tuple[EnergySequence, IterationTrace]:
     """Iterate from the seed to the parity fixed point.
 
-    The iteration is Anderson-accelerated with history ANDERSON_HISTORY (see
-    quantize.iterate): trace.steps counts applications of the operator, the
-    residuals are those of the operator at each iterate, and the returned
-    fixed point is the image T(X) whose residual met the target.  Use
-    iterate directly for the plain Picard iteration whose rate the paper
-    predicts.  Raises NoConvergence when the sup residual has not reached the
-    stopping target within stop.max_steps.
+    Each step is a Newton step on the derivative product (quantize.iterate
+    with newton), so the solve takes a few steps (3 to 6 for M = 2 to 300)
+    however slowly Picard iteration contracts at large M: trace.steps counts
+    applications of the operator, the residuals are those of the operator at
+    each iterate, and the returned fixed point is the image T(X) whose
+    residual met the target.  Use iterate directly for the plain Picard
+    iteration whose rate the paper predicts.  Raises NoConvergence when the
+    sup residual has not reached the stopping target within stop.max_steps.
     """
     trace = iterate(seed_sequence(problem, cfg.truncation), problem.offsets,
-                    problem.kernel, cfg, stop, history=ANDERSON_HISTORY)
+                    problem.kernel, cfg, stop, newton=True)
     last = trace.residual_sup[-1]  # stop.max_steps >= 1 leaves one at least
     if last > stop.target_residual:
         raise NoConvergence(

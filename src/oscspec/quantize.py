@@ -15,15 +15,15 @@ into per-panel Chebyshev moments, built once per sequence by each of its
 three readers: the counting function, the implicit solve on panels, and the
 row-stochastic derivative matrix of the operator in log coordinates, which
 exists only as a product in O(N) memory, never as an N x N array; and the
-iteration driver.  The truncated operator keeps its input's tail model: the
-tail normalization is a boundary condition, as in the paper's spaces of
-properly normalized sequences.
+iteration driver, plain Picard or Newton steps on that product.  The
+truncated operator keeps its input's tail model: the tail normalization is
+a boundary condition, as in the paper's spaces of properly normalized
+sequences.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -150,8 +150,8 @@ class IterationTrace:
     operator at iterates[n], ln T(iterates[n]) - ln iterates[n]; the weighted
     residual uses the stop rule's rate_epsilon.  Under plain Picard iteration
     iterates[n+1] is T(iterates[n]), so they measure the step between
-    consecutive iterates.  Under Anderson acceleration the intermediate
-    iterates are mixed points, and the last iterate is always the image
+    consecutive iterates.  Under Newton iteration the intermediate iterates
+    are Newton points, and the last iterate is always the image
     T(iterates[-2]).  steps counts applications of the operator.
     """
 
@@ -472,14 +472,15 @@ class DerivativeMatrix:
     derivative-kernel matrix between the two, interpolates that sum to ln Y
     with one Clenshaw sweep and divides by Z, the unit-weight-plus-tail sum
     on the same panels; so D @ 1 and the defect add up to one to rounding.
-    Against the dense matrix times v summed in extended precision it is off
-    by at most 1.8e-15 * max |v| (measured at the seeds and fixed points of
-    M = 2, 3, 5, N <= 2000).  Besides the compression and the panel
-    coordinates of ln Y, O(N), it holds Z and that matrix for its whole
-    life: 25 points per panel holding a level of Y, at most N panels, by at
-    most N + 64 sources.  It grows slowly with N but fast with M, as the
-    panels narrow: 225 x 216 (0.37 MiB) at M = 2, N = 2000 and 300 x 270 at
-    N = 20000, but 4825 x 1064 (39.2 MiB) at M = 100, N = 1000.
+    Against the dense matrix, its normalizers summed and its entries and
+    products with v formed in extended precision, it is off by at most
+    1.1e-15 * max |v| (measured at the seeds and fixed points of M = 2, 3, 5,
+    N <= 2000).  Besides the compression and the panel coordinates of ln Y,
+    O(N), it holds Z and that matrix for its whole life: 25 points per panel
+    holding a level of Y, at most N panels, by at most N + 64 sources.  It
+    grows slowly with N but fast with M, as the panels narrow: 225 x 216
+    (0.37 MiB) at M = 2, N = 2000 and 300 x 270 at N = 20000, but
+    4825 x 1064 (39.2 MiB) at M = 100, N = 1000.
     """
 
     def __init__(self, X: EnergySequence, Y: EnergySequence, kernel: KernelParams):
@@ -515,7 +516,7 @@ def derivative_matrix(X: EnergySequence, Y: EnergySequence, kernel: KernelParams
 
 
 def iterate(X0: EnergySequence, Q: OffsetSequence, kernel: KernelParams,
-            cfg: OperatorConfig, stop: StopRule, history: int = 0) -> IterationTrace:
+            cfg: OperatorConfig, stop: StopRule, newton: bool = False) -> IterationTrace:
     """Apply the operator repeatedly, recording residuals per step.
 
     Stops when the sup-log residual drops to stop.target_residual or after
@@ -523,58 +524,65 @@ def iterate(X0: EnergySequence, Q: OffsetSequence, kernel: KernelParams,
     the stored entries, plain sup and k**rate_epsilon weighted.  Solver
     errors are re-raised with the step index attached.
 
-    Each step but the last moves to the type-II Anderson point of history m
-    in x = ln X (Walker & Ni, SIAM J. Numer. Anal. 49, 2011): with
-    g_k = ln T(X_k) and f_k = g_k - x_k, it is x_{k+1} = g_k - dG gamma, where
-    gamma solves dF gamma ~= f_k in least squares over the differences of the
-    last m + 1 pairs (f, g).  With history=0 (the default) there are none and
-    the point is the image: plain Picard iteration, X <- T(X), whose residuals
-    decay at the paper's contraction rate, is the m = 0 case of the one loop.
-    Only the stored entries are mixed; the operator keeps the tail model of
-    X0, so every iterate and mixed point carries it.  A mixed point that is
-    not finite or not strictly increasing is replaced by the Picard step
-    T(X_k), and the history restarts from that pair.  Either way the final
-    iterate is the image T(X_K) whose residual ended the run.
+    By default each step moves to the image: plain Picard iteration,
+    X <- T(X), whose residuals decay at the paper's contraction rate.  With
+    newton, each step but the last moves to the Newton point in x = ln X,
+    x + (I - D)**-1 (ln T(X) - x), with D the derivative_matrix at X, its
+    linear system solved by _gmres to the forcing term
+    min(1e-2, 0.1 * sup residual) (Eisenstat & Walker, SIAM J. Sci. Comput.
+    17, 1996).  Only the stored entries move; the operator keeps the tail
+    model of X0, so every iterate carries it.  A Newton point that is not
+    finite or not strictly increasing is replaced by the image T(X).  Either
+    way the final iterate is the image T(X_K) whose residual ended the run.
     """
-    if history < 0:
-        raise ValueError(f"history must be nonnegative, got {history}")
     trace = IterationTrace(iterates=[X0])
     current = X0
-    pairs: deque[tuple[np.ndarray, np.ndarray]] = deque(maxlen=history + 1)
     for step in range(stop.max_steps):
         try:
             image = apply_quantization(current, Q, kernel, cfg)
         except NoConvergence as exc:
             raise NoConvergence(f"step {step + 1}: {exc}") from exc
-        g = np.log(image.values)
-        f = g - np.log(current.values)
+        f = np.log(image.values) - np.log(current.values)
         trace.residual_sup.append(float(np.abs(f).max()))
         trace.residual_weighted.append(weighted_norm(f, stop.rate_epsilon))
         done = trace.residual_sup[-1] <= stop.target_residual
-        current = image
-        if not done and step + 1 < stop.max_steps:
-            current = _anderson_point(pairs, f, g, image)
+        previous, current = current, image
+        if newton and not done and step + 1 < stop.max_steps:
+            correction = _gmres(derivative_matrix(previous, image, kernel, cfg), f,
+                                min(1e-2, 0.1 * trace.residual_sup[-1]))
+            with np.errstate(over="ignore"):
+                values = np.exp(np.log(previous.values) + correction)
+            if np.all(np.isfinite(values)) and values[0] > 0 and np.all(np.diff(values) > 0):
+                current = image.with_values(values)
         trace.iterates.append(current)
         if done:
             break
     return trace
 
 
-def _anderson_point(pairs: deque, f: np.ndarray, g: np.ndarray,
-                    image: EnergySequence) -> EnergySequence:
-    """Next Anderson point after recording the pair (f, g) in the history;
-    the Picard image while it holds one pair, always at m = 0, or, restarting
-    it, when the mixed point is not finite or not strictly increasing."""
-    pairs.append((f, g))
-    if len(pairs) == 1:
-        return image
-    dF = np.diff([p[0] for p in pairs], axis=0).T
-    dG = np.diff([p[1] for p in pairs], axis=0).T
-    gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.exp(g - dG @ gamma)
-    if np.all(np.isfinite(values)) and values[0] > 0 and np.all(np.diff(values) > 0):
-        return image.with_values(values)
-    pairs.clear()
-    pairs.append((f, g))
-    return image
+def _gmres(D: DerivativeMatrix, b: np.ndarray, rtol: float) -> np.ndarray:
+    """x with |b - (I - D) x| <= rtol |b| in the 2-norm, by GMRES from x = 0
+    with no restart (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986), or
+    the best x in the whole Krylov space after N products of D.
+
+    The Arnoldi basis is orthogonalized by modified Gram-Schmidt.  The
+    residual of the least-squares problem in the Hessenberg matrix H is
+    |b| |z_0|, with z the unit left null vector of H, which grows by one
+    entry per product; H is solved once, at the end.  The basis holds one
+    vector of N per product, so at most N**2 values.
+    """
+    norm = beta = np.linalg.norm(b)
+    w, basis, hessenberg, z = b, [], np.zeros((1, 0)), np.ones(1)
+    while abs(z[0]) > rtol and len(basis) < b.size:
+        basis.append(w / norm)
+        w = basis[-1] - D @ basis[-1]
+        hessenberg = np.pad(hessenberg, ((0, 1), (0, 1)))
+        for i, v in enumerate(basis):
+            hessenberg[i, -1] = v @ w
+            w -= hessenberg[i, -1] * v
+        norm = hessenberg[-1, -1] = np.linalg.norm(w)
+        # z stays orthogonal to every column of H: the new entry cancels the last
+        z = np.append(norm * z, -(z @ hessenberg[:-1, -1]))
+        z /= np.linalg.norm(z)
+    y = np.linalg.lstsq(hessenberg, np.eye(1, z.size)[0], rcond=None)[0]
+    return beta * (np.array(basis).T @ y)

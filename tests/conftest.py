@@ -73,16 +73,20 @@ def dense_derivative(X, Y, kernel):
     """The N x N derivative matrix of the operator at X, with Y its image, and
     the row defects: row i is derivative_kernel(X_j, Y_i) / Z_i over the stored
     levels, Z_i the same kernel summed over all N levels and the 64 tail
-    nodes, and the defect the tail nodes' share of Z_i.  The exact reference
-    against which the product of DerivativeMatrix is measured."""
+    nodes, and the defect the tail nodes' share of Z_i.  Z_i, the defect and
+    the quotients are formed in extended precision and rounded once, so each
+    entry carries only its own rounding.  The exact reference against which
+    the product of DerivativeMatrix is measured."""
     n = len(X)
     sources, weights = dense_sources(X)
+    weights = weights.astype(np.longdouble)
     entries, defect = np.empty((len(Y), n)), np.empty(len(Y))
     for rows in row_blocks(sources, Y.values):
         kernel_values = quantize.derivative_kernel(kernel, sources, Y.values[rows, None])
+        kernel_values = kernel_values.astype(np.longdouble)
         z = kernel_values @ weights
-        entries[rows] = kernel_values[:, :n] / z[:, None]
-        defect[rows] = (kernel_values[:, n:] @ weights[n:]) / z
+        entries[rows] = (kernel_values[:, :n] / z[:, None]).astype(float)
+        defect[rows] = ((kernel_values[:, n:] @ weights[n:]) / z).astype(float)
     return entries, defect
 
 

@@ -289,7 +289,7 @@ def test_a9_spectral_rate_of_derivative():
 
 
 def test_a12_global_attraction():
-    # the paper's fixed point attracts globally: plain Picard (history 0) from
+    # the paper's fixed point attracts globally: plain Picard (no Newton) from
     # far-off starts that keep the seed's tail reaches it, and in odd parity
     # every step after the first contracts the eps = 1 weighted error by the
     # predicted S_1/S_0; the even ratios exceed it far from the fixed point

@@ -78,6 +78,17 @@ class TestSpectrum:
         _, second, _ = run(capsys, "spectrum", "--M", "2", "--levels", "5", "--N", "60")
         assert first == second
 
+    def test_large_m_converges_at_default_settings(self, capsys):
+        # the contraction rate (M - 1)/(M + 1) is 0.98 at M = 100, so fixed-point
+        # iteration crawls, but the Newton steps of the solve take 6 / 4 of the
+        # default 400
+        code, out, _ = run(capsys, "spectrum", "--M", "100", "--N", "250", "--levels", "4",
+                           "--format", "json")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert len(doc["energies"]) == 4
+        assert max(doc["residuals"].values()) <= 1e-10
+
 
 class TestIterate:
     def test_perturbed_run_reports_rate(self, capsys):

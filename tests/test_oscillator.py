@@ -22,7 +22,6 @@ from oscspec import (
     seed_sequence,
     solve_parity,
 )
-from oscspec.oscillator import ANDERSON_HISTORY
 from oscspec.quantize import ROOT_TOL
 from conftest import solved_parity
 
@@ -193,7 +192,7 @@ def test_seed_iteration_rate_near_prediction(m2_odd_300):
     # odd-parity problem); solve_parity is accelerated, so its trace is not used
     problem, cfg, _, _ = m2_odd_300
     trace = iterate(seed_sequence(problem, 300), problem.offsets, problem.kernel, cfg,
-                    StopRule(max_steps=400, target_residual=1e-12), history=0)
+                    StopRule(max_steps=400, target_residual=1e-12))
     ratios = np.array(trace.residual_sup[1:]) / np.array(trace.residual_sup[:-1])
     window = ratios[4:16]
     assert np.all(window > 0.27)
@@ -201,7 +200,7 @@ def test_seed_iteration_rate_near_prediction(m2_odd_300):
 
 
 class TestAcceleratedSolve:
-    """solve_parity runs Anderson-accelerated iterate; Picard is the reference."""
+    """solve_parity runs iterate with Newton steps; Picard is the reference."""
 
     N = 300
     STOP = StopRule(max_steps=400, target_residual=1e-11)
@@ -226,7 +225,7 @@ class TestAcceleratedSolve:
     @pytest.mark.parametrize("M", [2, 3])
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_fixed_point_keeps_the_seed_tail(self, M, parity):
-        # every mixed point and image carries the seed's tail model unchanged
+        # every Newton point and image carries the seed's tail model unchanged
         problem, _, fixed, _ = solved_parity(M, parity, 1500)
         assert fixed.tail == seed_sequence(problem, 1500).tail
 
@@ -234,7 +233,6 @@ class TestAcceleratedSolve:
         problem, cfg, fixed, _ = m2_even_300
         seed = seed_sequence(problem, cfg.truncation)
         trace = iterate(seed.with_values(3.0 * seed.values), problem.offsets, problem.kernel,
-                        cfg, StopRule(max_steps=300, target_residual=1e-12),
-                        history=ANDERSON_HISTORY)
+                        cfg, StopRule(max_steps=300, target_residual=1e-12), newton=True)
         gap = np.max(np.abs(np.log(trace.iterates[-1].values) - np.log(fixed.values)))
         assert gap <= 1e-8

@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from collections import deque
 
 import numpy as np
 import pytest
@@ -34,8 +33,8 @@ from oscspec import (
     spectral_rate_estimate,
 )
 from oscspec import quantize
-from oscspec.quantize import (ROOT_TOL, _anderson_point, _CompressedSources, _CountingPanels,
-                              angle_kernel, derivative_kernel)
+from oscspec.quantize import (ROOT_TOL, _CompressedSources, _CountingPanels, _gmres, angle_kernel,
+                              derivative_kernel)
 from conftest import dense_counting, dense_derivative, random_growth_sequence, solved_parity
 from test_acceptance import THETA_GRID
 
@@ -848,7 +847,8 @@ class TestDerivativeMatrix:
         return KernelParams(2.2), seq, out
 
     # the dense reference the product is measured against, in row blocks of
-    # derivative_kernel; 1000 entries make blocks of 4 rows and a ragged last block
+    # derivative_kernel with Z and the defect in extended precision; 1000
+    # entries make blocks of 4 rows and a ragged last block
     @pytest.mark.parametrize("entries", [1000, quantize._BLOCK_ENTRIES])
     def test_bit_identical_to_blocked_derivative_kernel(self, rng, monkeypatch, entries):
         monkeypatch.setattr(quantize, "_BLOCK_ENTRIES", entries)
@@ -856,14 +856,15 @@ class TestDerivativeMatrix:
         n = len(seq)
         tail_values, tail_weights = quantize._tail_rule(n, seq.tail)
         xe = np.concatenate([seq.values, tail_values])
-        we = np.concatenate([np.ones(n), tail_weights])
+        we = np.concatenate([np.ones(n), tail_weights]).astype(np.longdouble)
         rows, defect = [], []
         step = max(1, entries // xe.size)
         for start in range(0, n, step):
             p = derivative_kernel(kp, xe, out.values[start:start + step, None])
+            p = p.astype(np.longdouble)
             z = p @ we
-            rows.append(p[:, :n] / z[:, None])
-            defect.append((p[:, n:] @ we[n:]) / z)
+            rows.append((p[:, :n] / z[:, None]).astype(float))
+            defect.append(((p[:, n:] @ we[n:]) / z).astype(float))
         with np.errstate(over="raise", divide="raise"):
             matrix, row_defect = dense_derivative(seq, out, kp)
         assert np.array_equal(matrix, np.concatenate(rows))
@@ -938,23 +939,85 @@ class TestIterate:
         assert trace.residual_sup[0] == weighted_norm(step, 0.0) == np.max(np.abs(step))
 
     def test_accelerated_residuals_are_those_of_the_operator(self, rng):
+        # Newton reaches a residual of exactly 0 at step 5 here, so the cap
+        # of 4 ends the run
         problem = build_problem(2, Parity.EVEN)
         cfg = OperatorConfig(truncation=30)
         seq = random_growth_sequence(rng, 30)
-        stop = StopRule(max_steps=6, target_residual=0.0)
-        trace = iterate(seq, problem.offsets, problem.kernel, cfg, stop, history=3)
-        assert trace.steps == 6 and len(trace.iterates) == 7
+        stop = StopRule(max_steps=4, target_residual=0.0)
+        trace = iterate(seq, problem.offsets, problem.kernel, cfg, stop, newton=True)
+        assert trace.steps == 4 and len(trace.iterates) == 5
         for n, X in enumerate(trace.iterates[:-1]):
             image = apply_quantization(X, problem.offsets, problem.kernel, cfg)
             delta = np.abs(np.log(image.values) - np.log(X.values))
             assert trace.residual_sup[n] == np.max(delta)
         assert np.array_equal(image.values, trace.iterates[-1].values)
 
-    def test_rejects_negative_history(self, rng):
+    # a Newton point out of order, overflowing or not a number
+    @pytest.mark.parametrize("correction", [lambda b: -10.0 * np.arange(b.size),
+                                            lambda b: np.full(b.size, 1e3),
+                                            lambda b: np.full(b.size, np.nan)],
+                             ids=["decreasing", "overflow", "nan"])
+    def test_bad_newton_point_falls_back_to_the_image(self, rng, monkeypatch, correction):
+        calls = []
+
+        def bad_gmres(D, b, rtol):
+            calls.append(rtol)
+            return correction(b)
+
+        monkeypatch.setattr(quantize, "_gmres", bad_gmres)
         problem = build_problem(2, Parity.EVEN)
-        with pytest.raises(ValueError, match="history"):
-            iterate(random_growth_sequence(rng, 8), problem.offsets, problem.kernel,
-                    OperatorConfig(truncation=8), StopRule(max_steps=2), history=-1)
+        cfg = OperatorConfig(truncation=30)
+        seq = random_growth_sequence(rng, 30)
+        trace = iterate(seq, problem.offsets, problem.kernel, cfg,
+                        StopRule(max_steps=3, target_residual=0.0), newton=True)
+        assert len(calls) == 2
+        for X, following in zip(trace.iterates, trace.iterates[1:]):
+            image = apply_quantization(X, problem.offsets, problem.kernel, cfg)
+            assert np.array_equal(following.values, image.values) and following.tail == seq.tail
+
+
+class TestGmres:
+    """_gmres on I - D, against a dense solve with the tests' dense reference."""
+
+    class Counted:
+        """The product D @ v, counting its calls."""
+
+        def __init__(self, D):
+            self.D, self.products = D, 0
+
+        def __matmul__(self, v):
+            self.products += 1
+            return self.D @ v
+
+    # at M = 30 the spectrum of D crowds 1, so the solve takes many products
+    @pytest.mark.parametrize("rtol", [1e-2, 1e-10])
+    @pytest.mark.parametrize("M", [2, 30])
+    def test_meets_its_tolerance_within_n_products(self, M, rtol):
+        problem, n = build_problem(M, Parity.EVEN), 250
+        cfg = OperatorConfig(truncation=n)
+        X = seed_sequence(problem, n)
+        Y = apply_quantization(X, problem.offsets, problem.kernel, cfg)
+        b = np.log(Y.values) - np.log(X.values)
+        D = self.Counted(derivative_matrix(X, Y, problem.kernel, cfg))
+        x = _gmres(D, b, rtol)
+        assert 0 < D.products <= n
+        system = np.eye(n) - dense_derivative(X, Y, problem.kernel)[0]
+        assert np.linalg.norm(b - system @ x) <= rtol * np.linalg.norm(b)
+        exact = np.linalg.solve(system, b)
+        bound = np.linalg.norm(np.linalg.inv(system), 2) * rtol * np.linalg.norm(b)
+        assert np.linalg.norm(x - exact) <= bound
+
+    def test_one_level_in_one_product(self):
+        problem = build_problem(2, Parity.EVEN)
+        cfg = OperatorConfig(truncation=1)
+        X = seed_sequence(problem, 1)
+        Y = apply_quantization(X, problem.offsets, problem.kernel, cfg)
+        D = self.Counted(derivative_matrix(X, Y, problem.kernel, cfg))
+        d = (D.D @ np.ones(1))[0]
+        x = _gmres(D, np.array([0.5]), 1e-2)
+        assert D.products == 1
+        assert x[0] == pytest.approx(0.5 / (1.0 - d), rel=1e-15)
 
 
 def test_weighted_norm_of_step_matches_manual(rng):
@@ -962,21 +1025,6 @@ def test_weighted_norm_of_step_matches_manual(rng):
     values = np.exp(rng.normal(size=12))
     norm = weighted_norm(np.log(values), 0.0)
     assert norm == pytest.approx(np.max(np.abs(np.log(values))), rel=1e-15)
-
-
-def test_anderson_safeguard_takes_picard_step_and_restarts():
-    # one stored pair and a current one whose mix is [5, 1, 2]: not increasing
-    tail = TailModel(1.0, 1.5)
-    f, g = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 2.0])
-    image = EnergySequence(np.exp(g), tail)
-    pairs = deque([(np.zeros(3), np.array([5.0, 1.0, 2.0]))], maxlen=3)
-    assert _anderson_point(pairs, f, g, image) is image
-    assert len(pairs) == 1 and pairs[0][0] is f and pairs[0][1] is g
-    # without the bad pair the same residual mixes into an increasing point
-    pairs = deque([(np.zeros(3), np.array([-1.0, 1.0, 2.0]))], maxlen=3)
-    mixed = _anderson_point(pairs, f, g, image)
-    assert np.allclose(np.log(mixed.values), [-1.0, 1.0, 2.0], atol=1e-14)
-    assert mixed.tail == tail and len(pairs) == 2
 
 
 def test_operator_config_validation():

@@ -183,10 +183,16 @@ def derivative_kernel(kernel: KernelParams, e_a, e_b):
 
     Evaluated as 1 / (r + 2 cos theta + 1/r) with r = e_a/e_b, which is
     scale invariant; a ratio that overflows or underflows gives the limit 0.
+    The sum is formed in place in r, so an array result peaks at twice its
+    size: r and 1/r, then r and the result.
     """
     with np.errstate(over="ignore", divide="ignore"):
         ratio = np.asarray(e_a, dtype=float) / np.asarray(e_b, dtype=float)
-        return 1.0 / (ratio + 2.0 * kernel.cos + 1.0 / ratio)
+        inverse = 1.0 / ratio
+        ratio += 2.0 * kernel.cos
+        ratio += inverse
+        del inverse
+        return 1.0 / ratio
 
 
 def _tail_rule(n: int, tail: TailModel) -> tuple[np.ndarray, np.ndarray]:
@@ -299,35 +305,46 @@ class _CompressedSources:
     64 nodes.  `weights` are the counting sum's, the levels at one and the
     tail nodes at the rule's `tail_weights`.  `moments(v)`, the one step per
     weight vector, weights the levels by v and as many tail nodes as the rule
-    returns by zero, so its sum runs over the stored levels alone; it costs
-    O(N * 25) time and memory, and the build O(N log N) besides, since only
-    occupied panels are indexed.
+    returns by zero, so its sum runs over the stored levels alone.  The build
+    orders the levels of the compressed panels panel by panel, so each
+    panel's levels form one run; `moments` gathers the direct levels and runs
+    the Chebyshev recurrence over the compressed ones, summing every term run
+    by run with one np.add.reduceat: O(N) time and memory for the gather and
+    O(N * 25) time for the recurrence, over only the compressed levels (none
+    at M = 30, N = 250 or at M = 100, N = 1000).  The build costs
+    O(N log N), since only occupied panels are indexed.
     """
 
     def __init__(self, X: EnergySequence, kernel: KernelParams):
         x_log = np.log(X.values)
         self.panels = _CountingPanels(kernel, x_log.min() - _LOG8, x_log.max() + _LOG8)
         panel = self.panels.locate(x_log)
-        self._t = self.panels.local(panel, x_log)
-        occupied, self._slot, size = np.unique(panel, return_inverse=True, return_counts=True)
-        self._packed = size > _CHEB_DEGREE + 1
-        self._direct = ~self._packed[self._slot]
+        occupied, slot, size = np.unique(panel, return_inverse=True, return_counts=True)
+        packed = size > _CHEB_DEGREE + 1
+        self._direct = ~packed[slot]
+        # the levels of the packed panels, panel by panel (the identity for
+        # sorted X), each panel's run starting at its entry of _starts
+        spread = np.flatnonzero(~self._direct)
+        self._spread = spread[np.argsort(slot[spread], kind="stable")]
+        self._starts = np.cumsum(size[packed]) - size[packed]
+        self._t = self.panels.local(panel[self._spread], x_log[self._spread])
         tail_values, self.tail_weights = _tail_rule(len(X), X.tail)
         self.points = np.concatenate([X.values[self._direct],
-                                      self.panels.nodes(occupied[self._packed]), tail_values])
+                                      self.panels.nodes(occupied[packed]), tail_values])
         self.weights = self.moments(np.ones(len(X)))
         self.weights[-self.tail_weights.size:] = self.tail_weights
 
     def moments(self, v: np.ndarray) -> np.ndarray:
         """Weights of the points for the level weights v, the tail nodes at zero."""
-        # column m: the sum of v_k T_m(t_k) over the levels of each occupied panel,
+        # column m: the sum of v_k T_m(t_k) over each packed panel's run,
         # v_k T_m(t_k) running the three-term recurrence of T_m from v_k, v_k t_k
-        sums = np.empty((self._packed.size, _CHEB_DEGREE + 1))
-        t_prev, t_cur = v, self._t * v
+        sums = np.empty((self._starts.size, _CHEB_DEGREE + 1))
+        t_prev = v[self._spread]
+        t_cur, two_t = self._t * t_prev, 2.0 * self._t
         for column in sums.T:
-            column[:] = np.bincount(self._slot, weights=t_prev, minlength=self._packed.size)
-            t_prev, t_cur = t_cur, 2.0 * self._t * t_cur - t_prev
-        moments = sums[self._packed] @ _CHEB_FROM_VALUES
+            column[:] = np.add.reduceat(t_prev, self._starts)
+            t_prev, t_cur = t_cur, two_t * t_cur - t_prev
+        moments = sums @ _CHEB_FROM_VALUES
         return np.concatenate([v[self._direct], moments.ravel(), np.zeros_like(self.tail_weights)])
 
 
@@ -474,13 +491,15 @@ class DerivativeMatrix:
     on the same panels; so D @ 1 and the defect add up to one to rounding.
     Against the dense matrix, its normalizers summed and its entries and
     products with v formed in extended precision, it is off by at most
-    1.1e-15 * max |v| (measured at the seeds and fixed points of M = 2, 3, 5,
+    1.2e-15 * max |v| (measured at the seeds and fixed points of M = 2, 3, 5,
     N <= 2000).  Besides the compression and the panel coordinates of ln Y,
     O(N), it holds Z and that matrix for its whole life: 25 points per panel
     holding a level of Y, at most N panels, by at most N + 64 sources.  It
     grows slowly with N but fast with M, as the panels narrow: 225 x 216
     (0.37 MiB) at M = 2, N = 2000 and 300 x 270 at N = 20000, but
-    4825 x 1064 (39.2 MiB) at M = 100, N = 1000.
+    4825 x 1064 (39.2 MiB) at M = 100, N = 1000.  derivative_kernel forms the
+    matrix with one temporary of its size, so the build peaks at twice the
+    matrix (78.4 MiB there under tracemalloc).
     """
 
     def __init__(self, X: EnergySequence, Y: EnergySequence, kernel: KernelParams):
@@ -568,21 +587,26 @@ def _gmres(D: DerivativeMatrix, b: np.ndarray, rtol: float) -> np.ndarray:
     The Arnoldi basis is orthogonalized by modified Gram-Schmidt.  The
     residual of the least-squares problem in the Hessenberg matrix H is
     |b| |z_0|, with z the unit left null vector of H, which grows by one
-    entry per product; H is solved once, at the end.  The basis holds one
-    vector of N per product, so at most N**2 values.
+    entry per product; H is kept as its list of columns and assembled and
+    solved once, at the end.  The basis holds one vector of N per product,
+    so at most N**2 values.
     """
     norm = beta = np.linalg.norm(b)
-    w, basis, hessenberg, z = b, [], np.zeros((1, 0)), np.ones(1)
+    w, basis, columns, z = b, [], [], np.ones(1)
     while abs(z[0]) > rtol and len(basis) < b.size:
         basis.append(w / norm)
         w = basis[-1] - D @ basis[-1]
-        hessenberg = np.pad(hessenberg, ((0, 1), (0, 1)))
+        column = np.empty(len(basis) + 1)
         for i, v in enumerate(basis):
-            hessenberg[i, -1] = v @ w
-            w -= hessenberg[i, -1] * v
-        norm = hessenberg[-1, -1] = np.linalg.norm(w)
+            column[i] = v @ w
+            w -= column[i] * v
+        norm = column[-1] = np.linalg.norm(w)
+        columns.append(column)
         # z stays orthogonal to every column of H: the new entry cancels the last
-        z = np.append(norm * z, -(z @ hessenberg[:-1, -1]))
+        z = np.append(norm * z, -(z @ column[:-1]))
         z /= np.linalg.norm(z)
+    hessenberg = np.zeros((z.size, len(columns)))
+    for j, column in enumerate(columns):
+        hessenberg[:j + 2, j] = column
     y = np.linalg.lstsq(hessenberg, np.eye(1, z.size)[0], rcond=None)[0]
     return beta * (np.array(basis).T @ y)

@@ -572,6 +572,19 @@ class TestCompressedSources:
             D @ np.ones(2000)
         assert len(calls) == 2
 
+    # the moments sum each packed panel's levels as one run, so the levels
+    # are ordered panel by panel first; at M = 100 no panel is packed
+    @pytest.mark.parametrize("M, n, packed", [(2, 2000, True), (3, 250, True), (100, 250, False)])
+    def test_counting_independent_of_level_order(self, rng, M, n, packed):
+        problem = build_problem(M, Parity.EVEN)
+        X = seed_sequence(problem, n)
+        shuffled = X.with_values(rng.permutation(X.values))
+        assert (_CompressedSources(shuffled, problem.kernel)._starts.size > 0) == packed
+        probes = np.concatenate([X.values, X.values.max() * TestCompressedCounting.TAIL_FACTORS])
+        phi = counting_function(X, probes, problem.kernel)
+        error = np.max(np.abs(counting_function(shuffled, probes, problem.kernel) - phi))
+        assert error <= 1e-15 * np.max(np.abs(phi))
+
     @pytest.mark.parametrize("M", [2, 3])
     def test_tail_rule_of_any_size(self, rng, monkeypatch, M):
         # the moments pad as many tail nodes as the rule returns: here its 64
@@ -833,6 +846,20 @@ class TestDerivativeMatrix:
                 tracemalloc.stop()
             assert peak <= bound, n
             assert 0.0 < rate < 1.0, n
+
+    def test_build_peaks_at_twice_the_matrix(self):
+        # derivative_kernel forms the matrix in place but for one temporary
+        # of its size; the build's other arrays are O(N)
+        problem = build_problem(100, Parity.EVEN)
+        X = seed_sequence(problem, 1000)
+        Y = apply_quantization(X, problem.offsets, problem.kernel, OperatorConfig(truncation=1000))
+        tracemalloc.start()
+        try:
+            D = derivative_matrix(X, Y, problem.kernel, OperatorConfig(truncation=1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * D._matrix.nbytes
 
     @staticmethod
     def extreme_pair(rng, n=139):

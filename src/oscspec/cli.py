@@ -167,7 +167,8 @@ def cmd_spectrum(opts: dict) -> _Result:
         problem = oscillator.build_problem(M, oscillator.Parity(parity))
         fixed, trace = oscillator.solve_parity(problem, cfg, stop)
         result = oscillator.SpectrumResult(fixed.values, {parity: trace.residual_sup[-1]},
-                                           {parity: trace.steps})
+                                           {parity: trace.steps},
+                                           {parity: oscillator.sum_rule_err(problem, fixed)})
         # a parity class holds every other level of the merged spectrum
         merged = range(0 if parity == "even" else 1, 2 * levels, 2)
     rows = [
@@ -182,6 +183,7 @@ def cmd_spectrum(opts: dict) -> _Result:
         "levels": rows,
         "residuals": result.residuals,
         "iterations": result.iterations,
+        "sum_rule_err": result.sum_rule_err,
     }
     return EXIT_OK, document, rows
 
@@ -329,6 +331,7 @@ def cmd_verify(opts: dict) -> _Result:
         "levels": rows,
         "residuals": result.residuals,
         "iterations": result.iterations,
+        "sum_rule_err": result.sum_rule_err,
         "max_rel_dev": float(rel_dev.max()),
         "bound": bound,
         "pass": passed,

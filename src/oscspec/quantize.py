@@ -213,6 +213,14 @@ def _tail_rule(n: int, tail: TailModel) -> tuple[np.ndarray, np.ndarray]:
     return tail.value(s), TAIL_WEIGHTS * jac
 
 
+def reciprocal_sum(X: EnergySequence) -> float:
+    """sum_{k<=N} 1/X_k plus the tail rule's sum of w/X over its nodes: the
+    sum of 1/X_k over the full sequence, the tail summed as the operator's
+    kernel sums sum it.  O(N)."""
+    tail_values, tail_weights = _tail_rule(len(X), X.tail)
+    return float(np.sum(1.0 / X.values) + tail_weights @ (1.0 / tail_values))
+
+
 def _kernel_sum(sources: np.ndarray, weights: np.ndarray, probes: np.ndarray,
                 kernel: KernelParams) -> np.ndarray:
     """(1/pi) sum_k w_k angle_kernel(s_k, y) over sources s_k with weights w_k

@@ -38,7 +38,8 @@ class TestSpectrum:
                            "--format", "json")
         assert code == EXIT_OK
         doc = json.loads(out)
-        assert set(doc) == {"problem", "energies", "levels", "residuals", "iterations"}
+        assert set(doc) == {"problem", "energies", "levels", "residuals", "iterations",
+                            "sum_rule_err"}
         assert len(doc["energies"]) == 4
         assert doc["iterations"]["even"] >= 1
 
@@ -63,6 +64,7 @@ class TestSpectrum:
         doc = json.loads(out)
         assert doc["levels"][0]["level"] == 1
         assert list(doc["residuals"]) == ["odd"]
+        assert list(doc["sum_rule_err"]) == ["odd"]
 
     def test_writes_file(self, capsys, tmp_path):
         target = tmp_path / "spectrum.csv"
@@ -245,6 +247,9 @@ class TestVerify:
         assert doc["pass"] is True
         assert doc["max_rel_dev"] <= 5e-3
         assert len(doc["levels"]) == 4
+        # the O(1/N) error of the plain tail, -1.6e-3 / -5.2e-4 at N = 150
+        assert list(doc["sum_rule_err"]) == ["even", "odd"]
+        assert all(-5e-3 < err < 0 for err in doc["sum_rule_err"].values())
 
     def test_tolerance_failure_exit_code(self, capsys):
         code, out, _ = run(capsys, "verify", "--M", "2", "--levels", "4", "--N", "150",

@@ -14,8 +14,9 @@ This module provides the two pair kernels, the compression of a sequence
 into per-panel Chebyshev moments, built once per sequence by each of its
 three readers: the counting function, the implicit solve on panels, and the
 row-stochastic derivative matrix of the operator in log coordinates, which
-exists only as a product in O(N) memory, never as an N x N array; and the
-iteration driver, plain Picard or Newton steps on that product.  The
+reads Y through its own compression and exists only as a product in O(N)
+memory, never as an N x N array; and the iteration driver, plain Picard or
+Newton steps on that product.  The
 truncated operator keeps its input's tail model: the tail normalization is
 a boundary condition, as in the paper's spaces of properly normalized
 sequences.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -54,8 +56,7 @@ _CHEB_DEGREE = 24
 _CHEB_NODES = chebpts1(_CHEB_DEGREE + 1)
 _CHEB_FROM_VALUES = chebvander(_CHEB_NODES, _CHEB_DEGREE).T * (2.0 / (_CHEB_DEGREE + 1))
 _CHEB_FROM_VALUES[0] *= 0.5
-_CHEB_SLOPE_FROM_VALUES = np.zeros_like(_CHEB_FROM_VALUES)
-_CHEB_SLOPE_FROM_VALUES[:-1] = chebder(_CHEB_FROM_VALUES)
+_CHEB_SLOPE_FROM_VALUES = np.vstack([chebder(_CHEB_FROM_VALUES), np.zeros(_CHEB_DEGREE + 1)])
 
 
 @dataclass(frozen=True)
@@ -244,17 +245,18 @@ def _kernel_sum(sources: np.ndarray, weights: np.ndarray, probes: np.ndarray,
 
 class _CountingPanels:
     """The equal panels of width at most 2 (pi - theta) / 3 on [lo, hi] in
-    s = ln y, the one owner of their geometry, continued as a lattice past
-    both ends, and piecewise Chebyshev interpolants on them of functions
-    sampled at their Chebyshev points, panel by panel.
+    s = ln y, the one owner of their geometry, and piecewise Chebyshev
+    interpolants on them of functions sampled at their Chebyshev points,
+    panel by panel.
 
-    Each term of the counting sum, arg(e**(ln X_k - s) + e**(i theta)), is
-    analytic in |Im s| < pi - theta and, whatever s is, in the same strip as
-    a function of ln X_k; each panel therefore sits in a Bernstein ellipse of
-    parameter 3 + sqrt(10), in which degree _CHEB_DEGREE reaches the rounding
-    floor of the dense sum.  The number of panels grows like the log-range
-    over pi - theta (so like M + 1 for the oscillator) and is not bounded by N.
-    Every range spans at least the compression's 2 ln 8, so hi > lo.
+    Each term of the counting sum, arg(e**(ln X_k - s) + e**(i theta)), and
+    of the derivative-kernel sum is analytic in |Im s| < pi - theta and,
+    whatever s is, in the same strip as a function of ln X_k; each panel
+    therefore sits in a Bernstein ellipse of parameter 3 + sqrt(10), in which
+    degree _CHEB_DEGREE reaches the rounding floor of the dense sum.  The
+    number of panels grows like the log-range over pi - theta (so like M + 1
+    for the oscillator) and is not bounded by N.  Every range spans at least
+    the compression's 2 ln 8, so hi > lo.
 
     Nothing is kept per panel, so the compression of X touches only its
     occupied panels, also among the 2.4e7 of the bracket certificates at
@@ -299,28 +301,27 @@ class _CountingPanels:
 
 
 class _CompressedSources:
-    """The sources of the kernel sums over X, compressed once.
+    """A sequence X compressed once: the one panel rule for the sources of
+    kernel sums over X and for sums probed at its levels.
 
     The stored levels are interpolated on `panels`, the _CountingPanels over
     [min ln X - ln 8, max ln X + ln 8] (the far-field step of the black-box
     FMM, Fong & Darve, J. Comput. Phys. 228, 2009, with no near field).  A
-    panel holding more than _CHEB_DEGREE + 1 stored levels hands a sum its
-    own Chebyshev points instead, weighted by the moments
-    m_a = sum_k v_k l_a(t_k) of the Lagrange basis l_a at the levels' local
-    coordinates t_k; any other panel keeps its levels at their weights v_k.
-    `points` are the direct levels, the Chebyshev points of compressed
-    panels, then the nodes of the tail rule: at most N + 64 sources with its
-    64 nodes.  `weights` are the counting sum's, the levels at one and the
-    tail nodes at the rule's `tail_weights`.  `moments(v)`, the one step per
-    weight vector, weights the levels by v and as many tail nodes as the rule
-    returns by zero, so its sum runs over the stored levels alone.  The build
-    orders the levels of the compressed panels panel by panel, so each
-    panel's levels form one run; `moments` gathers the direct levels and runs
-    the Chebyshev recurrence over the compressed ones, summing every term run
-    by run with one np.add.reduceat: O(N) time and memory for the gather and
-    O(N * 25) time for the recurrence, over only the compressed levels (none
-    at M = 30, N = 250 or at M = 100, N = 1000).  The build costs
-    O(N log N), since only occupied panels are indexed.
+    panel holding more than _CHEB_DEGREE + 1 stored levels is packed: its
+    Chebyshev points stand for its levels, through the Lagrange basis l_a at
+    their local coordinates t_k; any other panel keeps its levels, direct.
+    `points` are the direct levels, the packed panels' Chebyshev points, then
+    the tail rule's nodes: at most N + 64 points with its 64 nodes.
+    `moments(v)`, the one step per weight vector, weights the points but the
+    tail nodes for level weights v (v_k at a direct level, the moments
+    m_a = sum_k v_k l_a(t_k) at packed points); `weights`, built on first
+    read, are the counting sum's, moments(1) then `tail_weights`.  The
+    transpose of `moments`, `interpolate`, reads values at those points back
+    at the levels, a packed level from its panel's interpolant.  Both run
+    over the packed levels only, ordered panel by panel at build, one run per
+    panel (none at M = 30, N = 250 or M = 100, N = 1000): O(N * 25) time,
+    O(N) memory.  The build costs O(N log N), since only occupied panels are
+    indexed.
     """
 
     def __init__(self, X: EnergySequence, kernel: KernelParams):
@@ -339,11 +340,14 @@ class _CompressedSources:
         tail_values, self.tail_weights = _tail_rule(len(X), X.tail)
         self.points = np.concatenate([X.values[self._direct],
                                       self.panels.nodes(occupied[packed]), tail_values])
-        self.weights = self.moments(np.ones(len(X)))
-        self.weights[-self.tail_weights.size:] = self.tail_weights
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The counting sum's weights: the levels at one, the tail nodes at the rule's."""
+        return np.concatenate([self.moments(np.ones(self._direct.size)), self.tail_weights])
 
     def moments(self, v: np.ndarray) -> np.ndarray:
-        """Weights of the points for the level weights v, the tail nodes at zero."""
+        """Weights of the points but the tail nodes for the level weights v."""
         # column m: the sum of v_k T_m(t_k) over each packed panel's run,
         # v_k T_m(t_k) running the three-term recurrence of T_m from v_k, v_k t_k
         sums = np.empty((self._starts.size, _CHEB_DEGREE + 1))
@@ -352,8 +356,16 @@ class _CompressedSources:
         for column in sums.T:
             column[:] = np.add.reduceat(t_prev, self._starts)
             t_prev, t_cur = t_cur, two_t * t_cur - t_prev
-        moments = sums @ _CHEB_FROM_VALUES
-        return np.concatenate([v[self._direct], moments.ravel(), np.zeros_like(self.tail_weights)])
+        return np.concatenate([v[self._direct], (sums @ _CHEB_FROM_VALUES).ravel()])
+
+    def interpolate(self, values: np.ndarray) -> np.ndarray:
+        """The transpose of moments: values at the points but the tail nodes
+        read back at the levels."""
+        out = np.empty(self._direct.size)
+        out[self._direct], packed = np.split(values, [np.count_nonzero(self._direct)])
+        run = np.searchsorted(self._starts, np.arange(self._spread.size), "right") - 1
+        out[self._spread] = self.panels(self.panels.fit(packed), run, self._t)[0]
+        return out
 
 
 def counting_function(X: EnergySequence, probes, kernel: KernelParams) -> np.ndarray:
@@ -489,49 +501,36 @@ class DerivativeMatrix:
     kernel and Z_i = sum_k w_k K(X_k, Y_i) over the full sequence, tail
     included; the tail's share of Z_i is the row defect, so every entry is
     positive and each row plus its defect sums to one.  Construction
-    compresses X once (_CompressedSources) and locates ln Y once on the
-    compression's own panels, continued past their range where a level lies
-    beyond it, and samples only the panels that hold a level.  `D @ v`
-    takes the moments of v, the tail weighted zero, sums them at the
-    Chebyshev points of those panels by one matrix-vector product with the
-    derivative-kernel matrix between the two, interpolates that sum to ln Y
-    with one Clenshaw sweep and divides by Z, the unit-weight-plus-tail sum
-    on the same panels; so D @ 1 and the defect add up to one to rounding.
-    Against the dense matrix, its normalizers summed and its entries and
-    products with v formed in extended precision, it is off by at most
-    1.2e-15 * max |v| (measured at the seeds and fixed points of M = 2, 3, 5,
-    N <= 2000).  Besides the compression and the panel coordinates of ln Y,
-    O(N), it holds Z and that matrix for its whole life: 25 points per panel
-    holding a level of Y, at most N panels, by at most N + 64 sources.  It
-    grows slowly with N but fast with M, as the panels narrow: 225 x 216
-    (0.37 MiB) at M = 2, N = 2000 and 300 x 270 at N = 20000, but
-    4825 x 1064 (39.2 MiB) at M = 100, N = 1000.  derivative_kernel forms the
-    matrix with one temporary of its size, so the build peaks at twice the
-    matrix (78.4 MiB there under tracemalloc).
+    compresses X and Y once each, x and y, by the one rule of
+    _CompressedSources, and keeps the derivative-kernel matrix between x's
+    points and y's points but the tail nodes, and
+    Z = y.interpolate(matrix @ x.weights); `D @ v` is
+    y.interpolate(matrix @ x.moments(v)) / Z, the tail columns unweighted, so
+    D @ 1 and the defect add up to one to rounding.  At large M every panel
+    is sparse and this is the direct N x S evaluation (S sources); at M <= 5
+    it interpolates on panels.  Against the dense matrix, its normalizers
+    summed and its entries and products with v formed in extended precision,
+    it is off by at most 1.6e-15 * max |v| (seeds and fixed points of
+    M = 2, 3, 5, N <= 2000 and M = 30 to 1000, N = 250; seeds of M = 100,
+    N = 1000).  The matrix has at most N rows, y's direct levels and 25 per
+    packed panel, by at most N + 64 columns: 143 x 216 at M = 2, N = 2000,
+    1000 x 1064 (8.1 MiB) at M = 100, N = 1000, built with one temporary.
     """
 
     def __init__(self, X: EnergySequence, Y: EnergySequence, kernel: KernelParams):
         if len(Y) != len(X):
             raise ValueError(f"Y has {len(Y)} levels, X {len(X)}: the matrix must be square")
-        s = np.log(Y.values)
-        sources = self._sources = _CompressedSources(X, kernel)
-        panels = sources.panels
-        panel = panels.locate(s)
-        occupied, slot = np.unique(panel, return_inverse=True)
-        self._at = slot, panels.local(panel, s)
-        self._matrix = derivative_kernel(kernel, sources.points, panels.nodes(occupied)[:, None])
-        self._norm = self._sum(sources.weights)
+        x = self._sources = _CompressedSources(X, kernel)
+        y = self._probes = _CompressedSources(Y, kernel)
+        self._matrix = derivative_kernel(kernel, x.points, y.points[:-y.tail_weights.size, None])
+        self._norm = y.interpolate(self._matrix @ x.weights)
 
     def __len__(self) -> int:
         return self._norm.size
 
     def __matmul__(self, v) -> np.ndarray:
-        return self._sum(self._sources.moments(np.asarray(v, dtype=float))) / self._norm
-
-    def _sum(self, weights: np.ndarray) -> np.ndarray:
-        """sum_k weights_k K(source_k, Y_i) at every level i, from the panels."""
-        panels = self._sources.panels
-        return panels(panels.fit(self._matrix @ weights), *self._at)[0]
+        moments = self._sources.moments(np.asarray(v, dtype=float))
+        return self._probes.interpolate(self._matrix[:, :moments.size] @ moments) / self._norm
 
 
 def derivative_matrix(X: EnergySequence, Y: EnergySequence, kernel: KernelParams,

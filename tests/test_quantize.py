@@ -464,7 +464,7 @@ class TestCountingPanels:
     def test_one_panel_geometry_per_sequence(self, monkeypatch, factor):
         # an application locates X on its compression's panels once and keeps
         # each level's bracket panel through every Newton sweep; the product
-        # samples the panels of its own compression and builds no others
+        # reads X and Y through their own compressions and builds no others
         located, built, sweeps = [], [], []
         locate, init, call = (_CountingPanels.locate, _CountingPanels.__init__,
                               _CountingPanels.__call__)
@@ -492,7 +492,7 @@ class TestCountingPanels:
         assert located == [300] and len(sweeps) >= 3
         built.clear()
         D = derivative_matrix(X, Y, problem.kernel, cfg)
-        assert built == [D._sources.panels]
+        assert built == [D._sources.panels, D._probes.panels]
 
     def test_memory_bounded_at_large_truncation(self):
         problem = build_problem(2, Parity.EVEN)
@@ -547,9 +547,10 @@ class TestCompressedSources:
             assert abs(stored.sum() - n) <= 64 * np.finfo(float).eps * n, theta
 
     def test_each_sequence_compressed_once(self, monkeypatch):
-        # an application that rebuilds its panels over a widened range, and a
-        # derivative matrix with the 40 products of a rate estimate, each
-        # compress X once; only the compression calls the tail rule
+        # an application that rebuilds its panels over a widened range
+        # compresses X once, and a derivative matrix with the 40 products of a
+        # rate estimate X and Y once each; only the compression calls the
+        # tail rule
         calls = []
         tail_rule = quantize._tail_rule
 
@@ -570,7 +571,7 @@ class TestCompressedSources:
         D = derivative_matrix(seq, out, problem.kernel, cfg)
         for _ in range(40):
             D @ np.ones(2000)
-        assert len(calls) == 2
+        assert len(calls) == 3
 
     # the moments sum each packed panel's levels as one run, so the levels
     # are ordered panel by panel first; at M = 100 no panel is packed
@@ -585,11 +586,37 @@ class TestCompressedSources:
         error = np.max(np.abs(counting_function(shuffled, probes, problem.kernel) - phi))
         assert error <= 1e-15 * np.max(np.abs(phi))
 
+    # interpolate is the transpose of moments on the points but the tail
+    # nodes, u . moments(v) = interpolate(u) . v, for levels in any order
+    # over direct and packed panels alike (at M = 100 none is packed)
+    @pytest.mark.parametrize("M, n", [(2, 2000), (3, 250), (100, 250)])
+    def test_interpolate_is_the_transpose_of_moments(self, rng, M, n):
+        problem = build_problem(M, Parity.EVEN)
+        X = seed_sequence(problem, n)
+        compressed = _CompressedSources(X.with_values(rng.permutation(X.values)), problem.kernel)
+        stored = compressed.points.size - compressed.tail_weights.size
+        for _ in range(3):
+            u, v = rng.uniform(-1.0, 1.0, stored), rng.uniform(-1.0, 1.0, n)
+            assert compressed.moments(v).size == stored
+            assert abs(u @ compressed.moments(v) - compressed.interpolate(u) @ v) <= 1e-15 * n
+
+    def test_probes_form_no_counting_weights(self):
+        # the product reads the counting weights of X's compression only;
+        # Y's compression never forms them
+        problem = build_problem(2, Parity.EVEN)
+        cfg = OperatorConfig(truncation=300)
+        X = seed_sequence(problem, 300)
+        D = derivative_matrix(X, apply_quantization(X, problem.offsets, problem.kernel, cfg),
+                              problem.kernel, cfg)
+        D @ np.ones(300)
+        assert "weights" in vars(D._sources) and "weights" not in vars(D._probes)
+
     @pytest.mark.parametrize("M", [2, 3])
     def test_tail_rule_of_any_size(self, rng, monkeypatch, M):
-        # the moments pad as many tail nodes as the rule returns: here its 64
-        # nodes and endpoint corrections at k = N + 1 (weight 1/24) and k = N
-        # (weight -1/24), which the dense references take from the same rule
+        # the compression keeps as many tail nodes as the rule returns, and the
+        # product's probes drop as many: here its 64 nodes and endpoint
+        # corrections at k = N + 1 (weight 1/24) and k = N (weight -1/24),
+        # which the dense references take from the same rule
         tail_rule = quantize._tail_rule
 
         def with_endpoints(n, tail):
@@ -778,10 +805,11 @@ class TestDerivativeMatrix:
             derivative_matrix(seq, out, problem.kernel, self.CFG)
 
     # the seed and the fixed point of each problem; at N = 40 every panel of X
-    # stays direct, at 300 some compress, at 2000 the top panels do
-    @pytest.mark.parametrize("n", [40, 300, 2000])
-    @pytest.mark.parametrize("parity", ["even", "odd"])
-    @pytest.mark.parametrize("M", [2, 3, 5])
+    # and Y stays direct, at 300 some compress, at 2000 the top panels do; at
+    # M >= 30 the panels are narrow and every one of them stays direct
+    @pytest.mark.parametrize("M, parity, n", [
+        *((M, parity, n) for n in (40, 300, 2000) for parity in ("even", "odd") for M in (2, 3, 5)),
+        *((M, parity, 250) for M in (30, 100, 300, 1000) for parity in ("even", "odd"))])
     def test_product_matches_dense_matrix(self, rng, M, parity, n):
         problem, cfg, fixed, _ = solved_parity(M, parity, n)
         k = np.arange(1, n + 1, dtype=float)
@@ -797,10 +825,11 @@ class TestDerivativeMatrix:
                 assert np.max(np.abs(D @ v - exact)) <= 2e-15 * np.max(np.abs(v)), (X is fixed)
             assert np.max(np.abs(D @ np.ones(n) + defect - 1.0)) <= 2e-15
 
-    # 25 Chebyshev points per panel of the compression of X that holds a level
-    # of Y, by the compressed sources and the 64 tail nodes
-    @pytest.mark.parametrize("M, n, shape", [(2, 2000, (225, 216)), (100, 1000, (4825, 1064)),
-                                             (300, 250, (5575, 314))])
+    # the points of Y's compression but its tail nodes, the direct levels and
+    # 25 Chebyshev points per packed panel, so never more than N, by the
+    # compressed sources of X and the 64 tail nodes
+    @pytest.mark.parametrize("M, n, shape", [(2, 2000, (143, 216)), (100, 1000, (1000, 1064)),
+                                             (300, 250, (250, 314))])
     def test_probe_panels_span_the_levels(self, M, n, shape):
         problem = build_problem(M, Parity.EVEN)
         cfg = OperatorConfig(truncation=n)
@@ -808,19 +837,22 @@ class TestDerivativeMatrix:
         Y = apply_quantization(X, problem.offsets, problem.kernel, cfg)
         D = derivative_matrix(X, Y, problem.kernel, cfg)
         sources = _CompressedSources(X, problem.kernel)
-        occupied = np.unique(sources.panels.locate(np.log(Y.values)))
-        assert D._matrix.shape == (25 * occupied.size, sources.points.size) == shape
+        probes = _CompressedSources(Y, problem.kernel)
+        rows = np.count_nonzero(probes._direct) + 25 * probes._starts.size
+        assert D._matrix.shape == (rows, sources.points.size) == shape
+        assert rows <= n
 
-    # N = 1, and 40 equal levels: ln Y spans no range and occupies one panel
-    @pytest.mark.parametrize("n", [1, 40])
-    def test_one_point_range(self, rng, n):
+    # N = 1, and 40 equal levels: ln Y spans no range and occupies one panel,
+    # on which a lone level is direct and 40 levels are packed
+    @pytest.mark.parametrize("n, rows", [(1, 1), (40, 25)], ids=["1", "40"])
+    def test_one_point_range(self, rng, n, rows):
         problem = build_problem(2, Parity.EVEN)
         cfg = OperatorConfig(truncation=n)
         X = seed_sequence(problem, n)
         Y = apply_quantization(X, problem.offsets, problem.kernel, cfg)
         Y = Y.with_values(np.full(n, Y.values[n // 2]))
         D = derivative_matrix(X, Y, problem.kernel, cfg)
-        assert D._matrix.shape[0] == 25
+        assert D._matrix.shape[0] == rows
         entries, defect = dense_derivative(X, Y, problem.kernel)
         v = rng.uniform(-1.0, 1.0, n)
         exact = (entries.astype(np.longdouble) @ v.astype(np.longdouble)).astype(float)
@@ -828,9 +860,9 @@ class TestDerivativeMatrix:
         assert np.max(np.abs(D @ np.ones(n) + defect - 1.0)) <= 2e-15
 
     def test_product_in_bounded_memory(self):
-        # the product holds the compression of X, the panel coordinates of
-        # ln Y, the normalizer and the kernel matrix between the compressed
-        # sources and the panel nodes; at N = 20000 the dense matrix would
+        # the product holds the compressions of X and Y, the normalizer and the
+        # kernel matrix between the compressed sources and the points of Y's
+        # compression; at N = 20000 the dense matrix would
         # take 3 GiB
         problem = build_problem(2, Parity.ODD)
         for n, bound in ((2000, 2 * 2**20), (20000, 4 * 2**20)):
@@ -901,8 +933,8 @@ class TestDerivativeMatrix:
     def test_product_finite_at_extreme_ratios(self, rng):
         kp, seq, out = self.extreme_pair(rng)
         n = len(seq)
-        # each of the 139 levels of Y occupies a panel of its own: the product's
-        # kernel matrix is 3475 x 203 (5.4 MiB)
+        # each of the 139 levels of Y occupies a panel of its own and stays
+        # direct: the product's kernel matrix is 139 x 203
         entries, defect = dense_derivative(seq, out, kp)
         k = np.arange(1, n + 1, dtype=float)
         dense = entries.astype(np.longdouble)
